@@ -33,7 +33,6 @@ from .integrator import (
     StepConfig,
     Trajectory,
     entropy_trace,
-    max_stable_dt,
     simulate,
     step_fully_implicit,
     step_semi_implicit,
@@ -60,6 +59,7 @@ from .scenarios import (
     build_params,
     builtin_presets,
     load_scenario,
+    parse_scenario,
     save_scenario,
     trait_grid,
 )

@@ -77,14 +77,22 @@ def _step_config(spec: ScenarioSpec) -> StepConfig:
 
 
 def _trajectory_summary(traj) -> dict[str, float]:
+    d = traj.diagnostics
     summary = {
         "steps": len(traj.times) - 1,
-        "final_mass": traj.diagnostics[-1].mass,
-        "final_F": traj.diagnostics[-1].F,
+        "final_mass": float(d.mass[-1]),
+        "final_F": float(d.F[-1]),
     }
-    if traj.diagnostics[-1].S is not None:
-        summary["final_S"] = traj.diagnostics[-1].S
+    if not np.isnan(d.S[-1]):
+        summary["final_S"] = float(d.S[-1])
     return summary
+
+
+def _trajectory_verdicts(traj, constants) -> dict[str, bool]:
+    return {
+        "positivity": bool(np.all(traj.f >= 0) and np.all(traj.R > 0)),
+        "mass_bound": bool(np.all(traj.diagnostics.mass <= constants.M_tilde + 1e-9)),
+    }
 
 
 def _esd_summary(esd) -> dict[str, float]:
@@ -103,18 +111,11 @@ def cmd_simulate(args) -> int:
     params, state0 = build_params(spec)
     constants = validate_params(params, state0)
     traj = simulate(params, state0, spec.T_final, _step_config(spec))
-
-    fmat = traj.f_matrix()
-    rmat = traj.R_matrix()
-    masses = np.array([d.mass for d in traj.diagnostics])
     report = RunReport(
         scenario_name=name,
         constants=constants,
         trajectory_summary=_trajectory_summary(traj),
-        verdicts={
-            "positivity": bool(np.all(fmat >= 0) and np.all(rmat > 0)),
-            "mass_bound": bool(np.all(masses <= constants.M_tilde + 1e-9)),
-        },
+        verdicts=_trajectory_verdicts(traj, constants),
     )
     (out / "trajectory.csv").write_text(csvio.trajectory_csv(traj), encoding="utf-8")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -135,7 +136,6 @@ def cmd_esd(args) -> int:
         tol=args.solver_tol, maxit=_ESD_SOLVER_MAXIT,
     )
     verdicts = {
-        "esd_converged": esd.converged,
         "esd_certified": check.is_esd,
         "persistence_sum": persistence_sum(esd, params) >= -1e-8,
         "restart_agreement": bool(
@@ -172,10 +172,6 @@ def cmd_verify(args) -> int:
     config = _step_config(spec)
     traj = simulate(params, state0, spec.T_final, config, reference=reference)
 
-    fmat = traj.f_matrix()
-    rmat = traj.R_matrix()
-    masses = np.array([d.mass for d in traj.diagnostics])
-
     final = traj.final_state
     # relative to the stable distribution's mass; for an extinction scenario
     # (zero mass) fall back to the initial mass
@@ -186,8 +182,7 @@ def cmd_verify(args) -> int:
     linf_r = float(np.max(np.abs(final.R - esd.R_tilde)))
 
     verdicts = {
-        "positivity": bool(np.all(fmat >= 0) and np.all(rmat > 0)),
-        "mass_bound": bool(np.all(masses <= constants.M_tilde + 1e-9)),
+        **_trajectory_verdicts(traj, constants),
         "esd_convergence": l1_f <= args.tol and linf_r <= args.tol,
         "persistence_sum": persistence_sum(esd, params) >= -1e-8,
     }
@@ -213,7 +208,7 @@ def cmd_verify(args) -> int:
     (out / "trajectory.csv").write_text(csvio.trajectory_csv(traj), encoding="utf-8")
     (out / "esd.csv").write_text(csvio.esd_csv(trait_grid(spec), esd), encoding="utf-8")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    table = csvio.read_csv(csvio.trajectory_csv(traj))
+    table = csvio.trajectory_table(traj)
     (out / "profile.svg").write_text(svgplot.render_profile(table), encoding="utf-8")
     (out / "entropy.svg").write_text(svgplot.render_entropy(table), encoding="utf-8")
     _print_verdicts(report)
@@ -235,13 +230,11 @@ def cmd_analyze(args) -> int:
         "positive_steady_state_excluded": excluded,
     }
     growing = [int(j) for j in np.flatnonzero(params.a > 0)]
-    dirac_ok = 0
     for j in growing:
         ds = dirac_steady_state(params, j)
         analysis[f"dirac_rho_{j}"] = ds.rho_bar
-        dirac_ok += 1
         print(f"single-peak steady state at trait {j}: rho = {ds.rho_bar:.6g}")
-    analysis["dirac_count"] = dirac_ok
+    analysis["dirac_count"] = len(growing)
     if not growing:
         print("no traits with positive growth: no single-peak steady states")
 

@@ -1,11 +1,13 @@
 """CSV serialization of trajectories and stable distributions.
 
 All numbers are written with 17 significant digits so files round-trip
-losslessly; the S column is left blank where the entropy is undefined.
+losslessly. In memory a table is named float columns, built from a trajectory
+or parsed from a file; NaN marks a blank cell, such as an undefined S.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,62 +17,64 @@ from .esd import EsdResult
 from .integrator import Trajectory
 
 
-def _num(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def trajectory_csv(traj: Trajectory) -> str:
-    """Render a trajectory as CSV: t, f_1..f_N, R_1..R_N, mass, S, Q, F, H."""
-    n = traj.params.N
-    header = (
-        ["t"]
-        + [f"f_{j}" for j in range(1, n + 1)]
-        + [f"R_{k}" for k in range(1, n + 1)]
-        + ["mass", "S", "Q", "F", "H"]
-    )
-    rows = [",".join(header)]
-    for t, state, diag in zip(traj.times, traj.states, traj.diagnostics):
-        cells = [_num(t)]
-        cells += [_num(v) for v in state.f]
-        cells += [_num(v) for v in state.R]
-        cells += [_num(diag.mass), "" if diag.S is None else _num(diag.S),
-                  _num(diag.Q), _num(diag.F), _num(diag.H)]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
-
-
-def esd_csv(trait: np.ndarray, esd: EsdResult) -> str:
-    """Render a stable distribution as CSV: trait, f_tilde, R_tilde."""
-    rows = ["trait,f_tilde,R_tilde"]
-    for x, f, R in zip(trait, esd.f_tilde, esd.R_tilde):
-        rows.append(f"{_num(x)},{_num(f)},{_num(R)}")
-    return "\n".join(rows) + "\n"
-
-
 @dataclass(frozen=True)
-class CsvTable:
-    """Parsed CSV with named columns; cells are floats or None (blank)."""
+class Table:
+    """Named float columns of equal length; NaN marks a blank cell."""
 
     header: list[str]
-    columns: dict[str, list[float | None]]
+    columns: dict[str, np.ndarray]
 
     @property
     def n_rows(self) -> int:
-        return len(next(iter(self.columns.values()))) if self.columns else 0
+        return len(self.columns[self.header[0]])
 
-    def column(self, name: str) -> list[float | None]:
+    def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
             raise ParseError(f"missing column '{name}'", field=name)
         return self.columns[name]
 
     def numeric(self, name: str) -> np.ndarray:
         col = self.column(name)
-        if any(v is None for v in col):
+        if np.any(np.isnan(col)):
             raise ParseError(f"column '{name}' has blank cells", field=name)
-        return np.array(col, dtype=float)
+        return col
 
 
-def read_csv(text: str) -> CsvTable:
+def trajectory_table(traj: Trajectory) -> Table:
+    """The columns t, f_1..f_N, R_1..R_N, mass, S, Q, F, H of a trajectory."""
+    d = traj.diagnostics
+    traits = range(1, traj.params.N + 1)
+    header = ["t", *(f"f_{j}" for j in traits), *(f"R_{k}" for k in traits),
+              "mass", "S", "Q", "F", "H"]
+    columns = [traj.times, *traj.f.T, *traj.R.T, d.mass, d.S, d.Q, d.F, d.H]
+    return Table(header=header, columns=dict(zip(header, columns)))
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    """Render a trajectory as CSV: t, f_1..f_N, R_1..R_N, mass, S, Q, F, H."""
+    return _render(trajectory_table(traj))
+
+
+def esd_csv(trait: np.ndarray, esd: EsdResult) -> str:
+    """Render a stable distribution as CSV: trait, f_tilde, R_tilde."""
+    header = ["trait", "f_tilde", "R_tilde"]
+    columns = [trait, esd.f_tilde, esd.R_tilde]
+    return _render(Table(header=header, columns=dict(zip(header, columns))))
+
+
+def _render(table: Table) -> str:
+    block = np.column_stack([table.columns[name] for name in table.header])
+    pattern = ",".join(["%.17g"] * len(table.header))
+    # row by row: converting the whole block at once would hold every cell as a
+    # Python float; %.17g spells NaN, the blank, "nan", as it spells no number
+    lines = [",".join(table.header)]
+    lines += [(pattern % tuple(row.tolist())).replace("nan", "") for row in block]
+    del block  # freed before the join doubles the text
+    lines.append("")
+    return "\n".join(lines)
+
+
+def read_csv(text: str) -> Table:
     """Parse CSV text produced by this package."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -78,23 +82,19 @@ def read_csv(text: str) -> CsvTable:
     header = lines[0].split(",")
     if len(header) < 2:
         raise ParseError("CSV header must name at least two columns", line=1)
-    cols: dict[str, list[float | None]] = {name: [] for name in header}
-    if len(cols) != len(header):
+    if len(set(header)) != len(header):
         raise ParseError("duplicate column names", line=1)
+    if len(lines) == 1:
+        raise ParseError("CSV has a header but no data rows")
+    block = np.empty((len(lines) - 1, len(header)))
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
             raise ParseError(
                 f"expected {len(header)} cells, got {len(cells)}", line=lineno
             )
-        for name, cell in zip(header, cells):
-            if cell == "":
-                cols[name].append(None)
-                continue
-            try:
-                cols[name].append(float(cell))
-            except ValueError as err:
-                raise ParseError(f"not a number: {cell!r}", line=lineno) from err
-    if not cols[header[0]]:
-        raise ParseError("CSV has a header but no data rows")
-    return CsvTable(header=header, columns=cols)
+        try:
+            block[lineno - 2] = [float(cell) if cell else math.nan for cell in cells]
+        except ValueError as err:
+            raise ParseError(f"not a number: {err}", line=lineno) from err
+    return Table(header=header, columns={name: block[:, j] for j, name in enumerate(header)})

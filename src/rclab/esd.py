@@ -46,7 +46,6 @@ class EsdResult:
     kkt_residual: float
     persistence_set: tuple[int, ...]
     iterations: int
-    converged: bool
     k_nonsingular: bool
 
 
@@ -172,7 +171,6 @@ def _assemble(
         kkt_residual=residual,
         persistence_set=persistence,
         iterations=iterations,
-        converged=True,
         k_nonsingular=nonsingular,
     )
 

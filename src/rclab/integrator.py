@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import FixedPointDiverged, Mu0Violation, StepRejected, UndefinedEnt
 from .esd import EsdResult
 from .model import (
     Diagnostics,
-    DerivedConstants,
     ModelParams,
     State,
     compute_diagnostics,
@@ -65,26 +64,22 @@ class StepConfig:
             raise ValueError("fp_maxit must be at least 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Recorded time series: state and diagnostics at t=0 and after each step."""
+    """Recorded time series in columns: row n of f and R is the state at
+    times[n], t = 0 first; diagnostics has one column per functional."""
 
     params: ModelParams
-    times: list[float] = field(default_factory=list)
-    states: list[State] = field(default_factory=list)
-    diagnostics: list[Diagnostics] = field(default_factory=list)
-    scheme_used: StepConfig | None = None
-    fp_iteration_counts: list[int] = field(default_factory=list)
+    config: StepConfig
+    times: np.ndarray
+    f: np.ndarray
+    R: np.ndarray
+    diagnostics: Diagnostics
+    fp_iteration_counts: list[int]
 
     @property
     def final_state(self) -> State:
-        return self.states[-1]
-
-    def f_matrix(self) -> np.ndarray:
-        return np.array([s.f for s in self.states])
-
-    def R_matrix(self) -> np.ndarray:
-        return np.array([s.R for s in self.states])
+        return State(f=self.f[-1], R=self.R[-1])
 
 
 @dataclass(frozen=True)
@@ -100,11 +95,6 @@ class EntropyTrace:
     S: np.ndarray
     bounds: np.ndarray
     flagged_steps: tuple[int, ...]
-
-
-def max_stable_dt(constants: DerivedConstants) -> float:
-    """Largest step with guaranteed positivity; math.inf when unconstrained."""
-    return constants.mu0
 
 
 def _new_f(params: ModelParams, f: np.ndarray, R: np.ndarray, dt: float) -> np.ndarray:
@@ -177,7 +167,7 @@ def simulate(
     config: StepConfig,
     reference: State | None = None,
 ) -> Trajectory:
-    """Advance state0 to T_final, recording states and diagnostics.
+    """Advance state0 to T_final, recording the states, then the diagnostics.
 
     The entropy diagnostic S is recorded only when a reference state is
     supplied (and defined). Any loss of nonnegativity/positivity aborts with
@@ -194,20 +184,21 @@ def simulate(
         warnings.warn(msg + "; proceeding (the bound is sufficient, not necessary)",
                       stacklevel=2)
 
-    traj = Trajectory(params=params, scheme_used=config)
+    steps = _plan_steps(T_final, config.dt)
+    times = np.empty(len(steps) + 1)
+    f = np.empty((len(steps) + 1, params.N))
+    R = np.empty((len(steps) + 1, params.N))
+    sweep_counts: list[int] = []
     t = 0.0
     state = state0
-    traj.times.append(t)
-    traj.states.append(state)
-    traj.diagnostics.append(compute_diagnostics(params, state, reference))
-
-    for i, dt in enumerate(_plan_steps(T_final, config.dt)):
+    times[0], f[0], R[0] = t, state.f, state.R
+    for i, dt in enumerate(steps):
         try:
             if config.scheme is Scheme.FULLY_IMPLICIT:
                 state, sweeps = step_fully_implicit(
                     params, state, dt, config.fp_tol, config.fp_maxit
                 )
-                traj.fp_iteration_counts.append(sweeps)
+                sweep_counts.append(sweeps)
             else:
                 state = step_semi_implicit(params, state, dt)
         except (StepRejected, FixedPointDiverged) as err:
@@ -221,10 +212,14 @@ def simulate(
         ):
             raise StepRejected(f"invalid state after step {i}", step_index=i)
         t += dt
-        traj.times.append(t)
-        traj.states.append(state)
-        traj.diagnostics.append(compute_diagnostics(params, state, reference))
-    return traj
+        times[i + 1], f[i + 1], R[i + 1] = t, state.f, state.R
+
+    times.flags.writeable = f.flags.writeable = R.flags.writeable = False
+    return Trajectory(
+        params=params, config=config, times=times, f=f, R=R,
+        diagnostics=compute_diagnostics(params, State(f=f, R=R), reference),
+        fp_iteration_counts=sweep_counts,
+    )
 
 
 def entropy_trace(trajectory: Trajectory, esd: EsdResult) -> EntropyTrace:
@@ -235,23 +230,19 @@ def entropy_trace(trajectory: Trajectory, esd: EsdResult) -> EntropyTrace:
     bound by more than 1e-10 * (1 + |S^n|) are flagged; the bound is not
     asserted for semi-implicit trajectories.
     """
-    if trajectory.scheme_used is None or not trajectory.states:
-        raise ValueError("trajectory must carry its step configuration and states")
-    reference = State(f=esd.f_tilde, R=esd.R_tilde)
+    S = lyapunov_S(State(f=trajectory.f, R=trajectory.R),
+                   State(f=esd.f_tilde, R=esd.R_tilde))
+    if np.any(np.isnan(S)):
+        row = int(np.flatnonzero(np.isnan(S))[0])
+        raise UndefinedEntropy(f"entropy undefined at t = {trajectory.times[row]:.6g}")
     params = trajectory.params
-    S = np.array([lyapunov_S(s, reference) for s in trajectory.states])
-    times = np.asarray(trajectory.times)
-    n_steps = len(times) - 1
-    bounds = np.empty(n_steps)
-    for n in range(n_steps):
-        dt = times[n + 1] - times[n]
-        R1 = trajectory.states[n + 1].R
-        bounds[n] = -dt * float(
-            np.sum(params.m * params.Rstar * (R1 - esd.R_tilde) ** 2 / (R1 * esd.R_tilde))
-        )
+    R1 = trajectory.R[1:]
+    bounds = -np.diff(trajectory.times) * np.sum(
+        params.m * params.Rstar * (R1 - esd.R_tilde) ** 2 / (R1 * esd.R_tilde), axis=-1
+    )
     flagged: tuple[int, ...] = ()
-    if trajectory.scheme_used.scheme is Scheme.FULLY_IMPLICIT:
+    if trajectory.config.scheme is Scheme.FULLY_IMPLICIT:
         slack = 1e-10 * (1.0 + np.abs(S[:-1]))
         bad = np.flatnonzero(np.diff(S) > bounds + slack)
         flagged = tuple(int(i) for i in bad)
-    return EntropyTrace(times=times, S=S, bounds=bounds, flagged_steps=flagged)
+    return EntropyTrace(times=trajectory.times, S=S, bounds=bounds, flagged_steps=flagged)

@@ -32,6 +32,8 @@ from .errors import (
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    if np.asarray(arr, dtype=float) is arr and arr.flags.owndata and not arr.flags.writeable:
+        return arr  # already a read-only float array that owns its data: kept, not copied
     out = np.array(arr, dtype=float, copy=True)
     out.flags.writeable = False
     return out
@@ -70,7 +72,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class State:
-    """Species abundances f >= 0 and resource levels R > 0 at one instant."""
+    """Species abundances f >= 0 and resource levels R > 0 at one instant,
+    or, for the diagnostic functionals, a stack of instants of shape (rows, N)."""
 
     f: np.ndarray
     R: np.ndarray
@@ -107,24 +110,32 @@ class DerivedConstants:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Scalar trajectory diagnostics; S is None when no reference applies."""
+    """Trajectory diagnostics: floats for one state, columns for a stack. Where
+    S is undefined it is None for one state, NaN on those rows of a stack."""
 
-    mass: float
-    S: float | None
-    Q: float
-    F: float
-    H: float
+    mass: float | np.ndarray
+    S: float | np.ndarray | None
+    Q: float | np.ndarray
+    F: float | np.ndarray
+    H: float | np.ndarray
 
 
-def _check_dims(params: ModelParams, *vectors: np.ndarray) -> None:
+def _check_dims(params: ModelParams, *vectors: np.ndarray, stacked: bool = False) -> None:
     n = params.N
     if params.a.shape != (n,) or params.m.shape != (n,) or params.Rstar.shape != (n,):
         raise DimensionMismatch(f"coefficient vectors must have shape ({n},)")
     if params.K.shape != (n, n):
         raise DimensionMismatch(f"K must have shape ({n}, {n}), got {params.K.shape}")
     for v in vectors:
-        if v.shape != (n,):
+        shape = v.shape[1:] if stacked and v.ndim == 2 else v.shape
+        if shape != (n,):
             raise DimensionMismatch(f"expected shape ({n},), got {v.shape}")
+
+
+def _per_row(x: np.ndarray) -> float | np.ndarray:
+    """A float for one state, a column for a stack. The functionals reduce over
+    the last axis, so each row of a C-contiguous stack gets that state's bits."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def validate_params(params: ModelParams, initial: State) -> DerivedConstants:
@@ -204,72 +215,86 @@ def rhs(params: ModelParams, state: State) -> tuple[np.ndarray, np.ndarray]:
     return df, dR
 
 
-def total_mass(state: State) -> float:
+def total_mass(state: State) -> float | np.ndarray:
     """||f||_1 + ||R||_1."""
-    return float(np.sum(np.abs(state.f)) + np.sum(np.abs(state.R)))
+    return _per_row(np.sum(np.abs(state.f), axis=-1) + np.sum(np.abs(state.R), axis=-1))
 
 
-def lyapunov_S(state: State, reference: State) -> float:
+def lyapunov_S(state: State, reference: State) -> float | np.ndarray:
     """Relative entropy of `state` against a reference steady state.
 
     S = sum_j (-fr_j ln f_j + f_j) + sum_k (-Rr_k ln R_k + R_k), where
-    terms with fr_j = 0 contribute only f_j. Undefined (raises) when the
-    reference supports a species that is extinct in `state`, or when any
-    resource level is nonpositive.
+    terms with fr_j = 0 contribute only f_j. Undefined when the reference
+    supports a species that is extinct in `state`, or when any resource
+    level is nonpositive: one state raises, a stack gets NaN on those rows.
     """
     f, R = state.f, state.R
     fr, Rr = reference.f, reference.R
     support = fr > 0
-    if np.any(support & (f <= 0)):
-        j = int(np.flatnonzero(support & (f <= 0))[0])
-        raise UndefinedEntropy(f"species {j} is extinct but the reference supports it")
-    if np.any(R <= 0) or np.any(Rr <= 0):
+    extinct = support & (f <= 0)
+    undefined = np.any(extinct, axis=-1) | np.any(R <= 0, axis=-1) | np.any(Rr <= 0)
+    if np.ndim(undefined) == 0 and undefined:
+        if np.any(extinct):
+            j = int(np.flatnonzero(extinct)[0])
+            raise UndefinedEntropy(f"species {j} is extinct but the reference supports it")
         raise UndefinedEntropy("resource levels must be positive")
-    s = float(np.sum(f)) - float(np.sum(fr[support] * np.log(f[support])))
-    s += float(np.sum(R - Rr * np.log(R)))
-    return s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # compress keeps the selected entries C-contiguous, so each row sums
+        # pairwise exactly as a single state does
+        s = np.sum(f, axis=-1) - np.sum(
+            fr[support] * np.log(np.compress(support, f, axis=-1)), axis=-1
+        )
+        s += np.sum(R - Rr * np.log(R), axis=-1)
+    return _per_row(np.where(undefined, np.nan, s))
 
 
-def extinction_F(state: State, params: ModelParams) -> float:
+def extinction_F(state: State, params: ModelParams) -> float | np.ndarray:
     """Extinction functional F = -sum_k Rstar_k ln R_k + sum_j f_j + sum_k R_k.
 
     Non-increasing along trajectories whenever all a_j <= 0.
     """
     if np.any(state.R <= 0):
         raise UndefinedEntropy("resource levels must be positive")
-    return float(
-        -np.sum(params.Rstar * np.log(state.R)) + np.sum(state.f) + np.sum(state.R)
+    return _per_row(
+        -np.sum(params.Rstar * np.log(state.R), axis=-1)
+        + np.sum(state.f, axis=-1) + np.sum(state.R, axis=-1)
     )
 
 
-def q_value(state: State, reference_R: np.ndarray) -> float:
+def q_value(state: State, reference_R: np.ndarray) -> float | np.ndarray:
     """Quadratic resource deviation Q = 1/2 sum_k (R_k - ref_k)^2."""
-    return 0.5 * float(np.sum((state.R - reference_R) ** 2))
+    return _per_row(0.5 * np.sum((state.R - reference_R) ** 2, axis=-1))
 
 
-def _consumption(params: ModelParams, f: np.ndarray) -> np.ndarray:
-    """b_k = m_k + h * sum_j K_jk f_j, the shifted resource uptake rates."""
-    return params.m + params.h * (params.K.T @ f)
+def _uptake(
+    params: ModelParams, f: np.ndarray, stacked: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """f checked to lie in the nonnegative orthant, and the shifted resource
+    uptake rates b_k = m_k + h * sum_j K_jk f_j.
 
-
-def H_value(params: ModelParams, f: np.ndarray) -> float:
-    """Objective H(f) = -a*.f - sum_k m_k Rstar_k ln(m_k + h sum_j K_jk f_j)."""
+    The trailing unit axis makes matmul do one matrix-vector product per row
+    of a stack, the arithmetic of K.T @ f for a single state.
+    """
     f = np.asarray(f, dtype=float)
-    _check_dims(params, f)
+    _check_dims(params, f, stacked=stacked)
     if np.any(f < 0):
         raise NegativeInput("H is evaluated on the nonnegative orthant only")
-    b = _consumption(params, f)
-    return float(-params.a_star() @ f - np.sum(params.m * params.Rstar * np.log(b)))
+    return f, params.m + params.h * np.matmul(params.K.T, f[..., None])[..., 0]
+
+
+def H_value(params: ModelParams, f: np.ndarray) -> float | np.ndarray:
+    """Objective H(f) = -a*.f - sum_k m_k Rstar_k ln(m_k + h sum_j K_jk f_j),
+    one value per row for a stack of rows f."""
+    f, b = _uptake(params, f, stacked=True)
+    # a row-by-row dot product, as -a* @ f computes for a single state
+    linear = np.matmul(f[..., None, :], -params.a_star()[:, None])[..., 0, 0]
+    return _per_row(linear - np.sum(params.m * params.Rstar * np.log(b), axis=-1))
 
 
 def H_gradient(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Gradient of H; component i equals -G_i(Rhat(f)) for the reconstructed
     resource levels Rhat_k = m_k Rstar_k / (m_k + h sum_j K_jk f_j)."""
-    f = np.asarray(f, dtype=float)
-    _check_dims(params, f)
-    if np.any(f < 0):
-        raise NegativeInput("H is evaluated on the nonnegative orthant only")
-    b = _consumption(params, f)
+    f, b = _uptake(params, f)
     return -params.a_star() - params.h * params.K @ (params.m * params.Rstar / b)
 
 
@@ -277,11 +302,7 @@ def H_hessian(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Hessian of H in factored form M M^T with
     M_jk = h sqrt(Rstar_k m_k) / (m_k + h sum_i K_ik f_i) * K_jk;
     symmetric positive semidefinite, and definite when K is nonsingular."""
-    f = np.asarray(f, dtype=float)
-    _check_dims(params, f)
-    if np.any(f < 0):
-        raise NegativeInput("H is evaluated on the nonnegative orthant only")
-    b = _consumption(params, f)
+    f, b = _uptake(params, f)
     M = params.K * (params.h * np.sqrt(params.Rstar * params.m) / b)[None, :]
     return M @ M.T
 
@@ -289,22 +310,22 @@ def H_hessian(params: ModelParams, f: np.ndarray) -> np.ndarray:
 def compute_diagnostics(
     params: ModelParams, state: State, reference: State | None = None
 ) -> Diagnostics:
-    """All scalar diagnostics at one state.
+    """All diagnostics at one state, or their columns over a stack of states.
 
-    S is computed only when a reference is supplied and defined there; Q is
-    measured against the reference resources when given, else against Rstar.
+    S is computed only when a reference is supplied; Q is measured against
+    the reference resources when given, else against Rstar.
     """
-    ref_R = reference.R if reference is not None else params.Rstar
-    s: float | None = None
+    mass = total_mass(state)
+    s = None if np.ndim(mass) == 0 else np.full(np.shape(mass), np.nan)
     if reference is not None:
         try:
             s = lyapunov_S(state, reference)
         except UndefinedEntropy:
-            s = None
+            pass
     return Diagnostics(
-        mass=total_mass(state),
+        mass=mass,
         S=s,
-        Q=q_value(state, ref_R),
+        Q=q_value(state, reference.R if reference is not None else params.Rstar),
         F=extinction_F(state, params),
         H=H_value(params, state.f),
     )

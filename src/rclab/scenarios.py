@@ -183,18 +183,20 @@ _F_KIND_FIELDS = {
 _R_KIND_FIELDS = {"equals_rstar": (), "constant": ("initial_R.value",)}
 
 
-def load_scenario(source: str | os.PathLike) -> ScenarioSpec:
-    """Parse a scenario from text, or from a file when `source` names one."""
-    text = source
-    if isinstance(source, os.PathLike) or ("=" not in str(source) and "\n" not in str(source)):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            raise ParseError(f"cannot read scenario file: {err}") from err
+def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
+    """Read and parse the scenario file at `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ParseError(f"cannot read scenario file: {err}") from err
+    return parse_scenario(text)
 
+
+def parse_scenario(text: str) -> ScenarioSpec:
+    """Parse scenario text in the flat `key = value` format."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(str(text).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

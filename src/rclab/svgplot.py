@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csvio import CsvTable
+from .csvio import Table
 from .errors import UnknownKind
 
 _W, _H = 720.0, 460.0
@@ -112,7 +112,7 @@ def _document(body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def _series_names(table: CsvTable, prefix: str) -> list[str]:
+def _series_names(table: Table, prefix: str) -> list[str]:
     names = [c for c in table.header if c.startswith(prefix)]
     return sorted(names, key=lambda c: int(c[len(prefix):]))
 
@@ -126,7 +126,7 @@ def _bounds(arrays) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def render_profile(table: CsvTable) -> str:
+def render_profile(table: Table) -> str:
     """Species and resource levels versus trait.
 
     Works on stable-distribution tables (trait, f_tilde, R_tilde) and on
@@ -164,13 +164,12 @@ def render_profile(table: CsvTable) -> str:
     return _document(body)
 
 
-def render_entropy(table: CsvTable, log_scale: bool = False) -> str:
+def render_entropy(table: Table, log_scale: bool = False) -> str:
     """Entropy S and resource deviation Q versus time."""
     t = table.numeric("t")
     series = []
-    s_col = table.column("S") if "S" in table.header else []
-    if "S" in table.header and not any(v is None for v in s_col):
-        series.append(("S", np.array(s_col, dtype=float)))
+    if "S" in table.header and not np.any(np.isnan(table.column("S"))):
+        series.append(("S", table.column("S")))
     series.append(("Q", table.numeric("Q")))
     if log_scale:
         series = [
@@ -187,7 +186,7 @@ def render_entropy(table: CsvTable, log_scale: bool = False) -> str:
     return _document(body)
 
 
-def render_waterfall(table: CsvTable, layers: int = 24) -> str:
+def render_waterfall(table: Table, layers: int = 24) -> str:
     """Layered species profiles over time, early at the bottom."""
     names_f = _series_names(table, "f_")
     if not names_f:
@@ -207,7 +206,7 @@ def render_waterfall(table: CsvTable, layers: int = 24) -> str:
     return _document(body)
 
 
-def render(table: CsvTable, kind: str, log_scale: bool = False) -> str:
+def render(table: Table, kind: str, log_scale: bool = False) -> str:
     """Dispatch on plot kind; raises UnknownKind for anything unrecognized."""
     if kind == "profile":
         return render_profile(table)

@@ -56,9 +56,9 @@ def test_criterion_01_positivity_and_mass_bound(example1, example1_traj_implicit
     params, state0 = example1
     constants = validate_params(params, state0)
     traj = example1_traj_implicit
-    fmat, rmat = traj.f_matrix(), traj.R_matrix()
+    fmat, rmat = traj.f, traj.R
     cap = constants.M_tilde
-    masses = np.array([d.mass for d in traj.diagnostics])
+    masses = traj.diagnostics.mass
     ok = bool(np.all(fmat >= 0) and np.all(rmat > 0) and np.all(masses <= cap + 1e-9))
     _verdict(1, "positivity and mass bound", ok,
              f"max mass {masses.max():.6g} vs cap {cap:.6g}")

@@ -19,6 +19,18 @@ def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
 
 
+def _n1_scenario(initial_f: str) -> str:
+    """The n1-closedform scenario text with initial_f.kind gaussian or zero."""
+    text = save_scenario(builtin_presets()["n1-closedform"])
+    if initial_f == "gaussian":
+        return text
+    text = text.replace("initial_f.kind = gaussian\n", f"initial_f.kind = {initial_f}\n")
+    return "\n".join(
+        ln for ln in text.splitlines()
+        if not ln.startswith(("initial_f.amp", "initial_f.sigma"))
+    ) + "\n"
+
+
 class TestVerify:
     def test_n1_all_verdicts_pass(self, tmp_path):
         out = tmp_path / "v"
@@ -69,6 +81,19 @@ class TestVerify:
         assert report["verdicts.esd_convergence"] is False
         assert (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("initial_f", ["gaussian", "zero"])
+    def test_svgs_match_plot_of_own_csv(self, tmp_path, initial_f):
+        # with zero initial species the entropy is undefined: S stays blank
+        path = tmp_path / "n1.rc"
+        path.write_text(_n1_scenario(initial_f), encoding="utf-8")
+        out = tmp_path / "v"
+        run(["verify", "--scenario", str(path), "--out", str(out)])
+        for kind in ("profile", "entropy"):
+            svg = tmp_path / f"plot-{kind}.svg"
+            assert run(["plot", "--csv", str(out / "trajectory.csv"), "--kind", kind,
+                        "--out-svg", str(svg)]) == 0
+            assert svg.read_bytes() == (out / f"{kind}.svg").read_bytes()
+
     def test_enforce_mu0_surfaces_as_error(self, tmp_path):
         from rclab import builtin_presets, save_scenario
         from dataclasses import replace
@@ -91,7 +116,7 @@ class TestSimulate:
         assert np.all(np.isfinite(f)) and np.all(f >= 0)
         assert np.all(np.isfinite(table.numeric("R_1")))
         # S has no reference in plain simulate: blank cells throughout
-        assert all(v is None for v in table.column("S"))
+        assert np.all(np.isnan(table.column("S")))
 
     def test_example1_final_profile_has_two_local_maxima(self, tmp_path):
         out = tmp_path / "e1"
@@ -110,22 +135,14 @@ class TestSimulate:
         params, state0 = n1_instance()
         traj = simulate(params, state0, 2.0, StepConfig(dt=0.1))
         table = read_csv(trajectory_csv(traj))
-        assert np.array_equal(table.numeric("t"), np.array(traj.times))
-        assert np.array_equal(table.numeric("f_1"), traj.f_matrix()[:, 0])
-        assert np.array_equal(table.numeric("R_1"), traj.R_matrix()[:, 0])
-        assert np.array_equal(
-            table.numeric("H"), np.array([d.H for d in traj.diagnostics])
-        )
+        assert np.array_equal(table.numeric("t"), traj.times)
+        assert np.array_equal(table.numeric("f_1"), traj.f[:, 0])
+        assert np.array_equal(table.numeric("R_1"), traj.R[:, 0])
+        assert np.array_equal(table.numeric("H"), traj.diagnostics.H)
 
     def test_zero_species_scenario(self, tmp_path):
-        spec_text = save_scenario(builtin_presets()["n1-closedform"])
-        spec_text = spec_text.replace("initial_f.kind = gaussian\n", "initial_f.kind = zero\n")
-        spec_text = "\n".join(
-            ln for ln in spec_text.splitlines()
-            if not ln.startswith(("initial_f.amp", "initial_f.sigma"))
-        )
         path = tmp_path / "zero.rc"
-        path.write_text(spec_text + "\n", encoding="utf-8")
+        path.write_text(_n1_scenario("zero"), encoding="utf-8")
         out = tmp_path / "z"
         assert run(["simulate", "--scenario", str(path), "--T", "15",
                     "--out", str(out)]) == 0
@@ -245,6 +262,13 @@ class TestPlot:
 class TestErrors:
     def test_unknown_preset(self, tmp_path):
         assert run(["simulate", "--preset", "nope", "--out", str(tmp_path)]) == 2
+
+    def test_scenario_path_with_equals_sign(self, tmp_path):
+        path = tmp_path / "N=1.txt"
+        path.write_text(_n1_scenario("gaussian"), encoding="utf-8")
+        out = tmp_path / "eq"
+        assert run(["esd", "--scenario", str(path), "--out", str(out)]) == 0
+        assert read_report(out)["scenario_name"] == "N=1"
 
     def test_bad_scenario_file(self, tmp_path):
         path = tmp_path / "bad.rc"

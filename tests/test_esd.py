@@ -78,7 +78,6 @@ class TestSolveEsd:
         assert esd.R_tilde == pytest.approx([0.5], abs=1e-10)
         assert esd.kkt_residual <= 1e-10
         assert esd.persistence_set == (0,)
-        assert esd.converged
 
     def test_extinction_kkt_point(self):
         params = extinction_instance()

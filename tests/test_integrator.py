@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import n1_instance
+from helpers import n1_instance, random_instance
 from rclab import (
-    DerivedConstants,
     EsdResult,
     FixedPointDiverged,
+    ModelParams,
     Mu0Violation,
     Scheme,
     State,
     StepConfig,
+    compute_diagnostics,
     entropy_trace,
-    max_stable_dt,
     rhs,
     simulate,
     solve_esd,
@@ -93,22 +93,29 @@ class TestFullyImplicitStep:
 
 
 class TestMaxStableDt:
+    """mu0 = 1 / (K_M * M_tilde - gamma)_+ is the largest guaranteed-stable step."""
+
+    @staticmethod
+    def _one_trait(a: float, K: float, Rstar: float, f0: float, R0: float):
+        params = ModelParams(N=1, h=1.0, a=np.array([a]), K=np.array([[K]]),
+                             m=np.ones(1), Rstar=np.array([Rstar]))
+        return validate_params(params, State(f=np.array([f0]), R=np.array([R0])))
+
     def test_unbounded_for_zero_kernel(self):
-        c = DerivedConstants(gamma=1.0, K_M=0.0, m_lower=1.0, m_upper=1.0,
-                             beta=1.0, M0=2.0, M_tilde=3.0, mu0=math.inf,
-                             C_R=np.ones(1))
-        assert max_stable_dt(c) == math.inf
+        c = self._one_trait(a=-1.0, K=0.0, Rstar=1.0, f0=1.0, R0=1.0)
+        assert c.K_M == 0.0
+        assert c.mu0 == math.inf
 
     def test_direct_substitution(self):
-        c = DerivedConstants(gamma=0.5, K_M=1.0, m_lower=1.0, m_upper=1.0,
-                             beta=0.5, M0=1.0, M_tilde=2.0, mu0=1.0 / 1.5,
-                             C_R=np.ones(1))
-        assert max_stable_dt(c) == pytest.approx(1.0 / 1.5, rel=1e-15)
+        # gamma = 0.5, beta = 0.5, M_tilde = 1.5 + 0.25 / 0.5 = 2, K_M = 1
+        c = self._one_trait(a=-0.25, K=1.0, Rstar=0.25, f0=1.0, R0=0.5)
+        assert (c.gamma, c.K_M, c.M_tilde) == (0.5, 1.0, 2.0)
+        assert c.mu0 == pytest.approx(1.0 / 1.5, rel=1e-15)
 
     def test_n1_value(self):
         params, state0 = n1_instance()
         c = validate_params(params, state0)
-        assert max_stable_dt(c) == pytest.approx(1.0 / 3.5, rel=1e-15)
+        assert c.mu0 == pytest.approx(1.0 / 3.5, rel=1e-15)
 
 
 class TestSimulate:
@@ -116,10 +123,9 @@ class TestSimulate:
         params, _ = n1_instance()
         state0 = State(f=np.array([0.0]), R=np.array([2.0]))
         traj = simulate(params, state0, 10.0, StepConfig(dt=0.1))
-        fmat = traj.f_matrix()
-        assert np.array_equal(fmat, np.zeros_like(fmat))
+        assert np.array_equal(traj.f, np.zeros_like(traj.f))
         # geometric relaxation towards the carrying capacity
-        gap = np.abs(traj.R_matrix()[:, 0] - 1.0)
+        gap = np.abs(traj.R[:, 0] - 1.0)
         assert gap[-1] < 1e-4
         assert np.all(np.diff(gap) <= 0)
 
@@ -141,7 +147,7 @@ class TestSimulate:
     def test_lengths_agree(self):
         params, state0 = n1_instance()
         traj = simulate(params, state0, 2.0, StepConfig(dt=0.1))
-        assert len(traj.times) == len(traj.states) == len(traj.diagnostics) == 21
+        assert len(traj.times) == len(traj.f) == len(traj.diagnostics.mass) == 21
         assert np.all(np.diff(traj.times) > 0)
 
     def test_mu0_guard_advisory_and_strict(self):
@@ -162,24 +168,20 @@ class TestSimulate:
         config = StepConfig(dt=0.4, scheme=Scheme.FULLY_IMPLICIT)
         with pytest.warns(UserWarning):
             traj = simulate(params, state0, 40.0, config)
-        fmat, rmat = traj.f_matrix(), traj.R_matrix()
-        assert np.all(fmat > 0)  # positive data stays positive
-        assert np.all(rmat > 0)
+        assert np.all(traj.f > 0)  # positive data stays positive
+        assert np.all(traj.R > 0)
         cap = constants.M0 + constants.m_upper * np.sum(params.Rstar) / constants.beta
-        masses = np.array([d.mass for d in traj.diagnostics])
-        assert np.all(masses <= cap + 1e-9)
+        assert np.all(traj.diagnostics.mass <= cap + 1e-9)
 
     def test_resource_cap_fully_implicit(self, example1):
         params, state0 = example1
         config = StepConfig(dt=0.4, scheme=Scheme.FULLY_IMPLICIT)
         with pytest.warns(UserWarning):
             traj = simulate(params, state0, 40.0, config)
-        rmat = traj.R_matrix()
         c_r = np.maximum(params.Rstar, state0.R)
-        assert np.all(rmat <= c_r[None, :] + 1e-12)
+        assert np.all(traj.R <= c_r[None, :] + 1e-12)
         # single-step cap: R' <= max(R, Rstar)
-        for prev, cur in zip(traj.states[:-1], traj.states[1:]):
-            assert np.all(cur.R <= np.maximum(prev.R, params.Rstar) + 1e-12)
+        assert np.all(traj.R[1:] <= np.maximum(traj.R[:-1], params.Rstar) + 1e-12)
 
     def test_extinction_run_example2(self, example2):
         params, state0 = example2
@@ -240,7 +242,6 @@ class TestEntropyTrace:
 class TestPositivityProperty:
     def test_random_instances_preserve_positivity_below_mu0(self):
         rng = np.random.default_rng(42)
-        from helpers import random_instance
 
         for _ in range(30):
             params = random_instance(rng)
@@ -251,12 +252,57 @@ class TestPositivityProperty:
             dt = 0.9 * min(constants.mu0, 1.0)
             for scheme in (Scheme.SEMI_IMPLICIT, Scheme.FULLY_IMPLICIT):
                 traj = simulate(params, state0, 5 * dt, StepConfig(dt=dt, scheme=scheme))
-                fmat, rmat = traj.f_matrix(), traj.R_matrix()
+                fmat, rmat = traj.f, traj.R
                 assert np.all(rmat > 0)
                 assert np.all(fmat >= 0)
                 positive0 = state0.f > 0
                 assert np.all(fmat[:, positive0] > 0)
                 assert np.all(fmat[:, ~positive0] == 0.0)
+
+
+class TestColumns:
+    """simulate's columns against a hand loop over the public step functions."""
+
+    @staticmethod
+    def _hand_loop(params, state0, n_steps, dt, config):
+        states = [state0]
+        for _ in range(n_steps):
+            if config.scheme is Scheme.FULLY_IMPLICIT:
+                state, _ = step_fully_implicit(params, states[-1], dt,
+                                               config.fp_tol, config.fp_maxit)
+            else:
+                state = step_semi_implicit(params, states[-1], dt)
+            states.append(state)
+        return states
+
+    def test_columns_match_single_state_steps_and_formulas(self):
+        rng = np.random.default_rng(2024)
+        for draw in range(12):
+            params = random_instance(rng)
+            f0 = rng.uniform(0.0, 2.0, params.N)
+            if draw % 2:
+                f0[rng.integers(0, params.N)] = 0.0  # S undefined on every row
+            state0 = State(f=f0, R=rng.uniform(0.2, 2.0, params.N))
+            dt = 0.5 * min(validate_params(params, state0).mu0, 1.0)
+            reference = State(f=rng.uniform(0.5, 2.0, params.N),
+                              R=rng.uniform(0.5, 2.0, params.N))
+            for scheme in (Scheme.SEMI_IMPLICIT, Scheme.FULLY_IMPLICIT):
+                config = StepConfig(dt=dt, scheme=scheme)
+                states = self._hand_loop(params, state0, 8, dt, config)
+                for ref in (None, reference):
+                    traj = simulate(params, state0, 8 * dt, config, reference=ref)
+                    assert not any(c.flags.writeable for c in (traj.times, traj.f, traj.R))
+                    assert np.array_equal(traj.f, np.array([s.f for s in states]))
+                    assert np.array_equal(traj.R, np.array([s.R for s in states]))
+                    cols = traj.diagnostics
+                    for n, state in enumerate(states):
+                        one = compute_diagnostics(params, state, ref)
+                        assert (cols.mass[n], cols.Q[n], cols.F[n], cols.H[n]) == (
+                            one.mass, one.Q, one.F, one.H)
+                        if one.S is None:
+                            assert np.isnan(cols.S[n])
+                        else:
+                            assert cols.S[n] == one.S
 
 
 class TestStepConfig:

@@ -176,16 +176,14 @@ class TestLyapunovS:
         params, state0 = n1_instance()
         ref = State(f=np.array([1.0]), R=np.array([0.5]))
         traj = simulate(params, state0, 30.0,
-                        StepConfig(dt=0.1, scheme=Scheme.FULLY_IMPLICIT))
-        S = np.array([lyapunov_S(s, ref) for s in traj.states])
-        assert np.all(np.diff(S) <= 1e-12)
+                        StepConfig(dt=0.1, scheme=Scheme.FULLY_IMPLICIT), reference=ref)
+        assert np.all(np.diff(traj.diagnostics.S) <= 1e-12)
 
     def test_eventually_nonincreasing_along_n1_semi_trajectory(self):
         params, state0 = n1_instance()
         ref = State(f=np.array([1.0]), R=np.array([0.5]))
-        traj = simulate(params, state0, 30.0, StepConfig(dt=0.1))
-        S = np.array([lyapunov_S(s, ref) for s in traj.states])
-        assert np.all(np.diff(S)[20:] <= 1e-12)
+        traj = simulate(params, state0, 30.0, StepConfig(dt=0.1), reference=ref)
+        assert np.all(np.diff(traj.diagnostics.S)[20:] <= 1e-12)
 
 
 class TestExtinctionF:
@@ -197,8 +195,7 @@ class TestExtinctionF:
     def test_nonincreasing_when_all_rates_nonpositive(self, example2):
         params, state0 = example2
         traj = simulate(params, state0, 20.0, StepConfig(dt=0.4))
-        F = np.array([d.F for d in traj.diagnostics])
-        assert np.all(np.diff(F) <= 1e-12)
+        assert np.all(np.diff(traj.diagnostics.F) <= 1e-12)
 
 
 class TestHFunction:
@@ -314,6 +311,15 @@ class TestDiagnostics:
             params.a[0] = 2.0
         with pytest.raises(ValueError):
             state0.f[0] = 2.0
+
+    def test_state_copies_unless_already_frozen(self):
+        f, R = np.ones(3), np.ones(3)
+        state = State(f=f, R=R)
+        f[0] = 2.0  # the caller's array stays writeable; the state keeps its copy
+        assert state.f[0] == 1.0 and state.f is not f
+        f.flags.writeable = False
+        assert State(f=f, R=R).f is f  # read-only and owning its data: kept as is
+        assert State(f=f[1:], R=R[1:]).f.base is None  # a view is copied
 
     def test_rhs_dimension_check(self):
         params, _ = n1_instance()

@@ -12,6 +12,7 @@ from rclab import (
     build_params,
     builtin_presets,
     load_scenario,
+    parse_scenario,
     save_scenario,
     solve_esd,
     trait_grid,
@@ -112,37 +113,37 @@ class TestTextFormat:
     def test_presets_round_trip_byte_identical(self):
         for spec in builtin_presets().values():
             text = save_scenario(spec)
-            again = save_scenario(load_scenario(text))
+            again = save_scenario(parse_scenario(text))
             assert again == text
 
     def test_save_load_preserves_spec(self):
         spec = builtin_presets()["example2"]
-        assert load_scenario(save_scenario(spec)) == spec
+        assert parse_scenario(save_scenario(spec)) == spec
 
     def test_comments_and_blank_lines_ignored(self):
         text = save_scenario(builtin_presets()["n1-closedform"])
         noisy = "# header comment\n\n" + text.replace(
             "dt = 0.1", "dt = 0.1   # stable step"
         )
-        assert load_scenario(noisy) == builtin_presets()["n1-closedform"]
+        assert parse_scenario(noisy) == builtin_presets()["n1-closedform"]
 
     def test_negative_N_rejected(self):
         text = save_scenario(builtin_presets()["n1-closedform"]).replace(
             "N = 1", "N = -3"
         )
         with pytest.raises(ValidationError) as err:
-            load_scenario(text)
+            parse_scenario(text)
         assert err.value.field == "N"
 
     def test_unknown_key_rejected(self):
         text = save_scenario(builtin_presets()["n1-closedform"]) + "mystery = 1\n"
         with pytest.raises(ParseError):
-            load_scenario(text)
+            parse_scenario(text)
 
     def test_duplicate_key_rejected(self):
         text = save_scenario(builtin_presets()["n1-closedform"])
         with pytest.raises(ParseError, match="duplicate"):
-            load_scenario(text + "dt = 0.2\n")
+            parse_scenario(text + "dt = 0.2\n")
 
     def test_missing_required_key_rejected(self):
         text = save_scenario(builtin_presets()["n1-closedform"])
@@ -150,31 +151,31 @@ class TestTextFormat:
             ln for ln in text.splitlines() if not ln.startswith("m_const")
         )
         with pytest.raises(ValidationError) as err:
-            load_scenario(pruned)
+            parse_scenario(pruned)
         assert err.value.field == "m_const"
 
     def test_kind_inconsistent_field_rejected(self):
         text = save_scenario(builtin_presets()["n1-closedform"])
         with pytest.raises(ValidationError):
-            load_scenario(text + "initial_f.freq = 3\n")
+            parse_scenario(text + "initial_f.freq = 3\n")
 
     def test_malformed_number_rejected(self):
         text = save_scenario(builtin_presets()["n1-closedform"]).replace(
             "dt = 0.1", "dt = fast"
         )
         with pytest.raises(ParseError):
-            load_scenario(text)
+            parse_scenario(text)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ParseError):
-            load_scenario("N 40\n")
+            parse_scenario("N 40\n")
 
     def test_bad_bool_rejected(self):
         text = save_scenario(builtin_presets()["n1-closedform"]).replace(
             "enforce_mu0 = false", "enforce_mu0 = maybe"
         )
         with pytest.raises(ParseError):
-            load_scenario(text)
+            parse_scenario(text)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scenario.txt"
