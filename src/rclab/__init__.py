@@ -69,6 +69,7 @@ from .steady import (
     TwoPeakSteadyState,
     dirac_growth,
     dirac_steady_state,
+    dirac_weights,
     extinction_predicate,
     persistence_sum,
     positive_steady_state_excluded,

@@ -23,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio, svgplot
-from .errors import NewtonFailed, NotApplicable, RclabError, UndefinedEntropy
+from .errors import NewtonFailed, NotApplicable, RclabError
 from .esd import brute_force_esd, solve_esd, verify_esd
 from .integrator import Scheme, StepConfig, entropy_trace, simulate
 from .model import State, validate_params
 from .report import RunReport
 from .scenarios import ScenarioSpec, build_params, builtin_presets, load_scenario, trait_grid
 from .steady import (
-    dirac_steady_state,
+    dirac_weights,
     extinction_predicate,
     persistence_sum,
     positive_steady_state_excluded,
@@ -186,21 +186,24 @@ def cmd_verify(args) -> int:
         "esd_convergence": l1_f <= args.tol and linf_r <= args.tol,
         "persistence_sum": persistence_sum(esd, params) >= -1e-8,
     }
+    summary = _trajectory_summary(traj)
     max_violation = 0.0
-    try:
-        trace = entropy_trace(traj, esd)
-    except UndefinedEntropy:
-        trace = None  # trajectory extinct where the stable distribution lives
-    if trace is not None and config.scheme is Scheme.FULLY_IMPLICIT:
-        excess = np.diff(trace.S) - trace.bounds
-        max_violation = float(np.max(excess, initial=-np.inf))
-        verdicts["entropy_monotone"] = len(trace.flagged_steps) == 0
+    if config.scheme is Scheme.FULLY_IMPLICIT:
+        undefined = np.flatnonzero(np.isnan(traj.diagnostics.S))
+        if undefined.size:
+            # extinct where the stable distribution lives: dissipation is unchecked
+            summary["S_undefined_at_t"] = float(traj.times[undefined[0]])
+            verdicts["entropy_monotone"] = False
+        else:
+            trace = entropy_trace(traj, esd)
+            excess = np.diff(trace.S) - trace.bounds
+            max_violation = float(np.max(excess, initial=-np.inf))
+            verdicts["entropy_monotone"] = len(trace.flagged_steps) == 0
 
     report = RunReport(
         scenario_name=name,
         constants=constants,
-        trajectory_summary={**_trajectory_summary(traj),
-                            "max_entropy_violation": max_violation},
+        trajectory_summary={**summary, "max_entropy_violation": max_violation},
         esd_summary=_esd_summary(esd),
         comparison={"L1_distance_f": l1_f, "Linf_distance_R": linf_r},
         verdicts=verdicts,
@@ -230,10 +233,9 @@ def cmd_analyze(args) -> int:
         "positive_steady_state_excluded": excluded,
     }
     growing = [int(j) for j in np.flatnonzero(params.a > 0)]
-    for j in growing:
-        ds = dirac_steady_state(params, j)
-        analysis[f"dirac_rho_{j}"] = ds.rho_bar
-        print(f"single-peak steady state at trait {j}: rho = {ds.rho_bar:.6g}")
+    for j, rho in zip(growing, dirac_weights(params, growing).tolist()):
+        analysis[f"dirac_rho_{j}"] = rho
+        print(f"single-peak steady state at trait {j}: rho = {rho:.6g}")
     analysis["dirac_count"] = len(growing)
     if not growing:
         print("no traits with positive growth: no single-peak steady states")

@@ -84,7 +84,7 @@ def check_K_nonsingular(params: ModelParams) -> tuple[bool, float]:
     Returns (nonsingular, condition_estimate); the matrix counts as singular
     when its smallest singular value is below 1e-12 times the largest.
     """
-    s = np.linalg.svd(params.K, compute_uv=False)
+    s = params.singular_values_K
     smax = float(s[0])
     smin = float(s[-1])
     if smax == 0.0:
@@ -225,7 +225,7 @@ def brute_force_esd(
         raise DimensionTooLarge(f"exhaustive search supports N <= 3, got N = {params.N}")
     npts = int(round(grid_max / grid_step)) + 1
     grid = np.linspace(0.0, grid_max, npts)
-    astar = params.a_star()
+    astar = params.a_star
     h, K, m, Rstar = params.h, params.K, params.m, params.Rstar
 
     best_val = np.inf

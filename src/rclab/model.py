@@ -64,10 +64,25 @@ class ModelParams:
         object.__setattr__(self, "K", _freeze(self.K))
         object.__setattr__(self, "m", _freeze(self.m))
         object.__setattr__(self, "Rstar", _freeze(self.Rstar))
+        # a_star and singular_values_K, computed on first use; every new
+        # instance, also one from `dataclasses.replace`, starts empty. (A
+        # functools.cached_property would write the instance __dict__, after
+        # which every attribute read of the model is about 3x slower.)
+        object.__setattr__(self, "_cache", {})
 
+    @property
     def a_star(self) -> np.ndarray:
-        """Net rates a* = a - h * K @ Rstar; validation requires these < 0."""
-        return self.a - self.h * self.K @ self.Rstar
+        """Net rates a* = a - h * K @ Rstar, read-only; validation requires these < 0."""
+        if "a_star" not in self._cache:
+            self._cache["a_star"] = _freeze(self.a - self.h * self.K @ self.Rstar)
+        return self._cache["a_star"]
+
+    @property
+    def singular_values_K(self) -> np.ndarray:
+        """Singular values of K in descending order, read-only."""
+        if "svd" not in self._cache:
+            self._cache["svd"] = _freeze(np.linalg.svd(self.K, compute_uv=False))
+        return self._cache["svd"]
 
 
 @dataclass(frozen=True)
@@ -161,7 +176,7 @@ def validate_params(params: ModelParams, initial: State) -> DerivedConstants:
     if not np.all(np.isfinite(params.Rstar)) or np.any(params.Rstar <= 0):
         raise AssumptionViolation("carrying capacities Rstar must be positive and finite")
 
-    astar = params.a_star()
+    astar = params.a_star
     gamma = float(-np.max(astar))
     if gamma <= 0:
         j = int(np.argmax(astar))
@@ -287,7 +302,7 @@ def H_value(params: ModelParams, f: np.ndarray) -> float | np.ndarray:
     one value per row for a stack of rows f."""
     f, b = _uptake(params, f, stacked=True)
     # a row-by-row dot product, as -a* @ f computes for a single state
-    linear = np.matmul(f[..., None, :], -params.a_star()[:, None])[..., 0, 0]
+    linear = np.matmul(f[..., None, :], -params.a_star[:, None])[..., 0, 0]
     return _per_row(linear - np.sum(params.m * params.Rstar * np.log(b), axis=-1))
 
 
@@ -295,7 +310,7 @@ def H_gradient(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Gradient of H; component i equals -G_i(Rhat(f)) for the reconstructed
     resource levels Rhat_k = m_k Rstar_k / (m_k + h sum_j K_jk f_j)."""
     f, b = _uptake(params, f)
-    return -params.a_star() - params.h * params.K @ (params.m * params.Rstar / b)
+    return -params.a_star - params.h * params.K @ (params.m * params.Rstar / b)
 
 
 def H_hessian(params: ModelParams, f: np.ndarray) -> np.ndarray:

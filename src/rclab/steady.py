@@ -70,48 +70,91 @@ def persistence_sum(esd: EsdResult, params: ModelParams) -> float:
     return float(np.sum(params.a[idx])) if idx else 0.0
 
 
+def _dirac_growth_rows(params: ModelParams, indices: np.ndarray):
+    """g of the traits `indices` as fun(rows, rho): entry k is g(rho[k]) for
+    trait indices[rows[k]], with the bits of the one-trait expression (each
+    constant a_i - h K_i.Rstar is its own dot product, the in-place terms are
+    the same elementwise operations, and each C-contiguous row sums along the
+    last axis as a 1-D array does)."""
+    base = np.array([params.a[i] - params.h * params.K[i] @ params.Rstar for i in indices])
+    supply = params.m * params.Rstar
+
+    def g(rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        terms = params.K[indices[rows]]
+        denom = rho[:, None] * terms
+        denom += params.m
+        terms *= supply
+        terms /= denom
+        return base[rows] + params.h * np.sum(terms, axis=1)
+
+    return g
+
+
 def dirac_growth(params: ModelParams, i: int, rho: float) -> float:
     """g(rho): net growth of trait i when it alone carries weight rho.
 
     g(0) = a_i, g(inf) = a*_i < 0; strictly decreasing whenever row i of K
     has a positive entry.
     """
-    Ki = params.K[i]
-    terms = params.m * params.Rstar * Ki / (params.m + rho * Ki)
-    return float(params.a[i] - params.h * Ki @ params.Rstar + params.h * np.sum(terms))
+    g = _dirac_growth_rows(params, np.array([i]))
+    return float(g(np.zeros(1, dtype=int), np.array([rho]))[0])
 
 
-def _bisect_decreasing(fun, hi_start: float = 1.0, max_doubling: int = 200) -> float:
-    """Root of a strictly decreasing function with fun(0) > 0 >= fun(inf)."""
-    lo = 0.0
-    hi = hi_start
+def _bisect_decreasing(fun, count: int, max_doubling: int = 200) -> np.ndarray:
+    """Roots of `count` strictly decreasing functions, each with a positive
+    value at 0 and a nonpositive one at infinity, bisected in lockstep.
+
+    fun(rows, rho) evaluates the functions numbered `rows` at the points rho.
+    Each root takes exactly the bracket doublings and bisection steps that a
+    bisection of its function alone would take: a function leaves the loop
+    once its own bracket stops changing, and only its own values move it.
+    """
+    lo = np.zeros(count)
+    hi = np.ones(count)
+    rows = np.arange(count)
     doublings = 0
-    while fun(hi) >= 0:
-        lo = hi
-        hi *= 2.0
-        doublings += 1
-        if doublings > max_doubling:
-            raise NotApplicable("no sign change found while expanding the bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or (hi - lo) <= _ROOT_RTOL * mid:
+    while True:
+        rows = rows[fun(rows, hi[rows]) >= 0]
+        if not rows.size:
             break
-        if fun(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+        if doublings == max_doubling:
+            raise NotApplicable("no sign change found while expanding the bracket")
+        lo[rows] = hi[rows]
+        hi[rows] *= 2.0
+        doublings += 1
+    rows = np.arange(count)
+    for _ in range(200):
+        mid = 0.5 * (lo[rows] + hi[rows])
+        width = hi[rows] - lo[rows]
+        going = (mid > lo[rows]) & (mid < hi[rows]) & (width > _ROOT_RTOL * mid)
+        rows, mid = rows[going], mid[going]
+        if not rows.size:
+            break
+        up = fun(rows, mid) > 0
+        lo[rows[up]] = mid[up]
+        hi[rows[~up]] = mid[~up]
     return 0.5 * (lo + hi)
+
+
+def _check_growing(params: ModelParams, i: int, what: str) -> None:
+    if not (0 <= i < params.N):
+        raise NotApplicable(f"trait index {i} out of range")
+    if params.a[i] <= 0:
+        raise NotApplicable(f"trait {i} has a_i = {params.a[i]:.6g} <= 0{what}")
+
+
+def dirac_weights(params: ModelParams, indices) -> np.ndarray:
+    """Weights rho_bar of the single-peak steady states on the traits
+    `indices`, all found by one lockstep bisection; each needs a_i > 0."""
+    indices = np.asarray(indices, dtype=int)
+    for i in indices:
+        _check_growing(params, int(i), ", no single-peak steady state")
+    return _bisect_decreasing(_dirac_growth_rows(params, indices), indices.size)
 
 
 def dirac_steady_state(params: ModelParams, i: int) -> DiracSteadyState:
     """Unique single-peak steady state on trait i; requires a_i > 0."""
-    if not (0 <= i < params.N):
-        raise NotApplicable(f"trait index {i} out of range")
-    if params.a[i] <= 0:
-        raise NotApplicable(
-            f"trait {i} has a_i = {params.a[i]:.6g} <= 0, no single-peak steady state"
-        )
-    rho = _bisect_decreasing(lambda r: dirac_growth(params, i, r))
+    rho = float(dirac_weights(params, [i])[0])
     f = np.zeros(params.N)
     f[i] = rho / params.h
     R = params.m * params.Rstar / (params.m + rho * params.K[i])
@@ -122,7 +165,7 @@ def two_peak_system(
     params: ModelParams, i: int, l: int, rho1: float, rho2: float
 ) -> tuple[float, float]:
     """Residuals (F1, F2) of the coupled two-peak equilibrium equations."""
-    astar = params.a_star()
+    astar = params.a_star
     D = params.m + rho1 * params.K[i] + rho2 * params.K[l]
     common = params.m * params.Rstar / D
     F1 = float(astar[i] + params.h * params.K[i] @ common)
@@ -142,16 +185,20 @@ def _two_peak_jacobian(
     )
 
 
-def _axis_root(fun_axis, limit_value: float) -> float | None:
-    """Root of fun_axis on [0, inf), or None when it never changes sign.
+def _axis_root(fun_axis, limit_value: float | None = None) -> float | None:
+    """Root of the scalar fun_axis on [0, inf), bisected as a batch of one.
 
-    fun_axis(0) > 0 is assumed; limit_value is its value at infinity, used
-    to decide quickly whether a root exists at all.
+    fun_axis(0) > 0 is assumed. Without limit_value the root must exist. With
+    it, its value at infinity, the bracket grows at most 60 times and None
+    means that the function never changes sign.
     """
     try:
-        return _bisect_decreasing(fun_axis, max_doubling=60)
+        return float(_bisect_decreasing(
+            lambda _rows, r: np.array([fun_axis(r[0])]), 1,
+            max_doubling=200 if limit_value is None else 60,
+        )[0])
     except NotApplicable:
-        if limit_value >= 0:
+        if limit_value is not None and limit_value >= 0:
             return None
         raise
 
@@ -172,17 +219,12 @@ def two_peak_steady_state(
     if i == l:
         raise NotApplicable("the two peak traits must be distinct")
     for idx in (i, l):
-        if not (0 <= idx < params.N):
-            raise NotApplicable(f"trait index {idx} out of range")
-        if params.a[idx] <= 0:
-            raise NotApplicable(
-                f"trait {idx} has a_i = {params.a[idx]:.6g} <= 0; both peaks must grow"
-            )
-    astar = params.a_star()
+        _check_growing(params, idx, "; both peaks must grow")
+    astar = params.a_star
 
     # own-axis roots always exist: F1(., 0) and F2(0, .) fall from a_i > 0 to a* < 0
-    rho1_i = _bisect_decreasing(lambda r: two_peak_system(params, i, l, r, 0.0)[0])
-    rho2_l = _bisect_decreasing(lambda r: two_peak_system(params, i, l, 0.0, r)[1])
+    rho1_i = _axis_root(lambda r: two_peak_system(params, i, l, r, 0.0)[0])
+    rho2_l = _axis_root(lambda r: two_peak_system(params, i, l, 0.0, r)[1])
     # cross-axis roots may not exist when one kernel row misses the other's resources
     lim_F1 = float(astar[i] + params.h * np.sum(
         np.where(params.K[l] == 0, params.K[i] * params.Rstar, 0.0)))

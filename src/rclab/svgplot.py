@@ -113,7 +113,9 @@ def _document(body: list[str]) -> str:
 
 
 def _series_names(table: Table, prefix: str) -> list[str]:
-    names = [c for c in table.header if c.startswith(prefix)]
+    """The numbered columns prefix1..prefixN in trait order (f_tilde is not one)."""
+    names = [c for c in table.header
+             if c.startswith(prefix) and c[len(prefix):].isdecimal()]
     return sorted(names, key=lambda c: int(c[len(prefix):]))
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from rclab import H_gradient, H_value, ModelParams, State
+from rclab import H_gradient, H_value, ModelParams, NotApplicable, State
+
+_ROOT_RTOL = 1e-12
 
 
 def n1_instance() -> tuple[ModelParams, State]:
@@ -84,3 +86,33 @@ def support_clusters(f: np.ndarray, eps: float = 1e-8) -> int:
     """Number of contiguous runs of entries above eps."""
     on = np.asarray(f) > eps
     return int(np.sum(on[1:] & ~on[:-1]) + (1 if on[0] else 0))
+
+
+def dirac_growth_scalar(params: ModelParams, i: int, rho: float) -> float:
+    """g(rho) of trait i, evaluated for that trait alone."""
+    Ki = params.K[i]
+    terms = params.m * params.Rstar * Ki / (params.m + rho * Ki)
+    return float(params.a[i] - params.h * Ki @ params.Rstar + params.h * np.sum(terms))
+
+
+def bisect_decreasing(fun, max_doubling: int = 200) -> float:
+    """Root of a strictly decreasing function with fun(0) > 0 >= fun(inf),
+    bisected on its own: the oracle for the lockstep bisection."""
+    lo = 0.0
+    hi = 1.0
+    doublings = 0
+    while fun(hi) >= 0:
+        lo = hi
+        hi *= 2.0
+        doublings += 1
+        if doublings > max_doubling:
+            raise NotApplicable("no sign change found while expanding the bracket")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi or (hi - lo) <= _ROOT_RTOL * mid:
+            break
+        if fun(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

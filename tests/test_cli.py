@@ -94,6 +94,27 @@ class TestVerify:
                         "--out-svg", str(svg)]) == 0
             assert svg.read_bytes() == (out / f"{kind}.svg").read_bytes()
 
+    def test_implicit_undefined_entropy_fails_its_verdict(self, tmp_path):
+        # no species at t = 0, but the stable distribution lives on trait 0
+        path = tmp_path / "zero.rc"
+        path.write_text(_n1_scenario("zero"), encoding="utf-8")
+        out = tmp_path / "z"
+        assert run(["verify", "--scenario", str(path), "--scheme", "implicit",
+                    "--T", "5", "--out", str(out)]) == 1
+        report = read_report(out)
+        assert report["verdicts.entropy_monotone"] is False
+        assert report["trajectory.S_undefined_at_t"] == 0.0
+
+    def test_semi_implicit_report_has_no_entropy_verdict(self, tmp_path):
+        path = tmp_path / "zero.rc"
+        path.write_text(_n1_scenario("zero"), encoding="utf-8")
+        out = tmp_path / "z"
+        run(["verify", "--scenario", str(path), "--scheme", "semi", "--T", "5",
+             "--out", str(out)])
+        report = read_report(out)
+        assert "verdicts.entropy_monotone" not in report
+        assert "trajectory.S_undefined_at_t" not in report
+
     def test_enforce_mu0_surfaces_as_error(self, tmp_path):
         from rclab import builtin_presets, save_scenario
         from dataclasses import replace
@@ -186,6 +207,19 @@ class TestEsd:
         assert clusters == 2
 
 
+    def test_one_svd_per_command(self, tmp_path, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert run(["esd", "--preset", "example1", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+
 class TestAnalyze:
     def test_example2_extinction_no_candidates(self, tmp_path, capsys):
         out = tmp_path / "a"
@@ -253,6 +287,15 @@ class TestPlot:
         csv = self._trajectory(tmp_path)
         assert run(["plot", "--csv", str(csv), "--kind", "sparkline",
                     "--out-svg", str(tmp_path / "no.svg")]) == 2
+
+    def test_waterfall_of_esd_csv_rejected(self, tmp_path, capsys):
+        # esd.csv has f_tilde but no numbered f_1..f_N columns
+        out = tmp_path / "e"
+        run(["esd", "--preset", "n1-closedform", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["plot", "--csv", str(out / "esd.csv"), "--kind", "waterfall",
+                    "--out-svg", str(tmp_path / "no.svg")]) == 2
+        assert "waterfall needs a trajectory CSV" in capsys.readouterr().err
 
     def test_missing_csv_rejected(self, tmp_path):
         assert run(["plot", "--csv", str(tmp_path / "ghost.csv"), "--kind", "profile",

@@ -1,6 +1,7 @@
 """Model-core: validation, right-hand sides, functionals, H and derivatives."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rclab import (
     State,
     StepConfig,
     UndefinedEntropy,
+    check_K_nonsingular,
     compute_diagnostics,
     extinction_F,
     growth_rate,
@@ -115,6 +117,31 @@ class TestValidateParams:
                 assert c.mu0 == math.inf
             else:
                 assert math.isfinite(c.mu0) and c.mu0 > 0
+
+
+class TestCachedInvariants:
+    def test_a_star_is_read_only_and_exact(self, example1):
+        params, _ = example1
+        expected = params.a - params.h * params.K @ params.Rstar
+        assert np.array_equal(params.a_star, expected)
+        assert params.a_star is params.a_star
+        with pytest.raises(ValueError):
+            params.a_star[0] = 0.0
+
+    def test_singular_values_cached_and_read_only(self, example1):
+        params, _ = example1
+        s = params.singular_values_K
+        assert np.array_equal(s, np.linalg.svd(params.K, compute_uv=False))
+        assert params.singular_values_K is s and not s.flags.writeable
+
+    def test_replaced_model_gets_fresh_values(self):
+        params = random_instance(np.random.default_rng(7))
+        params.a_star, params.singular_values_K  # fill the caches
+        other = replace(params, a=params.a + 1.0, K=2.0 * params.K)
+        assert np.array_equal(other.a_star, other.a - other.h * other.K @ other.Rstar)
+        assert np.array_equal(other.singular_values_K,
+                              np.linalg.svd(other.K, compute_uv=False))
+        assert check_K_nonsingular(other)[1] == pytest.approx(check_K_nonsingular(params)[1])
 
 
 class TestGrowthAndRhs:

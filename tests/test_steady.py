@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import n1_instance, n2_coupled, n2_decoupled
+from helpers import (
+    bisect_decreasing,
+    dirac_growth_scalar,
+    n1_instance,
+    n2_coupled,
+    n2_decoupled,
+    random_instance,
+)
 from rclab import (
     ModelParams,
     NotApplicable,
@@ -11,6 +18,7 @@ from rclab import (
     State,
     dirac_growth,
     dirac_steady_state,
+    dirac_weights,
     extinction_predicate,
     persistence_sum,
     positive_steady_state_excluded,
@@ -106,6 +114,43 @@ class TestDiracSteadyState:
         params, _ = n1_instance()
         with pytest.raises(NotApplicable):
             dirac_steady_state(params, 5)
+
+
+class TestLockstepBisection:
+    @staticmethod
+    def _assert_matches_scalar_bisection(params):
+        growing = np.flatnonzero(params.a > 0)
+        weights = dirac_weights(params, growing)
+        expected = [bisect_decreasing(lambda r, i=i: dirac_growth_scalar(params, i, r))
+                    for i in growing]
+        assert weights.tolist() == expected  # bit for bit
+        for i, rho in zip(growing, weights):
+            for r in (0.0, 0.5 * rho, rho, 3.0 * rho):
+                assert dirac_growth(params, int(i), r) == dirac_growth_scalar(params, i, r)
+        for k in (0, -1):  # one trait at a time takes the same steps
+            assert dirac_steady_state(params, int(growing[k])).rho_bar == weights[k]
+
+    def test_example1_weights_equal_scalar_bisection(self, example1):
+        params, _ = example1
+        self._assert_matches_scalar_bisection(params)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_weights_equal_scalar_bisection(self, seed):
+        # up to 300 traits, so that the row sums run through numpy's pairwise blocks
+        params = random_instance(np.random.default_rng(seed), n_max=300)
+        assert np.any(params.a > 0)
+        self._assert_matches_scalar_bisection(params)
+
+    def test_missing_sign_change_raises(self):
+        # trait 1 consumes nothing, so its growth stays at a_1 > 0 for every weight
+        params = ModelParams(N=2, h=1.0, a=np.array([0.5, 0.5]),
+                             K=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                             m=np.ones(2), Rstar=np.ones(2))
+        with pytest.raises(NotApplicable):
+            dirac_weights(params, [0, 1])
+        assert dirac_weights(params, [0]).tolist() == [
+            bisect_decreasing(lambda r: dirac_growth_scalar(params, 0, r))
+        ]
 
 
 class TestTwoPeak:
