@@ -23,7 +23,6 @@ from .esd import (
     brute_force_esd,
     check_K_nonsingular,
     kkt_residual,
-    reconstruct_R,
     solve_esd,
     verify_esd,
 )
@@ -50,6 +49,7 @@ from .model import (
     growth_rate,
     lyapunov_S,
     q_value,
+    reconstruct_R,
     rhs,
     total_mass,
     validate_params,

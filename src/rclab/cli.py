@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
         trajectory_summary=_trajectory_summary(traj),
         verdicts=_trajectory_verdicts(traj, constants),
     )
-    (out / "trajectory.csv").write_text(csvio.trajectory_csv(traj), encoding="utf-8")
+    csvio.write_trajectory_csv(out / "trajectory.csv", traj)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     _print_verdicts(report)
     return 0 if report.all_passed() else 1
@@ -128,6 +128,8 @@ def cmd_esd(args) -> int:
     out = _out_dir(args)
     params, state0 = build_params(spec)
     constants = validate_params(params, state0)
+    if args.cross_check and params.N > 3:
+        raise RclabError("--cross-check needs N <= 3")
     esd = solve_esd(params, tol=args.solver_tol, maxit=_ESD_SOLVER_MAXIT)
     check = verify_esd(params, esd.f_tilde, esd.R_tilde, tol=10 * args.solver_tol)
     rng = np.random.default_rng(args.seed)
@@ -143,8 +145,6 @@ def cmd_esd(args) -> int:
         ),
     }
     if args.cross_check:
-        if params.N > 3:
-            raise RclabError("--cross-check needs N <= 3")
         ref = brute_force_esd(params, grid_max=5.0, grid_step=1e-3)
         verdicts["brute_force_agreement"] = bool(
             np.max(np.abs(ref - esd.f_tilde)) <= 1e-3 + 1e-9
@@ -208,7 +208,7 @@ def cmd_verify(args) -> int:
         comparison={"L1_distance_f": l1_f, "Linf_distance_R": linf_r},
         verdicts=verdicts,
     )
-    (out / "trajectory.csv").write_text(csvio.trajectory_csv(traj), encoding="utf-8")
+    csvio.write_trajectory_csv(out / "trajectory.csv", traj)
     (out / "esd.csv").write_text(csvio.esd_csv(trait_grid(spec), esd), encoding="utf-8")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     table = csvio.trajectory_table(traj)
@@ -241,24 +241,17 @@ def cmd_analyze(args) -> int:
         print("no traits with positive growth: no single-peak steady states")
 
     if len(growing) >= 2:
-        top = sorted(growing, key=lambda j: params.a[j], reverse=True)[:2]
-        i, l = top
+        i, l = sorted(growing, key=lambda j: params.a[j], reverse=True)[:2]
         try:
             tp = two_peak_steady_state(params, i, l)
         except (NotApplicable, NewtonFailed) as err:
             analysis["two_peak"] = f"failed: {err}"
-            print(f"two-peak attempt ({i}, {l}): failed: {err}")
         else:
-            if tp is None:
-                analysis["two_peak"] = "absent (crossing condition fails)"
-                print(f"two-peak attempt ({i}, {l}): absent (crossing condition fails)")
-            else:
-                analysis["two_peak"] = f"rho1 = {tp.rho1!r}, rho2 = {tp.rho2!r}"
-                print(f"two-peak steady state ({i}, {l}): "
-                      f"rho1 = {tp.rho1:.6g}, rho2 = {tp.rho2:.6g}")
+            analysis["two_peak"] = ("absent (crossing condition fails)" if tp is None
+                                    else f"rho1 = {tp.rho1!r}, rho2 = {tp.rho2!r}")
+        print(f"two-peak steady state on traits ({i}, {l}): {analysis['two_peak']}")
 
-    report = RunReport(scenario_name=name, analysis=analysis,
-                       verdicts={"analysis_complete": True})
+    report = RunReport(scenario_name=name, analysis=analysis)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     return 0
 

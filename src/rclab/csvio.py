@@ -8,7 +8,9 @@ or parsed from a file; NaN marks a blank cell, such as an undefined S.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -52,26 +54,31 @@ def trajectory_table(traj: Trajectory) -> Table:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV: t, f_1..f_N, R_1..R_N, mass, S, Q, F, H."""
-    return _render(trajectory_table(traj))
+    return "".join(_lines(trajectory_table(traj)))
+
+
+def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+    """Write trajectory_csv(traj) to path a row at a time: the text of a long
+    run never sits in memory whole, nor does its encoded copy."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_lines(trajectory_table(traj)))
 
 
 def esd_csv(trait: np.ndarray, esd: EsdResult) -> str:
     """Render a stable distribution as CSV: trait, f_tilde, R_tilde."""
     header = ["trait", "f_tilde", "R_tilde"]
     columns = [trait, esd.f_tilde, esd.R_tilde]
-    return _render(Table(header=header, columns=dict(zip(header, columns))))
+    return "".join(_lines(Table(header=header, columns=dict(zip(header, columns)))))
 
 
-def _render(table: Table) -> str:
+def _lines(table: Table) -> Iterator[str]:
     block = np.column_stack([table.columns[name] for name in table.header])
-    pattern = ",".join(["%.17g"] * len(table.header))
+    pattern = ",".join(["%.17g"] * len(table.header)) + "\n"
     # row by row: converting the whole block at once would hold every cell as a
     # Python float; %.17g spells NaN, the blank, "nan", as it spells no number
-    lines = [",".join(table.header)]
-    lines += [(pattern % tuple(row.tolist())).replace("nan", "") for row in block]
-    del block  # freed before the join doubles the text
-    lines.append("")
-    return "\n".join(lines)
+    yield ",".join(table.header) + "\n"
+    for row in block:
+        yield (pattern % tuple(row.tolist())).replace("nan", "")
 
 
 def read_csv(text: str) -> Table:

@@ -1,9 +1,8 @@
 """Computation and certification of the evolutionarily stable distribution.
 
 The ESD species vector is the minimizer of the convex objective H over the
-nonnegative orthant; the resource levels follow from the closed form
-
-    Rhat_k = m_k Rstar_k / (m_k + h * sum_j K_jk f_j).
+nonnegative orthant; the resource levels are the reconstructed resources
+Rhat(f) of the model core (`model.reconstruct_R`).
 
 The solver is projected gradient descent with a Barzilai-Borwein spectral
 step and Armijo backtracking. A plain constant initial step stalls well
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, NegativeInput, NotConverged
-from .model import H_gradient, H_value, ModelParams, growth_rate
+from .model import H_gradient, H_value, ModelParams, growth_rate, reconstruct_R
 
 SUPPORT_EPS = 1e-8
 
@@ -60,15 +59,6 @@ class EsdReport:
     support_growth: float
     offsupport_growth: float
     resource_mismatch: float
-
-
-def reconstruct_R(params: ModelParams, f: np.ndarray) -> np.ndarray:
-    """Resource levels in equilibrium with a fixed species vector f >= 0."""
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
-        raise NegativeInput("species vector must be nonnegative")
-    b = params.m + params.h * (params.K.T @ f)
-    return params.m * params.Rstar / b
 
 
 def kkt_residual(params: ModelParams, f: np.ndarray) -> float:

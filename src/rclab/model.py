@@ -11,9 +11,10 @@ evaluates the convex objective
 
     H(f) = -sum_j a*_j f_j - sum_k m_k Rstar_k ln(m_k + h sum_j K_jk f_j)
 
-whose minimizer over f >= 0 is the evolutionarily stable distribution, plus
-its gradient and Hessian (in factored form), and the diagnostic functionals
-used to monitor trajectories.
+whose minimizer over f >= 0 is the evolutionarily stable distribution, the
+resources Rhat(f) in equilibrium with a species vector, with dH/df =
+-G(Rhat(f)), the Hessian of H (in factored form), and the diagnostic
+functionals used to monitor trajectories.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def _uptake(
     f = np.asarray(f, dtype=float)
     _check_dims(params, f, stacked=stacked)
     if np.any(f < 0):
-        raise NegativeInput("H is evaluated on the nonnegative orthant only")
+        raise NegativeInput("species vector f must be nonnegative")
     return f, params.m + params.h * np.matmul(params.K.T, f[..., None])[..., 0]
 
 
@@ -306,11 +307,15 @@ def H_value(params: ModelParams, f: np.ndarray) -> float | np.ndarray:
     return _per_row(linear - np.sum(params.m * params.Rstar * np.log(b), axis=-1))
 
 
+def reconstruct_R(params: ModelParams, f: np.ndarray) -> np.ndarray:
+    """Resource levels Rhat_k = m_k Rstar_k / (m_k + h sum_j K_jk f_j) in
+    equilibrium with a fixed species vector f >= 0."""
+    return params.m * params.Rstar / _uptake(params, f)[1]
+
+
 def H_gradient(params: ModelParams, f: np.ndarray) -> np.ndarray:
-    """Gradient of H; component i equals -G_i(Rhat(f)) for the reconstructed
-    resource levels Rhat_k = m_k Rstar_k / (m_k + h sum_j K_jk f_j)."""
-    f, b = _uptake(params, f)
-    return -params.a_star - params.h * params.K @ (params.m * params.Rstar / b)
+    """Gradient of H; component i equals -G_i(Rhat(f))."""
+    return -params.a_star - params.h * params.K @ reconstruct_R(params, f)
 
 
 def H_hessian(params: ModelParams, f: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Threshold predicates and constructive special steady states.
 
-Extinction happens exactly when every intrinsic growth rate is nonpositive;
-a trait i with a_i > 0 supports a unique single-peak steady state whose
-weight rho solves the strictly decreasing scalar equation g(rho) = 0, and
-pairs of growing traits may support a two-peak steady state found as a zero
-of a coupled 2x2 system.
+Extinction happens exactly when every intrinsic growth rate is nonpositive.
+The special steady states zero the growth -dH/df on a support of one or two
+traits, with weights rho = h f: a trait with a_i > 0 has a unique single-peak
+weight, a root of the strictly decreasing g(rho), and two such traits have a
+two-peak state when their mutual invasion rates at those weights share a
+sign; damped Newton on the coupled 2x2 system then finds it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import NewtonFailed, NotApplicable
 from .esd import EsdResult
-from .model import ModelParams
+from .model import ModelParams, reconstruct_R
 
 _ROOT_RTOL = 1e-12
 _NEWTON_TOL = 1e-13
@@ -70,22 +71,24 @@ def persistence_sum(esd: EsdResult, params: ModelParams) -> float:
     return float(np.sum(params.a[idx])) if idx else 0.0
 
 
-def _dirac_growth_rows(params: ModelParams, indices: np.ndarray):
-    """g of the traits `indices` as fun(rows, rho): entry k is g(rho[k]) for
-    trait indices[rows[k]], with the bits of the one-trait expression (each
-    constant a_i - h K_i.Rstar is its own dot product, the in-place terms are
-    the same elementwise operations, and each C-contiguous row sums along the
-    last axis as a 1-D array does)."""
-    base = np.array([params.a[i] - params.h * params.K[i] @ params.Rstar for i in indices])
+def _growth_rows(params: ModelParams, rows: np.ndarray, carriers: np.ndarray):
+    """Growth with one carrier as fun(sel, rho): entry k is the growth of trait
+    rows[sel[k]] when trait carriers[sel[k]] alone carries the weight rho[k].
+    Each entry has the bits of the one-trait expression (each constant
+    a_r - h K_r.Rstar is its own dot product, the in-place terms are the same
+    elementwise operations, and each C-contiguous row sums along the last axis
+    as a 1-D array does)."""
+    base = np.array([params.a[r] - params.h * params.K[r] @ params.Rstar for r in rows])
     supply = params.m * params.Rstar
 
-    def g(rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        terms = params.K[indices[rows]]
-        denom = rho[:, None] * terms
+    def g(sel: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        denom = params.K[carriers[sel]]
+        denom *= rho[:, None]
         denom += params.m
+        terms = params.K[rows[sel]]
         terms *= supply
         terms /= denom
-        return base[rows] + params.h * np.sum(terms, axis=1)
+        return base[sel] + params.h * np.sum(terms, axis=1)
 
     return g
 
@@ -96,11 +99,11 @@ def dirac_growth(params: ModelParams, i: int, rho: float) -> float:
     g(0) = a_i, g(inf) = a*_i < 0; strictly decreasing whenever row i of K
     has a positive entry.
     """
-    g = _dirac_growth_rows(params, np.array([i]))
+    g = _growth_rows(params, np.array([i]), np.array([i]))
     return float(g(np.zeros(1, dtype=int), np.array([rho]))[0])
 
 
-def _bisect_decreasing(fun, count: int, max_doubling: int = 200) -> np.ndarray:
+def _bisect_decreasing(fun, count: int) -> np.ndarray:
     """Roots of `count` strictly decreasing functions, each with a positive
     value at 0 and a nonpositive one at infinity, bisected in lockstep.
 
@@ -117,7 +120,7 @@ def _bisect_decreasing(fun, count: int, max_doubling: int = 200) -> np.ndarray:
         rows = rows[fun(rows, hi[rows]) >= 0]
         if not rows.size:
             break
-        if doublings == max_doubling:
+        if doublings == 200:
             raise NotApplicable("no sign change found while expanding the bracket")
         lo[rows] = hi[rows]
         hi[rows] *= 2.0
@@ -136,20 +139,17 @@ def _bisect_decreasing(fun, count: int, max_doubling: int = 200) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _check_growing(params: ModelParams, i: int, what: str) -> None:
-    if not (0 <= i < params.N):
-        raise NotApplicable(f"trait index {i} out of range")
-    if params.a[i] <= 0:
-        raise NotApplicable(f"trait {i} has a_i = {params.a[i]:.6g} <= 0{what}")
-
-
 def dirac_weights(params: ModelParams, indices) -> np.ndarray:
     """Weights rho_bar of the single-peak steady states on the traits
     `indices`, all found by one lockstep bisection; each needs a_i > 0."""
     indices = np.asarray(indices, dtype=int)
     for i in indices:
-        _check_growing(params, int(i), ", no single-peak steady state")
-    return _bisect_decreasing(_dirac_growth_rows(params, indices), indices.size)
+        if not (0 <= i < params.N):
+            raise NotApplicable(f"trait index {i} out of range")
+        if params.a[i] <= 0:
+            raise NotApplicable(f"trait {i} has a_i = {params.a[i]:.6g} <= 0, "
+                                "no single-peak steady state")
+    return _bisect_decreasing(_growth_rows(params, indices, indices), indices.size)
 
 
 def dirac_steady_state(params: ModelParams, i: int) -> DiracSteadyState:
@@ -157,8 +157,13 @@ def dirac_steady_state(params: ModelParams, i: int) -> DiracSteadyState:
     rho = float(dirac_weights(params, [i])[0])
     f = np.zeros(params.N)
     f[i] = rho / params.h
-    R = params.m * params.Rstar / (params.m + rho * params.K[i])
+    R = reconstruct_R(params, f)
     return DiracSteadyState(trait_index=i, rho_bar=rho, f_tilde=f, R_tilde=R)
+
+
+def _two_peak_uptake(params: ModelParams, i: int, l: int, rho1: float, rho2: float):
+    """The uptake rates m + rho1 K_i + rho2 K_l of the two carriers."""
+    return params.m + rho1 * params.K[i] + rho2 * params.K[l]
 
 
 def two_peak_system(
@@ -166,8 +171,7 @@ def two_peak_system(
 ) -> tuple[float, float]:
     """Residuals (F1, F2) of the coupled two-peak equilibrium equations."""
     astar = params.a_star
-    D = params.m + rho1 * params.K[i] + rho2 * params.K[l]
-    common = params.m * params.Rstar / D
+    common = params.m * params.Rstar / _two_peak_uptake(params, i, l, rho1, rho2)
     F1 = float(astar[i] + params.h * params.K[i] @ common)
     F2 = float(astar[l] + params.h * params.K[l] @ common)
     return F1, F2
@@ -176,8 +180,7 @@ def two_peak_system(
 def _two_peak_jacobian(
     params: ModelParams, i: int, l: int, rho1: float, rho2: float
 ) -> np.ndarray:
-    D = params.m + rho1 * params.K[i] + rho2 * params.K[l]
-    w = params.m * params.Rstar / D**2
+    w = params.m * params.Rstar / _two_peak_uptake(params, i, l, rho1, rho2) ** 2
     Ki, Kl = params.K[i], params.K[l]
     return -params.h * np.array(
         [[np.sum(Ki * Ki * w), np.sum(Ki * Kl * w)],
@@ -185,69 +188,31 @@ def _two_peak_jacobian(
     )
 
 
-def _axis_root(fun_axis, limit_value: float | None = None) -> float | None:
-    """Root of the scalar fun_axis on [0, inf), bisected as a batch of one.
-
-    fun_axis(0) > 0 is assumed. Without limit_value the root must exist. With
-    it, its value at infinity, the bracket grows at most 60 times and None
-    means that the function never changes sign.
-    """
-    try:
-        return float(_bisect_decreasing(
-            lambda _rows, r: np.array([fun_axis(r[0])]), 1,
-            max_doubling=200 if limit_value is None else 60,
-        )[0])
-    except NotApplicable:
-        if limit_value is not None and limit_value >= 0:
-            return None
-        raise
-
-
 def two_peak_steady_state(
     params: ModelParams, i: int, l: int
 ) -> TwoPeakSteadyState | None:
-    """Two-peak steady state on distinct traits i, l, or None.
+    """Two-peak steady state on distinct growing traits i, l, or None.
 
-    Axis roots of F1 and F2 locate where each zero curve meets the
-    coordinate axes; the curves must cross when F2 changes sign between the
-    two ends of the F1 curve. A missing cross-axis root means that curve
-    escapes to infinity, where F2 tends to a*_l < 0, so the limit value
-    substitutes for the endpoint sample. When the sign condition holds the
-    crossing is located by damped Newton from the midpoint of the axis
-    estimates, projected onto the closed positive quadrant.
+    The zero curve of F1 runs from (rho_i, 0) to the rho2 axis or to
+    infinity, and F2 changes sign along it exactly when the invasion rates of
+    l at rho_i e_i and of i at rho_l e_l share a sign: F1(0, .) and F2(0, .)
+    fall, so F2 where the curve ends has the sign of -F1(0, rho_l). Damped
+    Newton, projected onto the closed positive quadrant, then locates the
+    crossing from half the two single-peak weights.
     """
     if i == l:
         raise NotApplicable("the two peak traits must be distinct")
-    for idx in (i, l):
-        _check_growing(params, idx, "; both peaks must grow")
-    astar = params.a_star
-
-    # own-axis roots always exist: F1(., 0) and F2(0, .) fall from a_i > 0 to a* < 0
-    rho1_i = _axis_root(lambda r: two_peak_system(params, i, l, r, 0.0)[0])
-    rho2_l = _axis_root(lambda r: two_peak_system(params, i, l, 0.0, r)[1])
-    # cross-axis roots may not exist when one kernel row misses the other's resources
-    lim_F1 = float(astar[i] + params.h * np.sum(
-        np.where(params.K[l] == 0, params.K[i] * params.Rstar, 0.0)))
-    lim_F2 = float(astar[l] + params.h * np.sum(
-        np.where(params.K[i] == 0, params.K[l] * params.Rstar, 0.0)))
-    rho2_i = _axis_root(lambda r: two_peak_system(params, i, l, 0.0, r)[0], lim_F1)
-    rho1_l = _axis_root(lambda r: two_peak_system(params, i, l, r, 0.0)[1], lim_F2)
-
-    end_a = two_peak_system(params, i, l, rho1_i, 0.0)[1]
-    if rho2_i is not None:
-        end_b = two_peak_system(params, i, l, 0.0, rho2_i)[1]
-    else:
-        # the F1 curve escapes to rho2 = inf with rho1 bounded, where F2 -> a*_l
-        end_b = float(astar[l])
-    if end_a * end_b >= 0:
+    rho_dirac = dirac_weights(params, [i, l])
+    invade = _growth_rows(params, np.array([l, i]), np.array([i, l]))
+    invasion = invade(np.arange(2), rho_dirac)
+    if invasion[0] * invasion[1] <= 0:
         return None
 
-    start1 = 0.5 * (rho1_i + rho1_l) if rho1_l is not None else rho1_i
-    start2 = 0.5 * (rho2_i + rho2_l) if rho2_i is not None else rho2_l
-    rho = np.array([start1, start2])
+    rho = 0.5 * rho_dirac
     res = np.array(two_peak_system(params, i, l, rho[0], rho[1]))
     for _ in range(_NEWTON_MAXIT):
-        if float(np.max(np.abs(res))) <= _NEWTON_TOL:
+        norm0 = float(np.max(np.abs(res)))
+        if norm0 <= _NEWTON_TOL:
             break
         J = _two_peak_jacobian(params, i, l, rho[0], rho[1])
         try:
@@ -255,7 +220,6 @@ def two_peak_steady_state(
         except np.linalg.LinAlgError as err:
             raise NewtonFailed(f"singular Jacobian at rho = {rho}") from err
         lam = 1.0
-        norm0 = float(np.max(np.abs(res)))
         while lam > 1e-12:
             trial = np.maximum(0.0, rho + lam * delta)
             res_t = np.array(two_peak_system(params, i, l, trial[0], trial[1]))
@@ -276,7 +240,7 @@ def two_peak_steady_state(
     f = np.zeros(params.N)
     f[i] = rho[0] / params.h
     f[l] = rho[1] / params.h
-    R = params.m * params.Rstar / (params.m + rho[0] * params.K[i] + rho[1] * params.K[l])
+    R = reconstruct_R(params, f)
     return TwoPeakSteadyState(
         indices=(i, l), rho1=float(rho[0]), rho2=float(rho[1]), f_tilde=f, R_tilde=R
     )

@@ -161,6 +161,26 @@ class TestSimulate:
         assert np.array_equal(table.numeric("R_1"), traj.R[:, 0])
         assert np.array_equal(table.numeric("H"), traj.diagnostics.H)
 
+    def test_written_csv_is_the_rendered_text_without_holding_it(self, tmp_path):
+        import tracemalloc
+
+        from rclab import StepConfig, simulate
+        from rclab.csvio import trajectory_csv, write_trajectory_csv
+        from helpers import n1_instance
+
+        params, state0 = n1_instance()
+        traj = simulate(params, state0, 400.0, StepConfig(dt=0.1))  # S blank throughout
+        text = trajectory_csv(traj)
+        path = tmp_path / "trajectory.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(path, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == text.encode("utf-8")
+        assert peak < len(text)  # rows are written as they are rendered, never joined
+
     def test_zero_species_scenario(self, tmp_path):
         path = tmp_path / "zero.rc"
         path.write_text(_n1_scenario("zero"), encoding="utf-8")
@@ -194,6 +214,13 @@ class TestEsd:
         out = tmp_path / "x2"
         assert run(["esd", "--preset", "example1", "--cross-check",
                     "--out", str(out)]) == 2
+
+    def test_cross_check_refused_before_solving(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("rclab.cli.solve_esd", lambda *a, **k: calls.append(1))
+        assert run(["esd", "--preset", "example1", "--cross-check",
+                    "--out", str(tmp_path)]) == 2
+        assert calls == []
 
     def test_example1_dimorphic(self, tmp_path):
         out = tmp_path / "d"
@@ -244,6 +271,13 @@ class TestAnalyze:
         assert report["analysis.extinction_predicate"] == "survival"
         assert report["analysis.dirac_count"] == int(np.sum(params.a > 0))
         assert "analysis.two_peak" in report
+
+    def test_report_has_no_verdicts(self, tmp_path):
+        # analyze computes candidates, it checks no claim that could fail
+        for preset in ("example1", "example2"):
+            out = tmp_path / preset
+            assert run(["analyze", "--preset", preset, "--out", str(out)]) == 0
+            assert not [k for k in read_report(out) if k.startswith("verdicts.")]
 
 
 class TestPlot:

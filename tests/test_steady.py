@@ -195,3 +195,39 @@ class TestTwoPeak:
             m=np.ones(2), Rstar=np.ones(2),
         )
         assert two_peak_steady_state(params, 0, 1) is None
+
+
+def _random_two_trait_model(rng: np.random.Generator) -> ModelParams:
+    """Two growing traits with a = h K Rstar * U(0.1, 0.9); about 30 % of the
+    kernel entries are zero, so one kernel row may miss a resource of the other
+    and the F1 zero curve may never reach the rho2 axis."""
+    while True:
+        K = rng.uniform(0.0, 1.0, size=(2, 2))
+        K[rng.random((2, 2)) < 0.3] = 0.0
+        if np.all(K.any(axis=1)):  # a_i > 0 needs a nonzero row
+            break
+    h = float(rng.uniform(0.1, 1.0))
+    m = rng.uniform(0.5, 2.0, size=2)
+    Rstar = rng.uniform(0.5, 2.0, size=2)
+    a = h * K @ Rstar * rng.uniform(0.1, 0.9, size=2)
+    return ModelParams(N=2, h=h, a=a, K=K, m=m, Rstar=Rstar)
+
+
+class TestTwoPeakAgainstEsd:
+    def test_exists_exactly_when_esd_has_two_traits(self):
+        # H is convex, so a two-peak state with positive weights is the
+        # minimizer that the ESD solver finds independently
+        rng = np.random.default_rng(0)
+        existing = 0
+        for _ in range(100):
+            params = _random_two_trait_model(rng)
+            tp = two_peak_steady_state(params, 0, 1)
+            esd = solve_esd(params, tol=1e-12)
+            assert (tp is not None) == (len(esd.persistence_set) == 2)
+            if tp is not None:
+                existing += 1
+                assert [tp.rho1, tp.rho2] == pytest.approx(
+                    params.h * esd.f_tilde, rel=0, abs=1e-6)
+                residual = two_peak_system(params, 0, 1, tp.rho1, tp.rho2)
+                assert max(map(abs, residual)) <= 1e-10
+        assert 10 <= existing <= 90  # both outcomes are exercised
