@@ -69,9 +69,8 @@ def _load_spec(args) -> tuple[str, ScenarioSpec]:
 
 
 def _step_config(spec: ScenarioSpec) -> StepConfig:
-    scheme = Scheme.FULLY_IMPLICIT if spec.scheme == "implicit" else Scheme.SEMI_IMPLICIT
     return StepConfig(
-        dt=spec.dt, scheme=scheme, fp_tol=spec.fp_tol, fp_maxit=spec.fp_maxit,
+        dt=spec.dt, scheme=Scheme(spec.scheme), fp_tol=spec.fp_tol, fp_maxit=spec.fp_maxit,
         enforce_mu0=spec.enforce_mu0,
     )
 
@@ -259,7 +258,7 @@ def cmd_analyze(args) -> int:
 def cmd_plot(args) -> int:
     try:
         text = Path(args.csv).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise RclabError(f"cannot read {args.csv}: {err}") from err
     table = csvio.read_csv(text)
     svg = svgplot.render(table, args.kind, log_scale=args.log)
@@ -281,7 +280,7 @@ def _add_scenario_args(p: argparse.ArgumentParser, with_overrides: bool = True) 
     if with_overrides:
         p.add_argument("--T", type=float, help="override final time")
         p.add_argument("--dt", type=float, help="override time step")
-        p.add_argument("--scheme", choices=("semi", "implicit"),
+        p.add_argument("--scheme", choices=[scheme.value for scheme in Scheme],
                        help="override time-stepping scheme")
 
 

@@ -16,18 +16,29 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .esd import check_K_nonsingular
+from .integrator import Scheme
 from .model import ModelParams, State, validate_params
 
-_F_KINDS = ("gaussian", "sine_plus", "zero")
-_R_KINDS = ("equals_rstar", "constant")
-_SCHEMES = ("semi", "implicit")
+# field naming one of a fixed set of choices -> {choice: the optional fields
+# that choice requires and owns}
+_CHOICES = {
+    "scheme": dict.fromkeys((scheme.value for scheme in Scheme), ()),
+    "initial_f_kind": {
+        "gaussian": ("initial_f_amp", "initial_f_sigma"),
+        "sine_plus": ("initial_f_freq", "initial_f_offset"),
+        "zero": (),
+    },
+    "initial_R_kind": {"equals_rstar": (), "constant": ("initial_R_value",)},
+}
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,7 @@ def builtin_presets() -> dict[str, ScenarioSpec]:
         initial_f_kind="gaussian", initial_f_amp=5.0 * inv_sqrt2pi,
         initial_f_sigma=1.0, initial_f_freq=None, initial_f_offset=None,
         initial_R_kind="equals_rstar", initial_R_value=None,
-        dt=0.4, T_final=3000.0, scheme="semi",
+        dt=0.4, T_final=3000.0, scheme=Scheme.SEMI_IMPLICIT.value,
         fp_tol=1e-12, fp_maxit=200, enforce_mu0=False,
     )
     # extinction is fast for the species but the resource recovery tail is
@@ -144,43 +155,32 @@ def builtin_presets() -> dict[str, ScenarioSpec]:
         initial_f_kind="gaussian", initial_f_amp=1.0, initial_f_sigma=1.0,
         initial_f_freq=None, initial_f_offset=None,
         initial_R_kind="constant", initial_R_value=1.0,
-        dt=0.1, T_final=60.0, scheme="implicit",
+        dt=0.1, T_final=60.0, scheme=Scheme.FULLY_IMPLICIT.value,
         fp_tol=1e-12, fp_maxit=200, enforce_mu0=False,
     )
     return {"example1": example1, "example2": example2, "n1-closedform": n1}
 
 
 # ---------------------------------------------------------------------------
-# text format
+# text format: one `key = value` line per set field, in field order; the key is
+# the field name with its group dotted (growth_c2 -> growth.c2)
 
-_INT_FIELDS = {"N": "N", "fp_maxit": "fp_maxit"}
-_FLOAT_FIELDS = {
-    "L": "L", "center": "center", "sigma_star": "sigma_star", "sigma_K": "sigma_K",
-    "growth.c2": "growth_c2", "growth.c0": "growth_c0", "m_const": "m_const",
-    "initial_f.amp": "initial_f_amp", "initial_f.sigma": "initial_f_sigma",
-    "initial_f.freq": "initial_f_freq", "initial_f.offset": "initial_f_offset",
-    "initial_R.value": "initial_R_value", "dt": "dt", "T_final": "T_final",
-    "fp_tol": "fp_tol",
-}
-_STR_FIELDS = {
-    "initial_f.kind": "initial_f_kind", "initial_R.kind": "initial_R_kind",
-    "scheme": "scheme",
-}
-_BOOL_FIELDS = {"enforce_mu0": "enforce_mu0"}
-_ALL_KEYS = set(_INT_FIELDS) | set(_FLOAT_FIELDS) | set(_STR_FIELDS) | set(_BOOL_FIELDS)
 
-_REQUIRED = [
-    "N", "L", "center", "sigma_star", "sigma_K", "growth.c2", "growth.c0",
-    "m_const", "initial_f.kind", "initial_R.kind", "dt", "T_final", "scheme",
-    "fp_tol", "fp_maxit", "enforce_mu0",
-]
+def _key(name: str) -> str:
+    return re.sub(r"^(growth|initial_f|initial_R)_", r"\1.", name)
 
-_F_KIND_FIELDS = {
-    "gaussian": ("initial_f.amp", "initial_f.sigma"),
-    "sine_plus": ("initial_f.freq", "initial_f.offset"),
-    "zero": (),
+
+# annotation text (annotations are postponed here) -> (parser, message for a
+# value it rejects)
+_PARSERS = {
+    "int": (int, "not an integer: {!r}"),
+    "float": (float, "not a number: {!r}"),
+    "str": (str, ""),
+    "bool": ({"true": True, "false": False}.__getitem__, "expected true/false, got {!r}"),
 }
-_R_KIND_FIELDS = {"equals_rstar": (), "constant": ("initial_R.value",)}
+_FIELDS = {_key(field.name): field for field in fields(ScenarioSpec)}
+_OPTIONAL = {name for choices in _CHOICES.values()
+             for name in chain.from_iterable(choices.values())}
 
 
 def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
@@ -188,8 +188,8 @@ def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
-        raise ParseError(f"cannot read scenario file: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError(f"cannot read scenario file {os.fspath(path)!r}: {err}") from err
     return parse_scenario(text)
 
 
@@ -205,7 +205,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _FIELDS:
             raise ParseError(f"unknown key '{key}'", line=lineno, field=key)
         if key in raw:
             raise ParseError(f"duplicate key '{key}'", line=lineno, field=key)
@@ -213,69 +213,22 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise ParseError("missing value", line=lineno, field=key)
         raw[key] = value
 
-    for key in _REQUIRED:
-        if key not in raw:
+    for key, field in _FIELDS.items():
+        if field.name not in _OPTIONAL and key not in raw:
             raise ValidationError(key, "required key is missing")
 
-    values: dict[str, object] = {}
-    for key, attr in _INT_FIELDS.items():
-        if key in raw:
-            try:
-                values[attr] = int(raw[key])
-            except ValueError as err:
-                raise ParseError(f"not an integer: {raw[key]!r}", field=key) from err
-    for key, attr in _FLOAT_FIELDS.items():
-        if key in raw:
-            try:
-                values[attr] = float(raw[key])
-            except ValueError as err:
-                raise ParseError(f"not a number: {raw[key]!r}", field=key) from err
-            if not math.isfinite(values[attr]):
-                raise ValidationError(key, "must be finite")
-    for key, attr in _STR_FIELDS.items():
-        if key in raw:
-            values[attr] = raw[key]
-    for key, attr in _BOOL_FIELDS.items():
-        if key in raw:
-            if raw[key] not in ("true", "false"):
-                raise ParseError(f"expected true/false, got {raw[key]!r}", field=key)
-            values[attr] = raw[key] == "true"
+    values: dict[str, object] = dict.fromkeys(_OPTIONAL)
+    for key, value in raw.items():
+        field = _FIELDS[key]
+        parse, message = _PARSERS[field.type.removesuffix(" | None")]
+        try:
+            values[field.name] = parse(value)
+        except (ValueError, KeyError) as err:
+            raise ParseError(message.format(value), field=key) from err
+        if isinstance(values[field.name], float) and not math.isfinite(values[field.name]):
+            raise ValidationError(key, "must be finite")
 
-    f_kind = values.get("initial_f_kind")
-    if f_kind not in _F_KINDS:
-        raise ValidationError("initial_f.kind", f"must be one of {_F_KINDS}")
-    r_kind = values.get("initial_R_kind")
-    if r_kind not in _R_KINDS:
-        raise ValidationError("initial_R.kind", f"must be one of {_R_KINDS}")
-    for key in _F_KIND_FIELDS[f_kind]:
-        if key not in raw:
-            raise ValidationError(key, f"required for initial_f.kind = {f_kind}")
-    for kind, fields in _F_KIND_FIELDS.items():
-        for key in fields:
-            if kind != f_kind and key in raw and key not in _F_KIND_FIELDS[f_kind]:
-                raise ValidationError(key, f"not allowed for initial_f.kind = {f_kind}")
-    for key in _R_KIND_FIELDS[r_kind]:
-        if key not in raw:
-            raise ValidationError(key, f"required for initial_R.kind = {r_kind}")
-    if r_kind == "equals_rstar" and "initial_R.value" in raw:
-        raise ValidationError("initial_R.value", "not allowed for initial_R.kind = equals_rstar")
-
-    spec = ScenarioSpec(
-        N=values["N"], L=values["L"], center=values["center"],
-        sigma_star=values["sigma_star"], sigma_K=values["sigma_K"],
-        growth_c2=values["growth_c2"], growth_c0=values["growth_c0"],
-        m_const=values["m_const"],
-        initial_f_kind=f_kind,
-        initial_f_amp=values.get("initial_f_amp"),
-        initial_f_sigma=values.get("initial_f_sigma"),
-        initial_f_freq=values.get("initial_f_freq"),
-        initial_f_offset=values.get("initial_f_offset"),
-        initial_R_kind=r_kind,
-        initial_R_value=values.get("initial_R_value"),
-        dt=values["dt"], T_final=values["T_final"], scheme=values["scheme"],
-        fp_tol=values["fp_tol"], fp_maxit=values["fp_maxit"],
-        enforce_mu0=values["enforce_mu0"],
-    )
+    spec = ScenarioSpec(**values)
     _validate_spec(spec)
     return spec
 
@@ -283,67 +236,44 @@ def parse_scenario(text: str) -> ScenarioSpec:
 def _validate_spec(spec: ScenarioSpec) -> None:
     if spec.N < 1:
         raise ValidationError("N", "must be a positive integer")
-    for key, val in (("L", spec.L), ("sigma_star", spec.sigma_star),
-                     ("sigma_K", spec.sigma_K), ("m_const", spec.m_const),
-                     ("dt", spec.dt), ("T_final", spec.T_final),
-                     ("fp_tol", spec.fp_tol)):
-        if not (val > 0 and math.isfinite(val)):
-            raise ValidationError(key, "must be positive and finite")
+    for name in ("L", "sigma_star", "sigma_K", "m_const", "dt", "T_final", "fp_tol"):
+        value = getattr(spec, name)
+        if not (value > 0 and math.isfinite(value)):
+            raise ValidationError(name, "must be positive and finite")
     if not math.isfinite(spec.center):
         raise ValidationError("center", "must be finite")
     if spec.fp_maxit < 1:
         raise ValidationError("fp_maxit", "must be at least 1")
-    if spec.scheme not in _SCHEMES:
-        raise ValidationError("scheme", f"must be one of {_SCHEMES}")
-    if spec.initial_f_kind not in _F_KINDS:
-        raise ValidationError("initial_f.kind", f"must be one of {_F_KINDS}")
-    if spec.initial_R_kind not in _R_KINDS:
-        raise ValidationError("initial_R.kind", f"must be one of {_R_KINDS}")
+    for name, choices in _CHOICES.items():
+        choice = getattr(spec, name)
+        if choice not in tuple(choices):  # by ==, so an unhashable value is reported too
+            raise ValidationError(_key(name), f"must be one of {tuple(choices)}")
+        for owned in choices[choice]:
+            if getattr(spec, owned) is None:
+                raise ValidationError(_key(owned), f"required for {_key(name)} = {choice}")
+        for other in chain.from_iterable(choices.values()):
+            if other not in choices[choice] and getattr(spec, other) is not None:
+                raise ValidationError(_key(other), f"not allowed for {_key(name)} = {choice}")
     if spec.initial_f_kind == "gaussian":
-        if spec.initial_f_amp is None or spec.initial_f_amp < 0:
+        if spec.initial_f_amp < 0:
             raise ValidationError("initial_f.amp", "must be nonnegative")
-        if spec.initial_f_sigma is None or spec.initial_f_sigma <= 0:
+        if spec.initial_f_sigma <= 0:
             raise ValidationError("initial_f.sigma", "must be positive")
-    if spec.initial_f_kind == "sine_plus":
-        if spec.initial_f_freq is None:
-            raise ValidationError("initial_f.freq", "required")
-        if spec.initial_f_offset is None:
-            raise ValidationError("initial_f.offset", "required")
-    if spec.initial_R_kind == "constant":
-        if spec.initial_R_value is None or spec.initial_R_value <= 0:
-            raise ValidationError("initial_R.value", "must be positive")
+    if spec.initial_R_kind == "constant" and spec.initial_R_value <= 0:
+        raise ValidationError("initial_R.value", "must be positive")
 
 
 def _fmt(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # for a float, the shortest text that reads back to it
 
 
 def save_scenario(spec: ScenarioSpec) -> str:
-    """Serialize to the canonical text form (stable key order, repr floats)."""
+    """Serialize to the canonical text form: each set field, in field order."""
     _validate_spec(spec)
-    lines = [
-        ("N", spec.N), ("L", spec.L), ("center", spec.center),
-        ("sigma_star", spec.sigma_star), ("sigma_K", spec.sigma_K),
-        ("growth.c2", spec.growth_c2), ("growth.c0", spec.growth_c0),
-        ("m_const", spec.m_const),
-        ("initial_f.kind", spec.initial_f_kind),
-    ]
-    if spec.initial_f_kind == "gaussian":
-        lines += [("initial_f.amp", spec.initial_f_amp),
-                  ("initial_f.sigma", spec.initial_f_sigma)]
-    elif spec.initial_f_kind == "sine_plus":
-        lines += [("initial_f.freq", spec.initial_f_freq),
-                  ("initial_f.offset", spec.initial_f_offset)]
-    lines.append(("initial_R.kind", spec.initial_R_kind))
-    if spec.initial_R_kind == "constant":
-        lines.append(("initial_R.value", spec.initial_R_value))
-    lines += [
-        ("dt", spec.dt), ("T_final", spec.T_final), ("scheme", spec.scheme),
-        ("fp_tol", spec.fp_tol), ("fp_maxit", spec.fp_maxit),
-        ("enforce_mu0", spec.enforce_mu0),
-    ]
-    return "".join(f"{k} = {_fmt(v)}\n" for k, v in lines)
+    return "".join(
+        f"{key} = {_fmt(getattr(spec, field.name))}\n"
+        for key, field in _FIELDS.items()
+        if getattr(spec, field.name) is not None
+    )

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rclab import builtin_presets, save_scenario
+from rclab import builtin_presets, load_scenario, save_scenario
 from rclab.cli import main
 from rclab.csvio import read_csv
 from rclab.errors import ParseError
@@ -335,6 +335,13 @@ class TestPlot:
         assert run(["plot", "--csv", str(tmp_path / "ghost.csv"), "--kind", "profile",
                     "--out-svg", str(tmp_path / "no.svg")]) == 2
 
+    def test_non_utf8_csv_rejected_naming_the_file(self, tmp_path, capsys):
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes(b"t,f_1,R_1\n0,1,\xff\n")
+        assert run(["plot", "--csv", str(csv), "--kind", "profile",
+                    "--out-svg", str(tmp_path / "no.svg")]) == 2
+        assert str(csv) in capsys.readouterr().err
+
 
 class TestErrors:
     def test_unknown_preset(self, tmp_path):
@@ -351,6 +358,14 @@ class TestErrors:
         path = tmp_path / "bad.rc"
         path.write_text("N = -3\n", encoding="utf-8")
         assert run(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_non_utf8_scenario_file_is_a_parse_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.rc"
+        path.write_bytes(_n1_scenario("gaussian").encode("utf-8") + b"# caf\xe9\n")
+        assert run(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert str(path) in capsys.readouterr().err
+        with pytest.raises(ParseError, match="latin1.rc"):
+            load_scenario(path)
 
     def test_rclab_out_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RCLAB_OUT", str(tmp_path / "envout"))

@@ -1,0 +1,118 @@
+"""Properties of the scenario text format on random input."""
+
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rclab import RclabError, ValidationError, builtin_presets, parse_scenario, save_scenario
+from rclab.scenarios import ScenarioSpec
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+KIND_FIELDS = {
+    "gaussian": {"initial_f_amp": st.floats(min_value=0.0, allow_infinity=False),
+                 "initial_f_sigma": positive},
+    "sine_plus": {"initial_f_freq": finite, "initial_f_offset": finite},
+    "zero": {},
+    "equals_rstar": {},
+    "constant": {"initial_R_value": positive},
+}
+
+
+@st.composite
+def specs(draw, f_kind, r_kind):
+    owned = {**KIND_FIELDS[f_kind], **KIND_FIELDS[r_kind]}
+    return ScenarioSpec(
+        N=draw(st.integers(min_value=1, max_value=10**9)), L=draw(positive),
+        center=draw(finite), sigma_star=draw(positive), sigma_K=draw(positive),
+        growth_c2=draw(finite), growth_c0=draw(finite), m_const=draw(positive),
+        initial_f_kind=f_kind, initial_R_kind=r_kind,
+        **{name: draw(owned[name]) if name in owned else None
+           for name in ("initial_f_amp", "initial_f_sigma", "initial_f_freq",
+                        "initial_f_offset", "initial_R_value")},
+        dt=draw(positive), T_final=draw(positive),
+        scheme=draw(st.sampled_from(["semi", "implicit"])), fp_tol=draw(positive),
+        fp_maxit=draw(st.integers(min_value=1, max_value=10**9)),
+        enforce_mu0=draw(st.booleans()),
+    )
+
+
+@pytest.mark.parametrize("r_kind", ["equals_rstar", "constant"])
+@pytest.mark.parametrize("f_kind", ["gaussian", "sine_plus", "zero"])
+def test_valid_specs_round_trip(f_kind, r_kind):
+    @PROPERTY
+    @given(specs(f_kind, r_kind))
+    def check(spec):
+        text = save_scenario(spec)
+        assert parse_scenario(text) == spec
+        assert save_scenario(parse_scenario(text)) == text
+
+    check()
+
+
+def test_spec_values_are_checked_as_in_text():
+    example1 = builtin_presets()["example1"]
+    with pytest.raises(ValidationError) as err:
+        save_scenario(replace(example1, initial_f_kind="zero"))
+    assert err.value.field == "initial_f.amp"
+    with pytest.raises(ValidationError) as err:
+        save_scenario(replace(example1, scheme=["semi"]))
+    assert err.value.field == "scheme"
+
+
+PRESET_LINES = [save_scenario(spec).splitlines() for spec in builtin_presets().values()]
+KEYS = sorted({line.partition(" =")[0] for lines in PRESET_LINES for line in lines}
+              | {"initial_f.freq", "initial_f.offset", "initial_f.amp", "initial_R.value"})
+values = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "1e400", "-1", "0", "1.5", "true", "gaussian",
+                     "sine_plus", "zero", "constant", "equals_rstar", "implicit", "x"]),
+    st.text(max_size=8),
+)
+edits = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 40)),
+    st.tuples(st.just("duplicate"), st.integers(0, 40)),
+    st.tuples(st.just("value"), st.integers(0, 40), values),
+    st.tuples(st.just("insert"), st.integers(0, 40),
+              st.tuples(st.sampled_from(KEYS) | st.text(max_size=8), values)),
+    st.tuples(st.just("junk"), st.integers(0, 40), st.text(max_size=12)),
+)
+
+
+def apply(lines, edit):
+    lines = list(lines)
+    i = edit[1] % (len(lines) + 1)
+    if edit[0] == "drop" and i < len(lines):
+        del lines[i]
+    elif edit[0] == "duplicate" and i < len(lines):
+        lines.insert(i, lines[i])
+    elif edit[0] == "value" and i < len(lines):
+        lines[i] = f"{lines[i].partition(' =')[0]} = {edit[2]}"
+    elif edit[0] == "insert":
+        lines.insert(i, f"{edit[2][0]} = {edit[2][1]}")
+    elif edit[0] == "junk":
+        lines.insert(i, edit[2])
+    return lines
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.sampled_from(PRESET_LINES), st.lists(edits, min_size=1, max_size=3))
+def test_edited_preset_text_fails_only_with_a_located_rclab_error(lines, edit_list):
+    for edit in edit_list:
+        lines = apply(lines, edit)
+    try:
+        parse_scenario("\n".join(lines) + "\n")
+    except RclabError as err:
+        assert getattr(err, "field", None) is not None or getattr(err, "line", None) is not None
+
+
+def test_readme_scenario_block_is_example1():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```$", readme, flags=re.M | re.S)
+    [block] = [b for b in blocks if b.startswith("N = ")]
+    assert parse_scenario(block) == builtin_presets()["example1"]
