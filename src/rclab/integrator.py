@@ -1,12 +1,13 @@
 """Time discretization of the competition system.
 
-Two structure-preserving schemes advance (f, R):
+One closed-form sweep advances (f, R) by a step dt:
 
-  semi-implicit   f'_j = f_j / (1 - dt*G_j(R)),  then
-                  R'_k = (R_k + dt*m_k*Rstar_k) / (1 + dt*m_k + dt*h*sum_j K_jk f'_j)
+  f'_j = f_j / (1 - dt*G_j(R~)),  then
+  R'_k = (R_k + dt*m_k*Rstar_k) / (1 + dt*m_k + dt*h*sum_j K_jk f'_j)
 
-  fully implicit  the same update applied with R' inside G, solved by a
-                  fixed-point sweep on R that starts from the current R.
+where R~ is the current R in the first sweep and the previous sweep's R'
+after it. The semi-implicit scheme is the first sweep. The fully implicit
+scheme, which has R' inside G, repeats the sweep until R' stops changing.
 
 Both keep f nonnegative and R positive whenever every denominator
 1 - dt*G_j stays positive; dt below the derived bound mu0 guarantees that.
@@ -29,8 +30,9 @@ from .model import (
     Diagnostics,
     ModelParams,
     State,
+    _check_dims,
+    _growth,
     compute_diagnostics,
-    growth_rate,
     lyapunov_S,
     validate_params,
 )
@@ -97,53 +99,49 @@ class EntropyTrace:
     flagged_steps: tuple[int, ...]
 
 
-def _new_f(params: ModelParams, f: np.ndarray, R: np.ndarray, dt: float) -> np.ndarray:
-    denom = 1.0 - dt * growth_rate(params, R)
-    if np.any(denom <= 0):
-        j = int(np.flatnonzero(denom <= 0)[0])
-        raise StepRejected(
-            f"nonpositive update denominator for species {j} "
-            f"(dt*G = {dt * growth_rate(params, R)[j]:.6g} >= 1); reduce dt"
-        )
-    return f / denom
-
-
-def _new_R(params: ModelParams, R: np.ndarray, f_new: np.ndarray, dt: float) -> np.ndarray:
+def _sweep(
+    params: ModelParams, f: np.ndarray, R: np.ndarray, dt: float,
+    fp_tol: float | None, max_sweeps: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(f, R, sweeps) one step of dt later: the first sweep if fp_tol is None,
+    else sweeps until successive R agree to fp_tol in the max norm."""
+    _check_dims(params, f, R)
     num = R + dt * params.m * params.Rstar
-    den = 1.0 + dt * params.m + dt * params.h * (params.K.T @ f_new)
-    return num / den
+    den = 1.0 + dt * params.m
+    R_iter = R
+    for sweep in range(1, max_sweeps + 1):
+        dtG = dt * _growth(params, R_iter)
+        if np.any(dtG >= 1.0):
+            j = int(np.argmax(dtG >= 1.0))
+            raise StepRejected(f"nonpositive update denominator for species {j} "
+                               f"(dt*G = {dtG[j]:.6g} >= 1); reduce dt")
+        f_new = f / (1.0 - dtG)
+        R_new = num / (den + dt * params.h * (params.K.T @ f_new))
+        if fp_tol is None:
+            return f_new, R_new, sweep
+        change = float(np.max(np.abs(R_new - R_iter)))
+        if change <= fp_tol:
+            return f_new, R_new, sweep
+        R_iter = R_new
+    raise FixedPointDiverged(
+        f"fixed-point iteration did not contract within {max_sweeps} sweeps "
+        f"(last update {change:.3e})"
+    )
 
 
 def step_semi_implicit(params: ModelParams, state: State, dt: float) -> State:
-    """One semi-implicit step: f update uses the current resources."""
-    f_new = _new_f(params, state.f, state.R, dt)
-    return State(f=f_new, R=_new_R(params, state.R, f_new, dt))
+    """One semi-implicit step: the first sweep, f updated with the current resources."""
+    f, R, _ = _sweep(params, state.f, state.R, dt, None, 1)
+    return State(f=f, R=R)
 
 
 def step_fully_implicit(
-    params: ModelParams,
-    state: State,
-    dt: float,
-    fp_tol: float = 1e-12,
-    fp_maxit: int = 200,
+    params: ModelParams, state: State, dt: float, fp_tol: float = 1e-12, fp_maxit: int = 200
 ) -> tuple[State, int]:
-    """One fully implicit step solved by fixed-point sweeps.
-
-    Starting from the current resources, alternate the closed-form f and R
-    updates until successive resource iterates agree to fp_tol in the max
-    norm. Returns the new state and the number of sweeps performed.
-    """
-    R_iter = state.R
-    for sweep in range(1, fp_maxit + 1):
-        f_new = _new_f(params, state.f, R_iter, dt)
-        R_new = _new_R(params, state.R, f_new, dt)
-        if float(np.max(np.abs(R_new - R_iter))) <= fp_tol:
-            return State(f=f_new, R=R_new), sweep
-        R_iter = R_new
-    raise FixedPointDiverged(
-        f"fixed-point iteration did not contract within {fp_maxit} sweeps "
-        f"(last update {float(np.max(np.abs(R_new - R_iter))):.3e})"
-    )
+    """One fully implicit step: sweeps until successive resource iterates
+    agree to fp_tol in the max norm. Returns the new state and the sweep count."""
+    f, R, sweeps = _sweep(params, state.f, state.R, dt, fp_tol, fp_maxit)
+    return State(f=f, R=R), sweeps
 
 
 def _plan_steps(T_final: float, dt: float) -> list[float]:
@@ -204,12 +202,8 @@ def simulate(
         except (StepRejected, FixedPointDiverged) as err:
             err.step_index = i
             raise
-        if (
-            np.any(state.f < 0)
-            or np.any(state.R <= 0)
-            or not np.all(np.isfinite(state.f))
-            or not np.all(np.isfinite(state.R))
-        ):
+        if not (np.all(state.f >= 0) and np.all(state.R > 0)
+                and np.all(np.isfinite(state.f)) and np.all(np.isfinite(state.R))):
             raise StepRejected(f"invalid state after step {i}", step_index=i)
         t += dt
         times[i + 1], f[i + 1], R[i + 1] = t, state.f, state.R

@@ -219,6 +219,11 @@ def growth_rate(params: ModelParams, R: np.ndarray) -> np.ndarray:
     """Per-capita growth G_j = a_j + h * sum_k K_jk (R_k - Rstar_k)."""
     R = np.asarray(R, dtype=float)
     _check_dims(params, R)
+    return _growth(params, R)
+
+
+def _growth(params: ModelParams, R: np.ndarray) -> np.ndarray:
+    """growth_rate for a float vector R whose shape the caller has checked."""
     return params.a + params.h * params.K @ (R - params.Rstar)
 
 

@@ -15,6 +15,7 @@ through a flat `key = value` text format.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import re
 import warnings
@@ -170,13 +171,16 @@ def _key(name: str) -> str:
     return re.sub(r"^(growth|initial_f|initial_R)_", r"\1.", name)
 
 
-# annotation text (annotations are postponed here) -> (parser, message for a
-# value it rejects)
-_PARSERS = {
-    "int": (int, "not an integer: {!r}"),
-    "float": (float, "not a number: {!r}"),
-    "str": (str, ""),
-    "bool": ({"true": True, "false": False}.__getitem__, "expected true/false, got {!r}"),
+# annotation text (annotations are postponed here) -> (the spelling the text
+# format accepts, its conversion, the message for other text, the types a
+# ScenarioSpec value may have). Digits are ASCII only: int and float alone would
+# also read other Unicode digits and underscores.
+_TYPES = {
+    "int": (r"[+-]?[0-9]+", int, "not an integer: {!r}", numbers.Integral),
+    "float": (r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", float,
+              "not a number: {!r}", numbers.Real),
+    "str": (r".*", str, "", str),
+    "bool": (r"true|false", "true".__eq__, "expected true/false, got {!r}", bool),
 }
 _FIELDS = {_key(field.name): field for field in fields(ScenarioSpec)}
 _OPTIONAL = {name for choices in _CHOICES.values()
@@ -220,11 +224,10 @@ def parse_scenario(text: str) -> ScenarioSpec:
     values: dict[str, object] = dict.fromkeys(_OPTIONAL)
     for key, value in raw.items():
         field = _FIELDS[key]
-        parse, message = _PARSERS[field.type.removesuffix(" | None")]
-        try:
-            values[field.name] = parse(value)
-        except (ValueError, KeyError) as err:
-            raise ParseError(message.format(value), field=key) from err
+        pattern, convert, message, _ = _TYPES[field.type.removesuffix(" | None")]
+        if not re.fullmatch(pattern, value):
+            raise ParseError(message.format(value), field=key)
+        values[field.name] = convert(value)
         if isinstance(values[field.name], float) and not math.isfinite(values[field.name]):
             raise ValidationError(key, "must be finite")
 
@@ -234,6 +237,15 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def _validate_spec(spec: ScenarioSpec) -> None:
+    for key, field in _FIELDS.items():
+        value = getattr(spec, field.name)
+        kind = field.type.removesuffix(" | None")
+        if value is None and kind != field.type:
+            continue  # optional: _CHOICES decides whether it may be unset
+        # bool is a subclass of int, so only the bool check tells True from 1
+        allowed = _TYPES[kind][3]
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, allowed):
+            raise ValidationError(key, f"must be {kind}, not {type(value).__name__}")
     if spec.N < 1:
         raise ValidationError("N", "must be a positive integer")
     for name in ("L", "sigma_star", "sigma_K", "m_const", "dt", "T_final", "fp_tol"):

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from rclab import H_gradient, H_value, ModelParams, NotApplicable, State
+from rclab import (
+    FixedPointDiverged,
+    H_gradient,
+    H_value,
+    ModelParams,
+    NotApplicable,
+    State,
+    growth_rate,
+)
+from rclab.errors import StepRejected
 
 _ROOT_RTOL = 1e-12
 
@@ -116,3 +125,38 @@ def bisect_decreasing(fun, max_doubling: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def new_f(params: ModelParams, f: np.ndarray, R: np.ndarray, dt: float) -> np.ndarray:
+    """Species half of the closed-form update, with G evaluated at R."""
+    denom = 1.0 - dt * growth_rate(params, R)
+    if np.any(denom <= 0):
+        raise StepRejected("nonpositive update denominator")
+    return f / denom
+
+
+def new_R(params: ModelParams, R: np.ndarray, f_new: np.ndarray, dt: float) -> np.ndarray:
+    """Resource half of the closed-form update, from the current R and the new f."""
+    num = R + dt * params.m * params.Rstar
+    den = 1.0 + dt * params.m + dt * params.h * (params.K.T @ f_new)
+    return num / den
+
+
+def semi_implicit_step(params: ModelParams, state: State, dt: float) -> State:
+    """The semi-implicit step written out on its own: the oracle for the sweep kernel."""
+    f_new = new_f(params, state.f, state.R, dt)
+    return State(f=f_new, R=new_R(params, state.R, f_new, dt))
+
+
+def fully_implicit_step(
+    params: ModelParams, state: State, dt: float, fp_tol: float, fp_maxit: int
+) -> tuple[State, int]:
+    """The fixed-point loop of the fully implicit step written out on its own."""
+    R_iter = state.R
+    for sweep in range(1, fp_maxit + 1):
+        f_new = new_f(params, state.f, R_iter, dt)
+        R_new = new_R(params, state.R, f_new, dt)
+        if float(np.max(np.abs(R_new - R_iter))) <= fp_tol:
+            return State(f=f_new, R=R_new), sweep
+        R_iter = R_new
+    raise FixedPointDiverged(f"no contraction within {fp_maxit} sweeps")

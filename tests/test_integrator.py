@@ -23,7 +23,7 @@ from rclab import (
     step_semi_implicit,
     validate_params,
 )
-from rclab.errors import StepRejected
+from rclab.errors import DimensionMismatch, StepRejected
 
 
 class TestSemiImplicitStep:
@@ -313,3 +313,41 @@ class TestStepConfig:
             StepConfig(dt=0.1, fp_tol=0.0)
         with pytest.raises(ValueError):
             StepConfig(dt=0.1, fp_maxit=0)
+
+
+class TestStepCallContract:
+    """Benchmarks count steps from calls of the public step functions, so
+    simulate calls its scheme's own step function once per step."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_one_call_of_its_own_step_per_step(self, monkeypatch, scheme):
+        import rclab.integrator as integrator
+
+        calls = {"step_semi_implicit": 0, "step_fully_implicit": 0}
+        for name in calls:
+            def counted(*args, _name=name, _step=getattr(integrator, name), **kwargs):
+                calls[_name] += 1
+                return _step(*args, **kwargs)
+
+            monkeypatch.setattr(integrator, name, counted)
+        params, state0 = n1_instance()
+        traj = simulate(params, state0, 1.05, StepConfig(dt=0.1, scheme=scheme))  # 11 steps
+        own, other = calls if scheme is Scheme.SEMI_IMPLICIT else reversed(calls)
+        assert (calls[own], calls[other]) == (len(traj.times) - 1, 0)
+
+
+class TestStepErrors:
+    def test_divergence_reports_the_last_update(self):
+        params, _ = n1_instance()
+        state = State(f=np.array([1.0]), R=np.array([1.0]))
+        first = step_semi_implicit(params, state, 0.1)  # the first sweep moves R by this
+        with pytest.raises(FixedPointDiverged, match=f"last update {abs(first.R[0] - 1.0):.3e}"):
+            step_fully_implicit(params, state, 0.1, fp_tol=1e-15, fp_maxit=1)
+
+    @pytest.mark.parametrize("f, R", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0])])
+    def test_state_shapes_are_checked(self, f, R):
+        params, _ = n1_instance()
+        state = State(f=np.array(f), R=np.array(R))
+        for step in (step_semi_implicit, step_fully_implicit):
+            with pytest.raises(DimensionMismatch):
+                step(params, state, 0.1)

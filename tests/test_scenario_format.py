@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rclab import RclabError, ValidationError, builtin_presets, parse_scenario, save_scenario
+from rclab import (
+    ParseError,
+    RclabError,
+    ValidationError,
+    build_params,
+    builtin_presets,
+    parse_scenario,
+    save_scenario,
+)
 from rclab.scenarios import ScenarioSpec
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
@@ -64,6 +72,24 @@ def test_spec_values_are_checked_as_in_text():
     with pytest.raises(ValidationError) as err:
         save_scenario(replace(example1, scheme=["semi"]))
     assert err.value.field == "scheme"
+
+
+@pytest.mark.parametrize("line, field", [("N = \u0663", "N"), ("fp_maxit = 2_00", "fp_maxit")])
+def test_numbers_must_be_ascii_decimal(line, field):
+    """int and float alone read Arabic-Indic 3 as 3 and 2_00 as 200."""
+    lines = [ln for ln in save_scenario(builtin_presets()["example1"]).splitlines()
+             if not ln.startswith(f"{field} =")]
+    with pytest.raises(ParseError) as err:
+        parse_scenario("\n".join([*lines, line]))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("change", [{"N": "40"}, {"dt": "0.4"}, {"N": 40.0}, {"N": True},
+                                    {"enforce_mu0": "yes"}])
+def test_spec_field_types_are_checked(change):
+    with pytest.raises(ValidationError) as err:
+        build_params(replace(builtin_presets()["example1"], **change))
+    assert err.value.field == next(iter(change))
 
 
 PRESET_LINES = [save_scenario(spec).splitlines() for spec in builtin_presets().values()]
