@@ -4,15 +4,13 @@ The ESD species vector is the minimizer of the convex objective H over the
 nonnegative orthant; the resource levels are the reconstructed resources
 Rhat(f) of the model core (`model.reconstruct_R`).
 
-The solver is projected gradient descent with a Barzilai-Borwein spectral
-step and Armijo backtracking. A plain constant initial step stalls well
-above tight tolerances on clustered-kernel instances (the per-step decrease
-of H falls below double-precision evaluation noise), while the spectral
-step adapts to the nearly flat valleys those kernels create.
+The solver adds the fittest invader to the support one outer step at a
+time and solves the restricted problem by projected Newton (`solve_esd`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -22,11 +20,6 @@ from .errors import DimensionTooLarge, NegativeInput, NotConverged
 from .model import H_gradient, H_value, ModelParams, growth_rate, reconstruct_R
 
 SUPPORT_EPS = 1e-8
-
-_ARMIJO_C = 1e-4
-_SHRINK = 0.5
-_BB_MIN = 1e-10
-_BB_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -64,23 +57,17 @@ class EsdReport:
 def kkt_residual(params: ModelParams, f: np.ndarray) -> float:
     """Complementarity residual max_i |min(f_i, dH/df_i)|; zero at KKT points."""
     f = np.asarray(f, dtype=float)
-    g = H_gradient(params, f)
-    return float(np.max(np.abs(np.minimum(f, g))))
+    return float(np.max(np.abs(np.minimum(f, H_gradient(params, f)))))
 
 
 def check_K_nonsingular(params: ModelParams) -> tuple[bool, float]:
-    """SVD-based singularity test.
-
-    Returns (nonsingular, condition_estimate); the matrix counts as singular
-    when its smallest singular value is below 1e-12 times the largest.
-    """
+    """SVD-based singularity test returning (nonsingular, condition_estimate): K
+    counts as singular when its smallest singular value is below 1e-12 times the largest."""
     s = params.singular_values_K
-    smax = float(s[0])
-    smin = float(s[-1])
+    smax, smin = float(s[0]), float(s[-1])
     if smax == 0.0:
         return False, np.inf
-    cond = np.inf if smin == 0.0 else smax / smin
-    return smin > 1e-12 * smax, cond
+    return smin > 1e-12 * smax, (np.inf if smin == 0.0 else smax / smin)
 
 
 def solve_esd(
@@ -91,78 +78,98 @@ def solve_esd(
 ) -> EsdResult:
     """Minimize H over {f >= 0} and assemble the certified ESD.
 
-    Projected gradient descent: f <- max(0, f - s * grad H(f)) with the
-    trial s from a safeguarded Barzilai-Borwein estimate and monotone
-    Armijo backtracking (sufficient decrease 1e-4, shrink 0.5). Stops when
-    the complementarity residual drops to `tol`; raises NotConverged if the
-    iteration budget runs out or progress hits the floating-point floor.
+    Invasion (active-set) method: each outer step evaluates g = grad H(f)
+    once and stops when the complementarity residual max|min(f, g)| is at
+    most `tol`. Otherwise the off-support trait with the most negative g_j,
+    the fittest invader of the resident community, joins the support S, and
+    projected Newton solves the problem restricted to S; traits it drives to
+    0 leave S. The start is f = 0, or `f_init`, whose support seeds S.
+    `iterations` counts outer plus Newton steps and `maxit` bounds that
+    total; NotConverged is raised when it runs out or a step stalls.
     """
     nonsingular, _cond = check_K_nonsingular(params)
     if not nonsingular:
-        warnings.warn(
-            "consumption matrix is numerically singular; the minimizer of H "
-            "may be non-unique (the reconstructed resources are still unique)",
-            stacklevel=2,
-        )
+        warnings.warn("consumption matrix is numerically singular; the minimizer of H "
+                      "may be non-unique (the reconstructed resources are still unique)",
+                      stacklevel=2)
+    f = np.zeros(params.N) if f_init is None else np.array(f_init, dtype=float, copy=True)
+    if np.any(f < 0):
+        raise NegativeInput("f_init must be nonnegative")
 
-    if f_init is None:
-        f = np.full(params.N, 1.0 / (params.h * params.N))
-    else:
-        f = np.array(f_init, dtype=float, copy=True)
-        if np.any(f < 0):
-            raise NegativeInput("f_init must be nonnegative")
-
-    g = H_gradient(params, f)
-    h_val = H_value(params, f)
-    s_bb = 1.0
-    residual = float(np.max(np.abs(np.minimum(f, g))))
-    for it in range(maxit):
+    iterations = 0
+    while True:
+        g = H_gradient(params, f)
+        residual = float(np.max(np.abs(np.minimum(f, g))))
         if residual <= tol:
-            return _assemble(params, f, h_val, residual, it, nonsingular)
-        s = s_bb
+            break
+        if iterations >= maxit:
+            raise NotConverged(iterations, residual)
+        on = f > 0
+        invader = int(np.argmin(np.where(on, np.inf, g)))
+        invades = not on[invader] and g[invader] < 0
+        on[invader] |= invades
+        support = np.flatnonzero(on)
+        # a tenth of tol, so that the restricted and the full gradient,
+        # summed in different orders, agree on convergence
+        x, steps = _newton_on_support(params, support, f[support], 0.1 * tol,
+                                      maxit - iterations - 1)
+        if steps == 0 and not invades:
+            raise NotConverged(iterations, residual)
+        iterations += 1 + steps
+        f[support] = x
+    return EsdResult(
+        f_tilde=f, R_tilde=reconstruct_R(params, f), H_at_min=H_value(params, f),
+        kkt_residual=residual, iterations=iterations, k_nonsingular=nonsingular,
+        persistence_set=tuple(int(j) for j in np.flatnonzero(f > SUPPORT_EPS)),
+    )
+
+
+def _newton_on_support(
+    params: ModelParams, support: np.ndarray, x: np.ndarray, tol: float, budget: int
+) -> tuple[np.ndarray, int]:
+    """Projected Newton for H over {f >= 0, f = 0 off `support`}, from f_S = x.
+
+    The gradient is -a*_S - h K_S Rhat, the Hessian M_S M_S^T with M_S =
+    K_S * (h sqrt(m Rstar) / b); traits at 0 with an outward gradient stay.
+    Armijo backtracking on H tries the Newton step, then a gradient step.
+    Returns x and the steps taken: until the residual is `tol`, for at most
+    `budget` steps, or until neither step moves x.
+    """
+    K_S, astar_S = params.K[support], params.a_star[support]
+    h, m, mR = params.h, params.m, params.m * params.Rstar
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        b = m + h * (x @ K_S)
+        return float(-(astar_S @ x) - np.sum(mR * np.log(b))), b
+
+    h_val, b = objective(x)
+    for steps in range(budget):
+        g = -astar_S - h * (K_S @ (mR / b))
+        if np.max(np.abs(np.minimum(x, g))) <= tol:
+            return x, steps
+        M = K_S * (h * np.sqrt(mR) / b)
+        hess = M @ M.T
+        free = (x > 0) | (g < 0)
+        newton = np.zeros_like(x)
+        with contextlib.suppress(np.linalg.LinAlgError):
+            newton[free] = np.linalg.solve(hess[np.ix_(free, free)], -g[free])
+        curv = float(g @ hess @ g)
+        gradient = -g * (float(g @ g) / curv if curv > 0 else 1.0)
+        directions = (newton, gradient) if np.all(np.isfinite(newton)) else (gradient,)
         # near the minimizer the sufficient decrease is below the evaluation
         # noise of H; the slack keeps the line search from starving there
         noise = 1e-14 * (1.0 + abs(h_val))
-        while True:
-            f_new = np.maximum(0.0, f - s * g)
-            d = f_new - f
-            h_new = H_value(params, f_new)
-            if h_new <= h_val + _ARMIJO_C * float(g @ d) + noise or s <= _BB_MIN:
+        for step, d in ((s, d) for d in directions for s in 0.5 ** np.arange(60.0)):
+            x_new = np.maximum(0.0, x + step * d)
+            h_new, b_new = objective(x_new)
+            # Armijo's sufficient decrease, with a step that moves x
+            if (h_new <= h_val + 1e-4 * float(g @ (x_new - x)) + noise
+                    and not np.array_equal(x_new, x)):
                 break
-            s *= _SHRINK
-        if not np.any(d):
-            # no representable descent step exists at this precision
-            raise NotConverged(it, residual)
-        g_new = H_gradient(params, f_new)
-        df, dg = f_new - f, g_new - g
-        curv = float(df @ dg)
-        s_bb = float(df @ df) / curv if curv > 0 else 1.0
-        s_bb = min(max(s_bb, _BB_MIN), _BB_MAX)
-        f, g, h_val = f_new, g_new, h_new
-        residual = float(np.max(np.abs(np.minimum(f, g))))
-    if residual <= tol:
-        return _assemble(params, f, h_val, residual, maxit, nonsingular)
-    raise NotConverged(maxit, residual)
-
-
-def _assemble(
-    params: ModelParams,
-    f: np.ndarray,
-    h_val: float,
-    residual: float,
-    iterations: int,
-    nonsingular: bool,
-) -> EsdResult:
-    persistence = tuple(int(j) for j in np.flatnonzero(f > SUPPORT_EPS))
-    return EsdResult(
-        f_tilde=f,
-        R_tilde=reconstruct_R(params, f),
-        H_at_min=h_val,
-        kkt_residual=residual,
-        persistence_set=persistence,
-        iterations=iterations,
-        k_nonsingular=nonsingular,
-    )
+        else:
+            return x, steps
+        x, h_val, b = x_new, h_new, b_new
+    return x, budget
 
 
 def verify_esd(
@@ -213,26 +220,15 @@ def brute_force_esd(
     """
     if params.N > 3:
         raise DimensionTooLarge(f"exhaustive search supports N <= 3, got N = {params.N}")
-    npts = int(round(grid_max / grid_step)) + 1
-    grid = np.linspace(0.0, grid_max, npts)
-    astar = params.a_star
-    h, K, m, Rstar = params.h, params.K, params.m, params.Rstar
-
-    best_val = np.inf
-    best: np.ndarray | None = None
-    lead_shape = (npts,) * (params.N - 1)
-    for idx in np.ndindex(*lead_shape):
-        head = grid[list(idx)] if idx else np.empty(0)
-        # b has shape (npts, N): consumption for each value of the last coordinate
-        b = m[None, :] + h * (head @ K[: params.N - 1, :])[None, :] if idx else m[None, :]
-        b = b + h * np.outer(grid, K[params.N - 1, :])
-        lin = astar[: params.N - 1] @ head if idx else 0.0
-        vals = -(lin + astar[params.N - 1] * grid) - np.sum(
-            m * Rstar * np.log(b), axis=1
-        )
+    grid = np.linspace(0.0, grid_max, int(round(grid_max / grid_step)) + 1)
+    astar, h, K, m, Rstar = params.a_star, params.h, params.K, params.m, params.Rstar
+    best_val, best = np.inf, grid[:0]
+    for idx in np.ndindex(*(grid.size,) * (params.N - 1)):
+        head = grid[list(idx)]
+        # consumption for each value of the last coordinate, shape (npts, N)
+        b = m + h * (head @ K[:-1]) + h * np.outer(grid, K[-1])
+        vals = -(astar[:-1] @ head + astar[-1] * grid) - np.sum(m * Rstar * np.log(b), axis=1)
         j = int(np.argmin(vals))
         if vals[j] < best_val:
-            best_val = float(vals[j])
-            best = np.append(head, grid[j])
-    assert best is not None
+            best_val, best = float(vals[j]), np.append(head, grid[j])
     return best

@@ -204,7 +204,7 @@ def simulate(
             raise
         if not (np.all(state.f >= 0) and np.all(state.R > 0)
                 and np.all(np.isfinite(state.f)) and np.all(np.isfinite(state.R))):
-            raise StepRejected(f"invalid state after step {i}", step_index=i)
+            raise StepRejected("invalid state after the step", step_index=i)
         t += dt
         times[i + 1], f[i + 1], R[i + 1] = t, state.f, state.R
 

@@ -320,7 +320,7 @@ def reconstruct_R(params: ModelParams, f: np.ndarray) -> np.ndarray:
 
 def H_gradient(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Gradient of H; component i equals -G_i(Rhat(f))."""
-    return -params.a_star - params.h * params.K @ reconstruct_R(params, f)
+    return -params.a_star - params.h * (params.K @ reconstruct_R(params, f))
 
 
 def H_hessian(params: ModelParams, f: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from rclab import (
     H_value,
     ModelParams,
     NotApplicable,
+    NotConverged,
     State,
     growth_rate,
 )
@@ -160,3 +161,34 @@ def fully_implicit_step(
             return State(f=f_new, R=R_new), sweep
         R_iter = R_new
     raise FixedPointDiverged(f"no contraction within {fp_maxit} sweeps")
+
+
+def bb_esd(params: ModelParams, tol: float = 1e-10, maxit: int = 100000) -> np.ndarray:
+    """Minimizer of H over {f >= 0} by projected gradient descent with a
+    safeguarded Barzilai-Borwein step and Armijo backtracking, from the
+    uniform f = 1/(h N): the oracle for the invasion solver."""
+    f = np.full(params.N, 1.0 / (params.h * params.N))
+    g = H_gradient(params, f)
+    h_val = H_value(params, f)
+    s_bb = 1.0
+    for it in range(maxit):
+        residual = float(np.max(np.abs(np.minimum(f, g))))
+        if residual <= tol:
+            return f
+        s = s_bb
+        # slack for the evaluation noise of H near the minimizer
+        noise = 1e-14 * (1.0 + abs(h_val))
+        while True:
+            f_new = np.maximum(0.0, f - s * g)
+            h_new = H_value(params, f_new)
+            if h_new <= h_val + 1e-4 * float(g @ (f_new - f)) + noise or s <= 1e-10:
+                break
+            s *= 0.5
+        if not np.any(f_new - f):
+            raise NotConverged(it, residual)
+        g_new = H_gradient(params, f_new)
+        df, dg = f_new - f, g_new - g
+        curv = float(df @ dg)
+        s_bb = min(max(float(df @ df) / curv if curv > 0 else 1.0, 1e-10), 1e10)
+        f, g, h_val = f_new, g_new, h_new
+    raise NotConverged(maxit, float(np.max(np.abs(np.minimum(f, g)))))

@@ -1,10 +1,12 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rclab.cli
 from rclab import builtin_presets, load_scenario, save_scenario
 from rclab.cli import main
 from rclab.csvio import read_csv
@@ -246,6 +248,36 @@ class TestEsd:
         assert run(["esd", "--preset", "example1", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    def test_restart_disagreement_fails_its_verdict(self, tmp_path, monkeypatch):
+        solve = rclab.cli.solve_esd
+
+        def shifted_restart(params, f_init=None, **kwargs):
+            esd = solve(params, f_init=f_init, **kwargs)
+            if f_init is None:
+                return esd
+            return replace(esd, f_tilde=esd.f_tilde + 1e-3)
+
+        monkeypatch.setattr("rclab.cli.solve_esd", shifted_restart)
+        assert run(["esd", "--preset", "n1-closedform", "--out", str(tmp_path)]) == 1
+        assert read_report(tmp_path)["verdicts.restart_agreement"] is False
+
+    def test_restart_start_is_sparse_and_seeded(self, tmp_path, monkeypatch):
+        starts = []
+        solve = rclab.cli.solve_esd
+
+        def recording_solve(params, f_init=None, **kwargs):
+            if f_init is not None:
+                starts.append(f_init)
+            return solve(params, f_init=f_init, **kwargs)
+
+        monkeypatch.setattr("rclab.cli.solve_esd", recording_solve)
+        for seed in ("5", "5", "6"):
+            assert run(["esd", "--preset", "example1", "--seed", seed,
+                        "--out", str(tmp_path)]) == 0
+        assert all(0 < np.count_nonzero(f) <= 4 and np.all(f >= 0) for f in starts)
+        assert np.array_equal(starts[0], starts[1])
+        assert not np.array_equal(starts[0], starts[2])
+
 
 class TestAnalyze:
     def test_example2_extinction_no_candidates(self, tmp_path, capsys):
@@ -366,6 +398,11 @@ class TestErrors:
         assert str(path) in capsys.readouterr().err
         with pytest.raises(ParseError, match="latin1.rc"):
             load_scenario(path)
+
+    def test_step_failure_names_the_step(self, tmp_path, capsys):
+        assert run(["simulate", "--preset", "n1-closedform", "--dt", "3", "--scheme", "semi",
+                    "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: step 0: nonpositive update denominator")
 
     def test_rclab_out_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RCLAB_OUT", str(tmp_path / "envout"))

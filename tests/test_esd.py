@@ -1,10 +1,12 @@
 """ESD solver: closed forms, oracles, certification, uniqueness."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rclab.esd
 from helpers import n1_instance, n2_coupled, n2_decoupled
 from rclab import (
     DimensionTooLarge,
@@ -14,6 +16,8 @@ from rclab import (
     NotConverged,
     State,
     brute_force_esd,
+    build_params,
+    builtin_presets,
     check_K_nonsingular,
     kkt_residual,
     reconstruct_R,
@@ -120,6 +124,19 @@ class TestSolveEsd:
             d *= 0.1 / np.linalg.norm(d)
             cand = np.maximum(0.0, esd.f_tilde + d)
             assert H_value(params, cand) >= esd.H_at_min - 1e-9
+
+    @pytest.mark.parametrize("n", [40, 160, 640])
+    def test_example1_takes_at_most_ten_outer_steps(self, n, monkeypatch):
+        gradients = []
+        gradient = rclab.esd.H_gradient
+        monkeypatch.setattr(rclab.esd, "H_gradient",
+                            lambda p, f: gradients.append(1) or gradient(p, f))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            params, _ = build_params(replace(builtin_presets()["example1"], N=n))
+            esd = solve_esd(params)
+        assert len(gradients) - 1 <= 10  # one gradient per outer step, plus the final test
+        assert len(esd.persistence_set) == 2
 
     def test_negative_start_rejected(self):
         params, _ = n1_instance()

@@ -1,0 +1,62 @@
+"""Properties of the invasion ESD solver on random instances, against the
+Barzilai-Borwein oracle in tests/helpers.py."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rclab.esd
+from helpers import bb_esd, random_instance
+from rclab import H_value, ModelParams, solve_esd, verify_esd
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+# generic instances: hypothesis draws only the seed, because its own float
+# draws favour repeated values, whose singular K makes the ESD non-unique
+instances = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_instance(np.random.default_rng(seed), n_max=30)
+)
+
+
+@PROPERTY
+@given(instances)
+def test_solution_is_certified_and_matches_the_oracle(params):
+    esd = solve_esd(params)
+    assert verify_esd(params, esd.f_tilde, esd.R_tilde, tol=1e-9).is_esd
+    # BB's iterate at the default tol can be off by ~1e-6 in flat valleys, so
+    # the oracle runs to a hundredth of it
+    oracle = bb_esd(params, tol=1e-12)
+    assert np.max(np.abs(esd.f_tilde - oracle)) <= 1e-6
+    h_oracle = H_value(params, oracle)
+    assert esd.H_at_min <= h_oracle + 1e-12 * (1.0 + abs(h_oracle))
+
+
+@PROPERTY
+@given(instances, st.randoms(use_true_random=False))
+def test_permuting_traits_permutes_the_esd(params, rnd):
+    perm = np.array(rnd.sample(range(params.N), params.N))
+    permuted = ModelParams(
+        N=params.N, h=params.h, a=params.a[perm], K=params.K[np.ix_(perm, perm)],
+        m=params.m[perm], Rstar=params.Rstar[perm],
+    )
+    f = solve_esd(params).f_tilde
+    assert np.max(np.abs(solve_esd(permuted).f_tilde - f[perm])) <= 1e-9
+
+
+@PROPERTY
+@given(instances)
+def test_H_does_not_increase_over_outer_steps(params):
+    values = []
+    gradient = rclab.esd.H_gradient
+
+    def recording_gradient(p, f):
+        values.append(H_value(p, f))
+        return gradient(p, f)
+
+    rclab.esd.H_gradient = recording_gradient
+    try:
+        solve_esd(params)
+    finally:
+        rclab.esd.H_gradient = gradient
+    assert all(b <= a + 1e-12 * (1.0 + abs(a)) for a, b in zip(values, values[1:]))
