@@ -269,6 +269,13 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def _print_verdicts(report: RunReport) -> None:
     for key, ok in report.verdicts.items():
         print(f"{key}: {'pass' if ok else 'FAIL'}")
@@ -299,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("esd", help="compute the stable distribution")
     _add_scenario_args(p)
-    p.add_argument("--solver-tol", type=float, default=_ESD_SOLVER_TOL,
+    p.add_argument("--solver-tol", type=_positive_float, default=_ESD_SOLVER_TOL,
                    help="complementarity residual target")
     p.add_argument("--cross-check", action="store_true",
                    help="compare against exhaustive grid search (N <= 3)")
@@ -308,9 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="simulate, solve, and check all properties")
     _add_scenario_args(p)
-    p.add_argument("--tol", type=float, default=1e-3,
+    p.add_argument("--tol", type=_positive_float, default=1e-3,
                    help="convergence tolerance for the final-state comparison")
-    p.add_argument("--solver-tol", type=float, default=_ESD_SOLVER_TOL)
+    p.add_argument("--solver-tol", type=_positive_float, default=_ESD_SOLVER_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="threshold predicates and special steady states")

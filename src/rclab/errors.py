@@ -55,7 +55,7 @@ class NotApplicable(RclabError):
 
 
 class NewtonFailed(RclabError):
-    """Damped Newton iteration failed to converge."""
+    """A projected Newton solve on a fixed support failed to converge."""
 
 
 class DimensionTooLarge(RclabError):

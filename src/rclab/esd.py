@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NegativeInput, NotConverged
+from .errors import DimensionTooLarge, NegativeInput, NotConverged, ValidationError
 from .model import H_gradient, H_value, ModelParams, growth_rate, reconstruct_R
+from .model import restricted_gradient, restricted_H, restricted_hessian_factor
 
 SUPPORT_EPS = 1e-8
 
@@ -54,10 +55,14 @@ class EsdReport:
     resource_mismatch: float
 
 
+def _complementarity(f: np.ndarray, g: np.ndarray) -> float:
+    return float(np.max(np.abs(np.minimum(f, g))))
+
+
 def kkt_residual(params: ModelParams, f: np.ndarray) -> float:
     """Complementarity residual max_i |min(f_i, dH/df_i)|; zero at KKT points."""
     f = np.asarray(f, dtype=float)
-    return float(np.max(np.abs(np.minimum(f, H_gradient(params, f)))))
+    return _complementarity(f, H_gradient(params, f))
 
 
 def check_K_nonsingular(params: ModelParams) -> tuple[bool, float]:
@@ -87,19 +92,23 @@ def solve_esd(
     `iterations` counts outer plus Newton steps and `maxit` bounds that
     total; NotConverged is raised when it runs out or a step stalls.
     """
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValidationError("tol", f"must be positive and finite, got {tol}")
+    f = np.zeros(params.N) if f_init is None else np.array(f_init, dtype=float, copy=True)
+    if np.any(f < 0):
+        raise NegativeInput("f_init must be nonnegative")
+    if not np.all(np.isfinite(f)):
+        raise ValidationError("f_init", "must be finite")
     nonsingular, _cond = check_K_nonsingular(params)
     if not nonsingular:
         warnings.warn("consumption matrix is numerically singular; the minimizer of H "
                       "may be non-unique (the reconstructed resources are still unique)",
                       stacklevel=2)
-    f = np.zeros(params.N) if f_init is None else np.array(f_init, dtype=float, copy=True)
-    if np.any(f < 0):
-        raise NegativeInput("f_init must be nonnegative")
 
     iterations = 0
     while True:
         g = H_gradient(params, f)
-        residual = float(np.max(np.abs(np.minimum(f, g))))
+        residual = _complementarity(f, g)
         if residual <= tol:
             break
         if iterations >= maxit:
@@ -111,8 +120,8 @@ def solve_esd(
         support = np.flatnonzero(on)
         # a tenth of tol, so that the restricted and the full gradient,
         # summed in different orders, agree on convergence
-        x, steps = _newton_on_support(params, support, f[support], 0.1 * tol,
-                                      maxit - iterations - 1)
+        x, steps, _ = newton_on_support(params, support, f[support], 0.1 * tol,
+                                        maxit - iterations - 1)
         if steps == 0 and not invades:
             raise NotConverged(iterations, residual)
         iterations += 1 + steps
@@ -124,30 +133,24 @@ def solve_esd(
     )
 
 
-def _newton_on_support(
+def newton_on_support(
     params: ModelParams, support: np.ndarray, x: np.ndarray, tol: float, budget: int
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, float]:
     """Projected Newton for H over {f >= 0, f = 0 off `support`}, from f_S = x.
 
-    The gradient is -a*_S - h K_S Rhat, the Hessian M_S M_S^T with M_S =
-    K_S * (h sqrt(m Rstar) / b); traits at 0 with an outward gradient stay.
-    Armijo backtracking on H tries the Newton step, then a gradient step.
-    Returns x and the steps taken: until the residual is `tol`, for at most
-    `budget` steps, or until neither step moves x.
+    Gradient and Hessian factor are `model.restricted_*`; traits at 0 with an
+    outward gradient stay. Armijo backtracking on H tries the Newton step,
+    then a gradient step. Returns x, the steps taken and the complementarity
+    residual at x: once it is `tol`, after `budget` steps, or when neither
+    step moves x.
     """
-    K_S, astar_S = params.K[support], params.a_star[support]
-    h, m, mR = params.h, params.m, params.m * params.Rstar
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        b = m + h * (x @ K_S)
-        return float(-(astar_S @ x) - np.sum(mR * np.log(b))), b
-
-    h_val, b = objective(x)
-    for steps in range(budget):
-        g = -astar_S - h * (K_S @ (mR / b))
-        if np.max(np.abs(np.minimum(x, g))) <= tol:
-            return x, steps
-        M = K_S * (h * np.sqrt(mR) / b)
+    h_val, b = restricted_H(params, support, x)
+    for steps in range(budget + 1):  # returns at the latest when steps == budget
+        g = restricted_gradient(params, support, b)
+        residual = _complementarity(x, g)
+        if residual <= tol or steps == budget:
+            return x, steps, residual
+        M = restricted_hessian_factor(params, support, b)
         hess = M @ M.T
         free = (x > 0) | (g < 0)
         newton = np.zeros_like(x)
@@ -161,15 +164,14 @@ def _newton_on_support(
         noise = 1e-14 * (1.0 + abs(h_val))
         for step, d in ((s, d) for d in directions for s in 0.5 ** np.arange(60.0)):
             x_new = np.maximum(0.0, x + step * d)
-            h_new, b_new = objective(x_new)
+            h_new, b_new = restricted_H(params, support, x_new)
             # Armijo's sufficient decrease, with a step that moves x
             if (h_new <= h_val + 1e-4 * float(g @ (x_new - x)) + noise
                     and not np.array_equal(x_new, x)):
                 break
         else:
-            return x, steps
+            return x, steps, residual
         x, h_val, b = x_new, h_new, b_new
-    return x, budget
 
 
 def verify_esd(

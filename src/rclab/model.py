@@ -14,7 +14,9 @@ evaluates the convex objective
 whose minimizer over f >= 0 is the evolutionarily stable distribution, the
 resources Rhat(f) in equilibrium with a species vector, with dH/df =
 -G(Rhat(f)), the Hessian of H (in factored form), and the diagnostic
-functionals used to monitor trajectories.
+functionals used to monitor trajectories. H, its gradient and the Hessian
+factor are written once, for f held at 0 off a support S (`restricted_*`);
+the full forms are the case where S is every trait.
 """
 
 from __future__ import annotations
@@ -312,24 +314,45 @@ def H_value(params: ModelParams, f: np.ndarray) -> float | np.ndarray:
     return _per_row(linear - np.sum(params.m * params.Rstar * np.log(b), axis=-1))
 
 
+def _resources(params: ModelParams, b: np.ndarray) -> np.ndarray:
+    return params.m * params.Rstar / b
+
+
 def reconstruct_R(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Resource levels Rhat_k = m_k Rstar_k / (m_k + h sum_j K_jk f_j) in
     equilibrium with a fixed species vector f >= 0."""
-    return params.m * params.Rstar / _uptake(params, f)[1]
+    return _resources(params, _uptake(params, f)[1])
 
 
 def H_gradient(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Gradient of H; component i equals -G_i(Rhat(f))."""
-    return -params.a_star - params.h * (params.K @ reconstruct_R(params, f))
+    return restricted_gradient(params, slice(None), _uptake(params, f)[1])
 
 
 def H_hessian(params: ModelParams, f: np.ndarray) -> np.ndarray:
-    """Hessian of H in factored form M M^T with
-    M_jk = h sqrt(Rstar_k m_k) / (m_k + h sum_i K_ik f_i) * K_jk;
+    """Hessian of H in factored form M M^T (see `restricted_hessian_factor`);
     symmetric positive semidefinite, and definite when K is nonsingular."""
-    f, b = _uptake(params, f)
-    M = params.K * (params.h * np.sqrt(params.Rstar * params.m) / b)[None, :]
+    M = restricted_hessian_factor(params, slice(None), _uptake(params, f)[1])
     return M @ M.T
+
+
+Support = np.ndarray | slice  # trait indices, or slice(None) for every trait
+
+
+def restricted_H(params: ModelParams, support: Support, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """H at f_S = x, f = 0 off S, and the uptake rates b_k = m_k + h sum_{j in S} x_j K_jk."""
+    b = params.m + params.h * (x @ params.K[support])
+    return float(-(params.a_star[support] @ x) - np.sum(params.m * params.Rstar * np.log(b))), b
+
+
+def restricted_gradient(params: ModelParams, support: Support, b: np.ndarray) -> np.ndarray:
+    """dH/df_S = -a*_S - h K_S Rhat at the uptake rates b, with Rhat = m Rstar / b."""
+    return -params.a_star[support] - params.h * (params.K[support] @ _resources(params, b))
+
+
+def restricted_hessian_factor(params: ModelParams, support: Support, b: np.ndarray) -> np.ndarray:
+    """M_S = K_S * (h sqrt(m Rstar) / b); the Hessian of H in f_S is M_S M_S^T."""
+    return params.K[support] * (params.h * np.sqrt(params.m * params.Rstar) / b)
 
 
 def compute_diagnostics(

@@ -1,11 +1,14 @@
 """Threshold predicates and constructive special steady states.
 
 Extinction happens exactly when every intrinsic growth rate is nonpositive.
-The special steady states zero the growth -dH/df on a support of one or two
-traits, with weights rho = h f: a trait with a_i > 0 has a unique single-peak
-weight, a root of the strictly decreasing g(rho), and two such traits have a
-two-peak state when their mutual invasion rates at those weights share a
-sign; damped Newton on the coupled 2x2 system then finds it.
+The special steady states minimize the convex objective H with f held at 0
+off one or two traits; the projected Newton of the ESD solver
+(`esd.newton_on_support`) finds that minimizer from below each single-peak
+weight, and the weights are rho = h f. A trait with a_i > 0 > a*_i has a
+unique single-peak weight, the root of its strictly decreasing growth
+g(rho). Two such traits have a two-peak state exactly when both weights of
+the minimizer on the pair are positive: H is convex, so a coexistence state
+is that minimizer.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonFailed, NotApplicable
-from .esd import EsdResult
-from .model import ModelParams, reconstruct_R
+from .errors import NegativeInput, NewtonFailed, NotApplicable
+from .esd import EsdResult, newton_on_support
+from .model import ModelParams, reconstruct_R, restricted_gradient, restricted_H
 
-_ROOT_RTOL = 1e-12
-_NEWTON_TOL = 1e-13
-_NEWTON_MAXIT = 100
+# the restricted solves stop at a complementarity residual of _TOL max|a*_S|
+_TOL = 1e-13
+_MAXIT = 100
 
 
 class Persistence(enum.Enum):
@@ -71,26 +74,39 @@ def persistence_sum(esd: EsdResult, params: ModelParams) -> float:
     return float(np.sum(params.a[idx])) if idx else 0.0
 
 
-def _growth_rows(params: ModelParams, rows: np.ndarray, carriers: np.ndarray):
-    """Growth with one carrier as fun(sel, rho): entry k is the growth of trait
-    rows[sel[k]] when trait carriers[sel[k]] alone carries the weight rho[k].
-    Each entry has the bits of the one-trait expression (each constant
-    a_r - h K_r.Rstar is its own dot product, the in-place terms are the same
-    elementwise operations, and each C-contiguous row sums along the last axis
-    as a 1-D array does)."""
-    base = np.array([params.a[r] - params.h * params.K[r] @ params.Rstar for r in rows])
-    supply = params.m * params.Rstar
+def _checked_growing(params: ModelParams, indices) -> np.ndarray:
+    """The trait indices as an array, each checked to have a single-peak state."""
+    indices = np.asarray(indices, dtype=int)
+    for i in indices:
+        if not (0 <= i < params.N):
+            raise NotApplicable(f"trait index {i} out of range")
+        if not params.a[i] > 0 > params.a_star[i]:
+            raise NotApplicable(f"trait {i} has a_i = {params.a[i]:.6g}, a*_i = "
+                                f"{params.a_star[i]:.6g}; a single peak needs a_i > 0 > a*_i")
+    return indices
 
-    def g(sel: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        denom = params.K[carriers[sel]]
-        denom *= rho[:, None]
-        denom += params.m
-        terms = params.K[rows[sel]]
-        terms *= supply
-        terms /= denom
-        return base[sel] + params.h * np.sum(terms, axis=1)
 
-    return g
+def _restricted_weights(params: ModelParams, support: np.ndarray) -> np.ndarray:
+    """Weights rho = h f of the minimizer of H over f >= 0 with f = 0 off
+    `support`, by projected Newton from below each single-peak weight: by
+    Jensen's inequality a single peak's growth is at most -a*_i - h K_i.Rstar
+    / (1 + cbar_i f_i), cbar_i the K_ik Rstar_k-weighted mean of h K_ik / m_k."""
+    w = params.K[support] * params.Rstar
+    cbar = np.sum(w * (params.h * params.K[support] / params.m), axis=1) / np.sum(w, axis=1)
+    tol = _TOL * float(np.max(np.abs(params.a_star[support])))
+    x, steps, residual = newton_on_support(
+        params, support, params.a[support] / (-params.a_star[support] * cbar), tol, _MAXIT)
+    if residual > tol:
+        raise NewtonFailed(f"traits {support.tolist()}: residual {residual:.3e}, {steps} steps")
+    return params.h * x
+
+
+def _growth(params: ModelParams, support: np.ndarray, rho) -> np.ndarray:
+    """Net growth -dH/df of the traits `support` when they alone carry the weights rho."""
+    x = np.asarray(rho, dtype=float) / params.h
+    if np.any(x < 0):
+        raise NegativeInput("weights rho must be nonnegative")
+    return -restricted_gradient(params, support, restricted_H(params, support, x)[1])
 
 
 def dirac_growth(params: ModelParams, i: int, rho: float) -> float:
@@ -99,148 +115,47 @@ def dirac_growth(params: ModelParams, i: int, rho: float) -> float:
     g(0) = a_i, g(inf) = a*_i < 0; strictly decreasing whenever row i of K
     has a positive entry.
     """
-    g = _growth_rows(params, np.array([i]), np.array([i]))
-    return float(g(np.zeros(1, dtype=int), np.array([rho]))[0])
-
-
-def _bisect_decreasing(fun, count: int) -> np.ndarray:
-    """Roots of `count` strictly decreasing functions, each with a positive
-    value at 0 and a nonpositive one at infinity, bisected in lockstep.
-
-    fun(rows, rho) evaluates the functions numbered `rows` at the points rho.
-    Each root takes exactly the bracket doublings and bisection steps that a
-    bisection of its function alone would take: a function leaves the loop
-    once its own bracket stops changing, and only its own values move it.
-    """
-    lo = np.zeros(count)
-    hi = np.ones(count)
-    rows = np.arange(count)
-    doublings = 0
-    while True:
-        rows = rows[fun(rows, hi[rows]) >= 0]
-        if not rows.size:
-            break
-        if doublings == 200:
-            raise NotApplicable("no sign change found while expanding the bracket")
-        lo[rows] = hi[rows]
-        hi[rows] *= 2.0
-        doublings += 1
-    rows = np.arange(count)
-    for _ in range(200):
-        mid = 0.5 * (lo[rows] + hi[rows])
-        width = hi[rows] - lo[rows]
-        going = (mid > lo[rows]) & (mid < hi[rows]) & (width > _ROOT_RTOL * mid)
-        rows, mid = rows[going], mid[going]
-        if not rows.size:
-            break
-        up = fun(rows, mid) > 0
-        lo[rows[up]] = mid[up]
-        hi[rows[~up]] = mid[~up]
-    return 0.5 * (lo + hi)
+    return float(_growth(params, np.array([i]), [rho])[0])
 
 
 def dirac_weights(params: ModelParams, indices) -> np.ndarray:
     """Weights rho_bar of the single-peak steady states on the traits
-    `indices`, all found by one lockstep bisection; each needs a_i > 0."""
-    indices = np.asarray(indices, dtype=int)
-    for i in indices:
-        if not (0 <= i < params.N):
-            raise NotApplicable(f"trait index {i} out of range")
-        if params.a[i] <= 0:
-            raise NotApplicable(f"trait {i} has a_i = {params.a[i]:.6g} <= 0, "
-                                "no single-peak steady state")
-    return _bisect_decreasing(_growth_rows(params, indices, indices), indices.size)
+    `indices`, one restricted solve each; each needs a_i > 0 > a*_i."""
+    return np.array([_restricted_weights(params, np.array([i]))[0]
+                     for i in _checked_growing(params, indices)])
+
+
+def _carried(params: ModelParams, support, rho) -> tuple[np.ndarray, np.ndarray]:
+    """The state (f, Rhat(f)) whose traits `support` carry the weights rho."""
+    f = np.zeros(params.N)
+    f[support] = np.asarray(rho) / params.h
+    return f, reconstruct_R(params, f)
 
 
 def dirac_steady_state(params: ModelParams, i: int) -> DiracSteadyState:
     """Unique single-peak steady state on trait i; requires a_i > 0."""
     rho = float(dirac_weights(params, [i])[0])
-    f = np.zeros(params.N)
-    f[i] = rho / params.h
-    R = reconstruct_R(params, f)
+    f, R = _carried(params, [i], rho)
     return DiracSteadyState(trait_index=i, rho_bar=rho, f_tilde=f, R_tilde=R)
-
-
-def _two_peak_uptake(params: ModelParams, i: int, l: int, rho1: float, rho2: float):
-    """The uptake rates m + rho1 K_i + rho2 K_l of the two carriers."""
-    return params.m + rho1 * params.K[i] + rho2 * params.K[l]
 
 
 def two_peak_system(
     params: ModelParams, i: int, l: int, rho1: float, rho2: float
 ) -> tuple[float, float]:
-    """Residuals (F1, F2) of the coupled two-peak equilibrium equations."""
-    astar = params.a_star
-    common = params.m * params.Rstar / _two_peak_uptake(params, i, l, rho1, rho2)
-    F1 = float(astar[i] + params.h * params.K[i] @ common)
-    F2 = float(astar[l] + params.h * params.K[l] @ common)
-    return F1, F2
+    """Residuals (F1, F2) of the coupled two-peak equilibrium equations: the
+    net growth of traits i and l when they alone carry the weights rho1, rho2."""
+    F1, F2 = _growth(params, np.array([i, l]), [rho1, rho2])
+    return float(F1), float(F2)
 
 
-def _two_peak_jacobian(
-    params: ModelParams, i: int, l: int, rho1: float, rho2: float
-) -> np.ndarray:
-    w = params.m * params.Rstar / _two_peak_uptake(params, i, l, rho1, rho2) ** 2
-    Ki, Kl = params.K[i], params.K[l]
-    return -params.h * np.array(
-        [[np.sum(Ki * Ki * w), np.sum(Ki * Kl * w)],
-         [np.sum(Kl * Ki * w), np.sum(Kl * Kl * w)]]
-    )
-
-
-def two_peak_steady_state(
-    params: ModelParams, i: int, l: int
-) -> TwoPeakSteadyState | None:
-    """Two-peak steady state on distinct growing traits i, l, or None.
-
-    The zero curve of F1 runs from (rho_i, 0) to the rho2 axis or to
-    infinity, and F2 changes sign along it exactly when the invasion rates of
-    l at rho_i e_i and of i at rho_l e_l share a sign: F1(0, .) and F2(0, .)
-    fall, so F2 where the curve ends has the sign of -F1(0, rho_l). Damped
-    Newton, projected onto the closed positive quadrant, then locates the
-    crossing from half the two single-peak weights.
-    """
+def two_peak_steady_state(params: ModelParams, i: int, l: int) -> TwoPeakSteadyState | None:
+    """Two-peak steady state on distinct growing traits i, l, or None when
+    the minimizer of H on the pair leaves one of them at weight 0."""
     if i == l:
         raise NotApplicable("the two peak traits must be distinct")
-    rho_dirac = dirac_weights(params, [i, l])
-    invade = _growth_rows(params, np.array([l, i]), np.array([i, l]))
-    invasion = invade(np.arange(2), rho_dirac)
-    if invasion[0] * invasion[1] <= 0:
-        return None
-
-    rho = 0.5 * rho_dirac
-    res = np.array(two_peak_system(params, i, l, rho[0], rho[1]))
-    for _ in range(_NEWTON_MAXIT):
-        norm0 = float(np.max(np.abs(res)))
-        if norm0 <= _NEWTON_TOL:
-            break
-        J = _two_peak_jacobian(params, i, l, rho[0], rho[1])
-        try:
-            delta = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError as err:
-            raise NewtonFailed(f"singular Jacobian at rho = {rho}") from err
-        lam = 1.0
-        while lam > 1e-12:
-            trial = np.maximum(0.0, rho + lam * delta)
-            res_t = np.array(two_peak_system(params, i, l, trial[0], trial[1]))
-            if float(np.max(np.abs(res_t))) < norm0:
-                rho, res = trial, res_t
-                break
-            lam *= 0.5
-        else:
-            raise NewtonFailed(f"no descent step at rho = {rho}, residual {norm0:.3e}")
-    else:
-        raise NewtonFailed(
-            f"did not converge in {_NEWTON_MAXIT} iterations, residual "
-            f"{float(np.max(np.abs(res))):.3e}"
-        )
+    rho = _restricted_weights(params, _checked_growing(params, [i, l]))
     if rho[0] <= 0 or rho[1] <= 0:
         return None
-
-    f = np.zeros(params.N)
-    f[i] = rho[0] / params.h
-    f[l] = rho[1] / params.h
-    R = reconstruct_R(params, f)
-    return TwoPeakSteadyState(
-        indices=(i, l), rho1=float(rho[0]), rho2=float(rho[1]), f_tilde=f, R_tilde=R
-    )
+    f, R = _carried(params, [i, l], rho)
+    return TwoPeakSteadyState(indices=(i, l), rho1=float(rho[0]), rho2=float(rho[1]),
+                              f_tilde=f, R_tilde=R)

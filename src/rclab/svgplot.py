@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .csvio import Table
-from .errors import UnknownKind
+from .errors import ParseError, UnknownKind
 
 _W, _H = 720.0, 460.0
 _ML, _MR, _MT, _MB = 64.0, 16.0, 34.0, 44.0
@@ -145,6 +145,9 @@ def render_profile(table: Table) -> str:
     else:
         names_f = _series_names(table, "f_")
         names_R = _series_names(table, "R_")
+        missing = [p + "*" for p, names in (("f_", names_f), ("R_", names_R)) if not names]
+        if missing:
+            raise ParseError(f"a trajectory profile needs {' and '.join(missing)} columns")
         x = np.arange(1, len(names_f) + 1, dtype=float)
         fmat = np.array([table.numeric(c) for c in names_f])
         rmat = np.array([table.numeric(c) for c in names_R])

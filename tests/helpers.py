@@ -98,16 +98,20 @@ def support_clusters(f: np.ndarray, eps: float = 1e-8) -> int:
     return int(np.sum(on[1:] & ~on[:-1]) + (1 if on[0] else 0))
 
 
-def dirac_growth_scalar(params: ModelParams, i: int, rho: float) -> float:
-    """g(rho) of trait i, evaluated for that trait alone."""
+def dirac_growth_scalar(
+    params: ModelParams, i: int, rho: float, carrier: int | None = None
+) -> float:
+    """Net growth of trait i when trait `carrier` (by default i itself) alone
+    carries the weight rho, evaluated for that one trait."""
     Ki = params.K[i]
-    terms = params.m * params.Rstar * Ki / (params.m + rho * Ki)
+    Kc = Ki if carrier is None else params.K[carrier]
+    terms = params.m * params.Rstar * Ki / (params.m + rho * Kc)
     return float(params.a[i] - params.h * Ki @ params.Rstar + params.h * np.sum(terms))
 
 
 def bisect_decreasing(fun, max_doubling: int = 200) -> float:
     """Root of a strictly decreasing function with fun(0) > 0 >= fun(inf),
-    bisected on its own: the oracle for the lockstep bisection."""
+    bisected on its own: the oracle for the Dirac weights."""
     lo = 0.0
     hi = 1.0
     doublings = 0
@@ -126,6 +130,17 @@ def bisect_decreasing(fun, max_doubling: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def mutual_invasion(params: ModelParams, i: int, l: int) -> bool:
+    """Whether each of the growing traits i, l invades the single-peak state of
+    the other, with weights from bisect_decreasing: the oracle for two-peak
+    existence. (Both rates negative would make both single-peak states
+    minimizers of the convex H on the pair, so a sign test is the same rule.)"""
+    rho_i = bisect_decreasing(lambda r: dirac_growth_scalar(params, i, r))
+    rho_l = bisect_decreasing(lambda r: dirac_growth_scalar(params, l, r))
+    return (dirac_growth_scalar(params, l, rho_i, carrier=i) > 0
+            and dirac_growth_scalar(params, i, rho_l, carrier=l) > 0)
 
 
 def new_f(params: ModelParams, f: np.ndarray, R: np.ndarray, dt: float) -> np.ndarray:

@@ -367,6 +367,14 @@ class TestPlot:
         assert run(["plot", "--csv", str(tmp_path / "ghost.csv"), "--kind", "profile",
                     "--out-svg", str(tmp_path / "no.svg")]) == 2
 
+    @pytest.mark.parametrize("series, missing", [("f_1", "R_*"), ("R_1", "f_*")])
+    def test_profile_without_one_series_names_it(self, tmp_path, capsys, series, missing):
+        csv = tmp_path / "half.csv"
+        csv.write_text(f"t,{series}\n0,1\n1,2\n", encoding="utf-8")
+        assert run(["plot", "--csv", str(csv), "--kind", "profile",
+                    "--out-svg", str(tmp_path / "no.svg")]) == 2
+        assert f"needs {missing} columns" in capsys.readouterr().err
+
     def test_non_utf8_csv_rejected_naming_the_file(self, tmp_path, capsys):
         csv = tmp_path / "latin1.csv"
         csv.write_bytes(b"t,f_1,R_1\n0,1,\xff\n")
@@ -403,6 +411,20 @@ class TestErrors:
         assert run(["simulate", "--preset", "n1-closedform", "--dt", "3", "--scheme", "semi",
                     "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: step 0: nonpositive update denominator")
+
+    @pytest.mark.parametrize("args", [
+        ["esd", "--solver-tol", "nan"],
+        ["esd", "--solver-tol", "-1"],
+        ["verify", "--solver-tol", "0"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--tol", "inf"],
+    ])
+    def test_tolerances_must_be_positive_and_finite(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            run([*args, "--preset", "n1-closedform", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "must be a positive finite number" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_rclab_out_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RCLAB_OUT", str(tmp_path / "envout"))

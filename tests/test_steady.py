@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     bisect_decreasing,
     dirac_growth_scalar,
+    mutual_invasion,
     n1_instance,
     n2_coupled,
     n2_decoupled,
@@ -13,6 +14,7 @@ from helpers import (
 )
 from rclab import (
     ModelParams,
+    NegativeInput,
     NotApplicable,
     Persistence,
     State,
@@ -117,17 +119,22 @@ class TestDiracSteadyState:
 
 
 class TestLockstepBisection:
+    """The Dirac weights against a bisection of each trait's growth on its own."""
+
     @staticmethod
     def _assert_matches_scalar_bisection(params):
         growing = np.flatnonzero(params.a > 0)
         weights = dirac_weights(params, growing)
         expected = [bisect_decreasing(lambda r, i=i: dirac_growth_scalar(params, i, r))
                     for i in growing]
-        assert weights.tolist() == expected  # bit for bit
+        assert weights == pytest.approx(expected, rel=1e-10, abs=0)
         for i, rho in zip(growing, weights):
+            # the size of the resource term, which cancels a_i at the root
+            scale = params.a[i] - params.a_star[i]
             for r in (0.0, 0.5 * rho, rho, 3.0 * rho):
-                assert dirac_growth(params, int(i), r) == dirac_growth_scalar(params, i, r)
-        for k in (0, -1):  # one trait at a time takes the same steps
+                assert dirac_growth(params, int(i), r) == pytest.approx(
+                    dirac_growth_scalar(params, i, r), rel=0, abs=1e-12 * scale)
+        for k in (0, -1):  # one trait alone gives the same weight as in the batch
             assert dirac_steady_state(params, int(growing[k])).rho_bar == weights[k]
 
     def test_example1_weights_equal_scalar_bisection(self, example1):
@@ -148,9 +155,8 @@ class TestLockstepBisection:
                              m=np.ones(2), Rstar=np.ones(2))
         with pytest.raises(NotApplicable):
             dirac_weights(params, [0, 1])
-        assert dirac_weights(params, [0]).tolist() == [
-            bisect_decreasing(lambda r: dirac_growth_scalar(params, 0, r))
-        ]
+        assert dirac_weights(params, [0]) == pytest.approx(
+            [bisect_decreasing(lambda r: dirac_growth_scalar(params, 0, r))], rel=1e-10, abs=0)
 
 
 class TestTwoPeak:
@@ -231,3 +237,30 @@ class TestTwoPeakAgainstEsd:
                 residual = two_peak_system(params, 0, 1, tp.rho1, tp.rho2)
                 assert max(map(abs, residual)) <= 1e-10
         assert 10 <= existing <= 90  # both outcomes are exercised
+
+
+class TestTwoPeakAgainstMutualInvasion:
+    def test_exists_exactly_when_each_trait_invades_the_other(self):
+        rng = np.random.default_rng(1)
+        outcomes = []
+        while len(outcomes) < 60:
+            params = random_instance(rng, n_max=30)
+            growing = np.flatnonzero(params.a > 0)
+            if growing.size < 2:
+                continue
+            i, l = (int(j) for j in rng.choice(growing, size=2, replace=False))
+            tp = two_peak_steady_state(params, i, l)
+            assert (tp is not None) == mutual_invasion(params, i, l)
+            if tp is not None:
+                df, dR = rhs(params, State(f=tp.f_tilde, R=tp.R_tilde))
+                assert max(np.max(np.abs(df)), np.max(np.abs(dR))) <= 1e-8
+            outcomes.append(tp is not None)
+        assert 5 <= sum(outcomes) <= 55  # both outcomes are exercised
+
+
+def test_negative_weights_rejected():
+    params = n2_coupled()
+    with pytest.raises(NegativeInput):
+        dirac_growth(params, 0, -2.0)
+    with pytest.raises(NegativeInput):
+        two_peak_system(params, 0, 1, 0.5, -0.1)
