@@ -15,10 +15,12 @@ status is 0 only when all requested verdicts pass; 1 on verdict failure;
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,7 @@ from . import csvio, svgplot
 from .errors import NewtonFailed, NotApplicable, RclabError
 from .esd import brute_force_esd, solve_esd, verify_esd
 from .integrator import Scheme, StepConfig, entropy_trace, simulate
-from .model import State, validate_params
-from .report import RunReport
+from .model import DerivedConstants, State, validate_params
 from .scenarios import ScenarioSpec, build_params, builtin_presets, load_scenario, trait_grid
 from .steady import (
     dirac_weights,
@@ -39,7 +40,6 @@ from .steady import (
 )
 
 _ESD_SOLVER_TOL = 1e-10
-_ESD_SOLVER_MAXIT = 100000
 
 
 def _out_dir(args) -> Path:
@@ -105,22 +105,41 @@ def _esd_summary(esd) -> dict[str, float]:
     }
 
 
+def _write_report(out: Path, name: str, verdicts: dict[str, bool],
+                  constants: DerivedConstants | None = None, **blocks: dict[str, object]) -> int:
+    """Write out/report.json, print the verdicts and return the exit status.
+
+    The keys are flat: scenario_name, constants.<field> for each field of
+    constants but the array C_R, <block>.<key> for each named block
+    (trajectory, esd, comparison, analysis) and verdicts.<name>. Non-finite
+    floats are written as their repr ("inf") so the file stays strict JSON.
+    The status is 0 when every verdict passes, else 1.
+    """
+    if constants is not None:
+        blocks["constants"] = {fld.name: getattr(constants, fld.name)
+                               for fld in fields(DerivedConstants) if fld.name != "C_R"}
+    flat: dict[str, object] = {"scenario_name": name}
+    for prefix, block in {**blocks, "verdicts": verdicts}.items():
+        for key, value in block.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                value = repr(value)
+            flat[f"{prefix}.{key}"] = value
+    (out / "report.json").write_text(json.dumps(flat, sort_keys=True, indent=2) + "\n",
+                                     encoding="utf-8")
+    for key, ok in verdicts.items():
+        print(f"{key}: {'pass' if ok else 'FAIL'}")
+    return 0 if all(verdicts.values()) else 1
+
+
 def cmd_simulate(args) -> int:
     name, spec = _load_spec(args)
     out = _out_dir(args)
     params, state0 = build_params(spec)
     constants = validate_params(params, state0)
     traj = simulate(params, state0, spec.T_final, _step_config(spec))
-    report = RunReport(
-        scenario_name=name,
-        constants=constants,
-        trajectory_summary=_trajectory_summary(traj),
-        verdicts=_trajectory_verdicts(traj, constants),
-    )
     csvio.write_trajectory_csv(out / "trajectory.csv", traj)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    _print_verdicts(report)
-    return 0 if report.all_passed() else 1
+    return _write_report(out, name, _trajectory_verdicts(traj, constants), constants,
+                         trajectory=_trajectory_summary(traj))
 
 
 def cmd_esd(args) -> int:
@@ -130,14 +149,14 @@ def cmd_esd(args) -> int:
     constants = validate_params(params, state0)
     if args.cross_check and params.N > 3:
         raise RclabError("--cross-check needs N <= 3")
-    esd = solve_esd(params, tol=args.solver_tol, maxit=_ESD_SOLVER_MAXIT)
+    esd = solve_esd(params, tol=args.solver_tol)
     check = verify_esd(params, esd.f_tilde, esd.R_tilde, tol=10 * args.solver_tol)
     # restart from min(N, 4) random traits; stdlib random spares numpy.random's 5.8 MB
     rng = random.Random(args.seed)
     f_init = np.zeros(params.N)
     for j in rng.sample(range(params.N), min(params.N, 4)):
         f_init[j] = rng.uniform(0.0, 2.0 / params.h)
-    restart = solve_esd(params, f_init=f_init, tol=args.solver_tol, maxit=_ESD_SOLVER_MAXIT)
+    restart = solve_esd(params, f_init=f_init, tol=args.solver_tol)
     verdicts = {
         "esd_certified": check.is_esd,
         "persistence_sum": persistence_sum(esd, params) >= -1e-8,
@@ -150,16 +169,10 @@ def cmd_esd(args) -> int:
         verdicts["brute_force_agreement"] = bool(
             np.max(np.abs(ref - esd.f_tilde)) <= 1e-3 + 1e-9
         )
-    report = RunReport(
-        scenario_name=name, constants=constants, esd_summary=_esd_summary(esd),
-        verdicts=verdicts,
-    )
     (out / "esd.csv").write_text(csvio.esd_csv(trait_grid(spec), esd), encoding="utf-8")
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     print(f"kkt residual: {esd.kkt_residual:.3e}")
     print(f"persistence set: {list(esd.persistence_set)}")
-    _print_verdicts(report)
-    return 0 if report.all_passed() else 1
+    return _write_report(out, name, verdicts, constants, esd=_esd_summary(esd))
 
 
 def cmd_verify(args) -> int:
@@ -168,7 +181,7 @@ def cmd_verify(args) -> int:
     params, state0 = build_params(spec)
     constants = validate_params(params, state0)
 
-    esd = solve_esd(params, tol=args.solver_tol, maxit=_ESD_SOLVER_MAXIT)
+    esd = solve_esd(params, tol=args.solver_tol)
     reference = State(f=esd.f_tilde, R=esd.R_tilde)
     config = _step_config(spec)
     traj = simulate(params, state0, spec.T_final, config, reference=reference)
@@ -201,22 +214,16 @@ def cmd_verify(args) -> int:
             max_violation = float(np.max(excess, initial=-np.inf))
             verdicts["entropy_monotone"] = len(trace.flagged_steps) == 0
 
-    report = RunReport(
-        scenario_name=name,
-        constants=constants,
-        trajectory_summary={**summary, "max_entropy_violation": max_violation},
-        esd_summary=_esd_summary(esd),
-        comparison={"L1_distance_f": l1_f, "Linf_distance_R": linf_r},
-        verdicts=verdicts,
-    )
     csvio.write_trajectory_csv(out / "trajectory.csv", traj)
     (out / "esd.csv").write_text(csvio.esd_csv(trait_grid(spec), esd), encoding="utf-8")
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     table = csvio.trajectory_table(traj)
     (out / "profile.svg").write_text(svgplot.render_profile(table), encoding="utf-8")
     (out / "entropy.svg").write_text(svgplot.render_entropy(table), encoding="utf-8")
-    _print_verdicts(report)
-    return 0 if report.all_passed() else 1
+    return _write_report(
+        out, name, verdicts, constants,
+        trajectory={**summary, "max_entropy_violation": max_violation},
+        esd=_esd_summary(esd), comparison={"L1_distance_f": l1_f, "Linf_distance_R": linf_r},
+    )
 
 
 def cmd_analyze(args) -> int:
@@ -252,9 +259,7 @@ def cmd_analyze(args) -> int:
                                     else f"rho1 = {tp.rho1!r}, rho2 = {tp.rho2!r}")
         print(f"two-peak steady state on traits ({i}, {l}): {analysis['two_peak']}")
 
-    report = RunReport(scenario_name=name, analysis=analysis)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    return 0
+    return _write_report(out, name, {}, analysis=analysis)
 
 
 def cmd_plot(args) -> int:
@@ -274,11 +279,6 @@ def _positive_float(text: str) -> float:
     if not (value > 0 and np.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
-
-
-def _print_verdicts(report: RunReport) -> None:
-    for key, ok in report.verdicts.items():
-        print(f"{key}: {'pass' if ok else 'FAIL'}")
 
 
 def _add_scenario_args(p: argparse.ArgumentParser, with_overrides: bool = True) -> None:

@@ -83,25 +83,27 @@ def _lines(table: Table) -> Iterator[str]:
 
 def read_csv(text: str) -> Table:
     """Parse CSV text produced by this package."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # blank lines are skipped, but errors name the line of the file
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
-        raise ParseError("empty CSV")
-    header = lines[0].split(",")
+        raise ParseError("empty CSV", line=1)
+    header_lineno, header_line = lines[0]
+    header = header_line.split(",")
     if len(header) < 2:
-        raise ParseError("CSV header must name at least two columns", line=1)
+        raise ParseError("CSV header must name at least two columns", line=header_lineno)
     if len(set(header)) != len(header):
-        raise ParseError("duplicate column names", line=1)
+        raise ParseError("duplicate column names", line=header_lineno)
     if len(lines) == 1:
-        raise ParseError("CSV has a header but no data rows")
+        raise ParseError("CSV has a header but no data rows", line=header_lineno)
     block = np.empty((len(lines) - 1, len(header)))
-    for lineno, line in enumerate(lines[1:], start=2):
+    for row, (lineno, line) in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != len(header):
             raise ParseError(
                 f"expected {len(header)} cells, got {len(cells)}", line=lineno
             )
         try:
-            block[lineno - 2] = [float(cell) if cell else math.nan for cell in cells]
+            block[row] = [float(cell) if cell else math.nan for cell in cells]
         except ValueError as err:
             raise ParseError(f"not a number: {err}", line=lineno) from err
     return Table(header=header, columns={name: block[:, j] for j, name in enumerate(header)})

@@ -174,13 +174,7 @@ def newton_on_support(
         x, h_val, b = x_new, h_new, b_new
 
 
-def verify_esd(
-    params: ModelParams,
-    f: np.ndarray,
-    R: np.ndarray,
-    tol: float,
-    support_eps: float = SUPPORT_EPS,
-) -> EsdReport:
+def verify_esd(params: ModelParams, f: np.ndarray, R: np.ndarray, tol: float) -> EsdReport:
     """Check the defining conditions of a steady state / ESD at (f, R).
 
     (a) growth vanishes on the support, (b) growth is nonpositive off the
@@ -190,7 +184,7 @@ def verify_esd(
     f = np.asarray(f, dtype=float)
     R = np.asarray(R, dtype=float)
     G = growth_rate(params, R)
-    on = f > support_eps
+    on = f > SUPPORT_EPS
     support_growth = float(np.max(np.abs(G[on]))) if np.any(on) else 0.0
     offsupport_growth = float(np.max(G[~on])) if np.any(~on) else -np.inf
     resource_mismatch = float(np.max(np.abs(R - reconstruct_R(params, f))))

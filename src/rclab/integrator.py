@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FixedPointDiverged, Mu0Violation, StepRejected, UndefinedEntropy
+from .errors import ValidationError
 from .esd import EsdResult
 from .model import (
     Diagnostics,
@@ -58,12 +59,14 @@ class StepConfig:
     enforce_mu0: bool = False
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not isinstance(self.scheme, Scheme):
+            raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
         if not (self.fp_tol > 0):
             raise ValueError("fp_tol must be positive")
-        if self.fp_maxit < 1:
-            raise ValueError("fp_maxit must be at least 1")
+        if not isinstance(self.fp_maxit, (int, np.integer)) or self.fp_maxit < 1:
+            raise ValueError(f"fp_maxit must be an integer of at least 1, got {self.fp_maxit!r}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +174,8 @@ def simulate(
     supplied (and defined). Any loss of nonnegativity/positivity aborts with
     the failing step index.
     """
+    if not (T_final > 0 and math.isfinite(T_final)):
+        raise ValidationError("T_final", "must be positive and finite")
     constants = validate_params(params, state0)
     if math.isfinite(constants.mu0) and config.dt >= constants.mu0:
         msg = (

@@ -18,10 +18,21 @@ _W, _H = 720.0, 460.0
 _ML, _MR, _MT, _MB = 64.0, 16.0, 34.0, 44.0
 
 _COLORS = ("#1f4e9c", "#c23b22", "#2e7d32", "#8e44ad")
+_WATERFALL_LAYERS = 24
 
 
 def _fnum(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _text(x: float, y: float, anchor: str, size: int, body: str, extra: str = "") -> str:
+    return (f'<text x="{_fnum(x)}" y="{_fnum(y)}" text-anchor="{anchor}" '
+            f'font-family="monospace" font-size="{size}"{extra}>{body}</text>')
+
+
+def _line(x1: float, y1: float, x2: float, y2: float) -> str:
+    return (f'<line x1="{_fnum(x1)}" y1="{_fnum(y1)}" x2="{_fnum(x2)}" y2="{_fnum(y2)}" '
+            'stroke="#404040" stroke-width="1"/>')
 
 
 class _Panel:
@@ -47,47 +58,19 @@ class _Panel:
             f'width="{_fnum(self.w)}" height="{_fnum(self.h)}" '
             'fill="none" stroke="#404040" stroke-width="1"/>'
         )
-        out.append(
-            f'<text x="{_fnum(self.x0 + self.w / 2)}" y="{_fnum(self.y0 - 8)}" '
-            'text-anchor="middle" font-family="monospace" font-size="13">'
-            f"{title}</text>"
-        )
-        out.append(
-            f'<text x="{_fnum(self.x0 + self.w / 2)}" '
-            f'y="{_fnum(self.y0 + self.h + 32)}" '
-            'text-anchor="middle" font-family="monospace" font-size="11">'
-            f"{xlabel}</text>"
-        )
-        out.append(
-            f'<text x="{_fnum(self.x0 - 52)}" y="{_fnum(self.y0 + self.h / 2)}" '
-            'text-anchor="middle" font-family="monospace" font-size="11" '
-            f'transform="rotate(-90 {_fnum(self.x0 - 52)} '
-            f'{_fnum(self.y0 + self.h / 2)})">{ylabel}</text>'
-        )
+        bottom, mid_x, mid_y = self.y0 + self.h, self.x0 + self.w / 2, self.y0 + self.h / 2
+        out.append(_text(mid_x, self.y0 - 8, "middle", 13, title))
+        out.append(_text(mid_x, bottom + 32, "middle", 11, xlabel))
+        out.append(_text(self.x0 - 52, mid_y, "middle", 11, ylabel,
+                         f' transform="rotate(-90 {_fnum(self.x0 - 52)} {_fnum(mid_y)})"'))
         for i in range(5):
             xv = self.xmin + (self.xmax - self.xmin) * i / 4
             yv = self.ymin + (self.ymax - self.ymin) * i / 4
             xp, yp = self.px(xv), self.py(yv)
-            out.append(
-                f'<line x1="{_fnum(xp)}" y1="{_fnum(self.y0 + self.h)}" '
-                f'x2="{_fnum(xp)}" y2="{_fnum(self.y0 + self.h + 4)}" '
-                'stroke="#404040" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_fnum(xp)}" y="{_fnum(self.y0 + self.h + 16)}" '
-                'text-anchor="middle" font-family="monospace" font-size="10">'
-                f"{xv:.3g}</text>"
-            )
-            out.append(
-                f'<line x1="{_fnum(self.x0 - 4)}" y1="{_fnum(yp)}" '
-                f'x2="{_fnum(self.x0)}" y2="{_fnum(yp)}" '
-                'stroke="#404040" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_fnum(self.x0 - 6)}" y="{_fnum(yp + 3)}" '
-                'text-anchor="end" font-family="monospace" font-size="10">'
-                f"{yv:.3g}</text>"
-            )
+            out.append(_line(xp, bottom, xp, bottom + 4))
+            out.append(_text(xp, bottom + 16, "middle", 10, f"{xv:.3g}"))
+            out.append(_line(self.x0 - 4, yp, self.x0, yp))
+            out.append(_text(self.x0 - 6, yp + 3, "end", 10, f"{yv:.3g}"))
 
     def polyline(self, out: list[str], xs, ys, color: str, label: str | None = None,
                  slot: int = 0) -> None:
@@ -96,11 +79,8 @@ class _Panel:
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>'
         )
         if label is not None:
-            out.append(
-                f'<text x="{_fnum(self.x0 + self.w - 6)}" '
-                f'y="{_fnum(self.y0 + 14 + 13 * slot)}" text-anchor="end" '
-                f'font-family="monospace" font-size="11" fill="{color}">{label}</text>'
-            )
+            out.append(_text(self.x0 + self.w - 6, self.y0 + 14 + 13 * slot, "end", 11,
+                             label, f' fill="{color}"'))
 
 
 def _document(body: list[str]) -> str:
@@ -191,14 +171,15 @@ def render_entropy(table: Table, log_scale: bool = False) -> str:
     return _document(body)
 
 
-def render_waterfall(table: Table, layers: int = 24) -> str:
-    """Layered species profiles over time, early at the bottom."""
+def render_waterfall(table: Table) -> str:
+    """Layered species profiles at evenly spaced times, early at the bottom."""
     names_f = _series_names(table, "f_")
     if not names_f:
         raise UnknownKind("waterfall needs a trajectory CSV with f_* columns")
     fmat = np.array([table.numeric(c) for c in names_f]).T  # rows = times
     n_rows = fmat.shape[0]
-    picks = sorted({int(round(i)) for i in np.linspace(0, n_rows - 1, min(layers, n_rows))})
+    layers = min(_WATERFALL_LAYERS, n_rows)
+    picks = sorted({int(round(i)) for i in np.linspace(0, n_rows - 1, layers)})
     fmax = float(np.max(fmat)) or 1.0
     body: list[str] = []
     panel = _Panel(_ML, _MT, _W - _ML - _MR, _H - _MT - _MB,

@@ -10,7 +10,7 @@ import rclab.cli
 from rclab import builtin_presets, load_scenario, save_scenario
 from rclab.cli import main
 from rclab.csvio import read_csv
-from rclab.errors import ParseError
+from rclab.errors import NewtonFailed, ParseError
 
 
 def run(args):
@@ -303,6 +303,15 @@ class TestAnalyze:
         assert report["analysis.extinction_predicate"] == "survival"
         assert report["analysis.dirac_count"] == int(np.sum(params.a > 0))
         assert "analysis.two_peak" in report
+
+    def test_two_peak_newton_failure_is_recorded(self, tmp_path, monkeypatch):
+        def fail(params, i, l):
+            raise NewtonFailed("no convergence")
+
+        monkeypatch.setattr(rclab.cli, "two_peak_steady_state", fail)
+        out = tmp_path / "a3"
+        assert run(["analyze", "--preset", "example1", "--out", str(out)]) == 0
+        assert read_report(out)["analysis.two_peak"] == "failed: no convergence"
 
     def test_report_has_no_verdicts(self, tmp_path):
         # analyze computes candidates, it checks no claim that could fail

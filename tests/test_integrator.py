@@ -23,7 +23,7 @@ from rclab import (
     step_semi_implicit,
     validate_params,
 )
-from rclab.errors import DimensionMismatch, StepRejected
+from rclab.errors import DimensionMismatch, StepRejected, UndefinedEntropy, ValidationError
 
 
 class TestSemiImplicitStep:
@@ -129,6 +129,13 @@ class TestSimulate:
         assert gap[-1] < 1e-4
         assert np.all(np.diff(gap) <= 0)
 
+    @pytest.mark.parametrize("T_final", [-1.0, 0.0, math.nan, math.inf])
+    def test_T_final_must_be_positive_and_finite(self, T_final):
+        params, state0 = n1_instance()
+        with pytest.raises(ValidationError) as err:
+            simulate(params, state0, T_final, StepConfig(dt=0.1))
+        assert err.value.field == "T_final"
+
     def test_final_partial_step_hits_T_exactly(self):
         params, state0 = n1_instance()
         traj = simulate(params, state0, 1.0, StepConfig(dt=0.3))
@@ -233,6 +240,12 @@ class TestEntropyTrace:
         # monotone in the eventual regime
         assert np.all(np.diff(trace.S)[20:] <= 1e-12)
 
+    def test_undefined_where_the_esd_lives_names_the_time(self):
+        params, _ = n1_instance()
+        traj = simulate(params, State(f=np.zeros(1), R=np.ones(1)), 1.0, StepConfig(dt=0.1))
+        with pytest.raises(UndefinedEntropy, match=r"at t = 0$"):
+            entropy_trace(traj, solve_esd(params))
+
     def test_semi_implicit_flagship_monotone(self, example1_traj_semi, example1_esd):
         trace = entropy_trace(example1_traj_semi, example1_esd)
         assert np.all(np.diff(trace.S) <= 1e-12)
@@ -313,6 +326,13 @@ class TestStepConfig:
             StepConfig(dt=0.1, fp_tol=0.0)
         with pytest.raises(ValueError):
             StepConfig(dt=0.1, fp_maxit=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("scheme", "implicit"), ("dt", math.inf), ("dt", math.nan), ("fp_maxit", 2.5),
+    ])
+    def test_rejects_wrong_kinds_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StepConfig(**{"dt": 0.1, field: value})
 
 
 class TestStepCallContract:

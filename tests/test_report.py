@@ -1,33 +1,36 @@
-"""Report flattening and JSON validity."""
+"""report.json: flat keys, strict JSON and the exit status."""
 
 import json
 
 import numpy as np
 
 from rclab import ModelParams, State, validate_params
-from rclab.report import RunReport
+from rclab.cli import _write_report
 
 
-def test_infinite_step_bound_serializes_to_valid_json():
+def read_report(out_dir):
+    return json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+
+
+def test_infinite_step_bound_serializes_to_valid_json(tmp_path):
     params = ModelParams(N=1, h=1.0, a=np.array([-1.0]), K=np.zeros((1, 1)),
                          m=np.ones(1), Rstar=np.ones(1))
     constants = validate_params(params, State(f=np.ones(1), R=np.ones(1)))
-    report = RunReport(scenario_name="x", constants=constants,
-                       verdicts={"ok": True})
-    parsed = json.loads(report.to_json())  # strict parser: no bare Infinity
-    assert parsed["constants.mu0"] == "inf"
+    assert _write_report(tmp_path, "x", {"ok": True}, constants) == 0
+    parsed = read_report(tmp_path)
+    assert parsed["constants.mu0"] == "inf"  # a string: no bare Infinity
     assert parsed["verdicts.ok"] is True
+    assert sorted(k for k in parsed if k.startswith("constants.")) == [
+        f"constants.{name}"
+        for name in sorted(("gamma", "K_M", "m_lower", "m_upper", "beta", "M0", "M_tilde", "mu0"))
+    ]
 
 
-def test_flat_keys_and_all_passed():
-    report = RunReport(
-        scenario_name="y",
-        trajectory_summary={"steps": 3},
-        comparison={"L1_distance_f": 0.5},
-        verdicts={"a": True, "b": False},
-    )
-    flat = report.flat()
-    assert flat["trajectory.steps"] == 3
-    assert flat["comparison.L1_distance_f"] == 0.5
-    assert not report.all_passed()
-    assert json.loads(report.to_json())["verdicts.b"] is False
+def test_flat_keys_and_all_passed(tmp_path, capsys):
+    status = _write_report(tmp_path, "y", {"a": True, "b": False},
+                           trajectory={"steps": 3}, comparison={"L1_distance_f": 0.5})
+    flat = read_report(tmp_path)
+    assert flat == {"scenario_name": "y", "trajectory.steps": 3,
+                    "comparison.L1_distance_f": 0.5, "verdicts.a": True, "verdicts.b": False}
+    assert status == 1
+    assert capsys.readouterr().out == "a: pass\nb: FAIL\n"
