@@ -20,7 +20,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,14 +110,13 @@ def _write_report(out: Path, name: str, verdicts: dict[str, bool],
     """Write out/report.json, print the verdicts and return the exit status.
 
     The keys are flat: scenario_name, constants.<field> for each field of
-    constants but the array C_R, <block>.<key> for each named block
-    (trajectory, esd, comparison, analysis) and verdicts.<name>. Non-finite
-    floats are written as their repr ("inf") so the file stays strict JSON.
+    constants, <block>.<key> for each named block (trajectory, esd,
+    comparison, analysis) and verdicts.<name>. Non-finite floats are
+    written as their repr ("inf") so the file stays strict JSON.
     The status is 0 when every verdict passes, else 1.
     """
     if constants is not None:
-        blocks["constants"] = {fld.name: getattr(constants, fld.name)
-                               for fld in fields(DerivedConstants) if fld.name != "C_R"}
+        blocks["constants"] = asdict(constants)
     flat: dict[str, object] = {"scenario_name": name}
     for prefix, block in {**blocks, "verdicts": verdicts}.items():
         for key, value in block.items():

@@ -102,6 +102,9 @@ def read_csv(text: str) -> Table:
             raise ParseError(
                 f"expected {len(header)} cells, got {len(cells)}", line=lineno
             )
+        # float alone would also read other Unicode digits and underscores
+        if not line.isascii() or "_" in line:
+            raise ParseError("numbers must be ASCII decimal text without '_'", line=lineno)
         try:
             block[row] = [float(cell) if cell else math.nan for cell in cells]
         except ValueError as err:

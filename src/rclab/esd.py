@@ -44,11 +44,10 @@ class EsdResult:
 
 @dataclass(frozen=True)
 class EsdReport:
-    """verify_esd outcome; worst_violation is the largest raw check value."""
+    """verify_esd outcome with the raw value of each check."""
 
     is_steady: bool
     is_esd: bool
-    worst_violation: float
     persistence_set: tuple[int, ...]
     support_growth: float
     offsupport_growth: float
@@ -99,11 +98,11 @@ def solve_esd(
         raise NegativeInput("f_init must be nonnegative")
     if not np.all(np.isfinite(f)):
         raise ValidationError("f_init", "must be finite")
-    nonsingular, _cond = check_K_nonsingular(params)
+    nonsingular, cond = check_K_nonsingular(params)
     if not nonsingular:
-        warnings.warn("consumption matrix is numerically singular; the minimizer of H "
-                      "may be non-unique (the reconstructed resources are still unique)",
-                      stacklevel=2)
+        warnings.warn(f"consumption matrix is numerically singular (condition estimate "
+                      f"{cond:.3e}); the minimizer of H may be non-unique (the "
+                      "reconstructed resources are still unique)", stacklevel=2)
 
     iterations = 0
     while True:
@@ -194,11 +193,9 @@ def verify_esd(params: ModelParams, f: np.ndarray, R: np.ndarray, tol: float) ->
     b_ok = offsupport_growth <= tol
     c_ok = resource_mismatch <= tol
     steady_ok = complementarity <= tol * (1.0 + float(np.max(f, initial=0.0)))
-    worst = max(support_growth, max(offsupport_growth, 0.0), resource_mismatch)
     return EsdReport(
         is_steady=a_ok and c_ok and steady_ok,
         is_esd=a_ok and b_ok and c_ok,
-        worst_violation=worst,
         persistence_set=tuple(int(j) for j in np.flatnonzero(on)),
         support_growth=support_growth,
         offsupport_growth=offsupport_growth,

@@ -148,7 +148,8 @@ def step_fully_implicit(
 
 
 def _plan_steps(T_final: float, dt: float) -> list[float]:
-    """Uniform steps of dt, shrinking the last one so the sum is T_final."""
+    """Uniform steps of dt, shrinking the last one so the sum is T_final. A
+    remainder below 1e-12 * dt is dropped, unless it is the only step."""
     n_exact = T_final / dt
     n_round = round(n_exact)
     if n_round >= 1 and abs(n_exact - n_round) <= 1e-9 * n_round:
@@ -156,7 +157,7 @@ def _plan_steps(T_final: float, dt: float) -> list[float]:
     n_full = int(math.floor(n_exact))
     steps = [dt] * n_full
     rem = T_final - n_full * dt
-    if rem > 1e-12 * dt:
+    if rem > 1e-12 * dt or not steps:
         steps.append(rem)
     return steps
 

@@ -120,10 +120,6 @@ class DerivedConstants:
     M0: float
     M_tilde: float
     mu0: float
-    C_R: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "C_R", _freeze(self.C_R))
 
 
 @dataclass(frozen=True)
@@ -203,7 +199,6 @@ def validate_params(params: ModelParams, initial: State) -> DerivedConstants:
     M_tilde = M0 + m_upper * float(np.sum(params.Rstar)) / beta
     denom = K_M * M_tilde - gamma
     mu0 = math.inf if denom <= 0 else 1.0 / denom
-    C_R = np.maximum(params.Rstar, initial.R)
     return DerivedConstants(
         gamma=gamma,
         K_M=K_M,
@@ -213,7 +208,6 @@ def validate_params(params: ModelParams, initial: State) -> DerivedConstants:
         M0=M0,
         M_tilde=M_tilde,
         mu0=mu0,
-        C_R=C_R,
     )
 
 

@@ -18,14 +18,12 @@ import math
 import numbers
 import os
 import re
-import warnings
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .esd import check_K_nonsingular
 from .integrator import Scheme
 from .model import ModelParams, State, validate_params
 
@@ -78,9 +76,9 @@ def trait_grid(spec: ScenarioSpec) -> np.ndarray:
 def build_params(spec: ScenarioSpec) -> tuple[ModelParams, State]:
     """Instantiate the model and initial state described by `spec`.
 
-    The result is validated before returning; a near-singular consumption
-    matrix triggers a warning (solves remain possible, uniqueness of the
-    species vector is then only numerical).
+    Builds and validates (`validate_params`); it takes no SVD of K. Whether K
+    is singular matters only to the uniqueness of the ESD's species vector,
+    so `solve_esd` tests it, warns when it is and reports it (k_nonsingular).
     """
     _validate_spec(spec)
     x = trait_grid(spec)
@@ -109,13 +107,6 @@ def build_params(spec: ScenarioSpec) -> tuple[ModelParams, State]:
     state0 = State(f=f0, R=R0)
 
     validate_params(params, state0)
-    nonsingular, cond = check_K_nonsingular(params)
-    if not nonsingular:
-        warnings.warn(
-            f"consumption matrix is numerically near-singular "
-            f"(condition estimate {cond:.3e})",
-            stacklevel=2,
-        )
     return params, state0
 
 

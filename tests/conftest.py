@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 
 import pytest
+from hypothesis import settings
 
 from rclab import (
     Scheme,
@@ -16,21 +17,20 @@ from rclab import (
     solve_esd,
 )
 
+# every property is deterministic: derandomized, with no example database;
+# a test file sets only its max_examples
+settings.register_profile("rclab", derandomize=True, database=None, deadline=None)
+settings.load_profile("rclab")
+
 
 @pytest.fixture(scope="session")
 def example1():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params, state0 = build_params(builtin_presets()["example1"])
-    return params, state0
+    return build_params(builtin_presets()["example1"])
 
 
 @pytest.fixture(scope="session")
 def example2():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params, state0 = build_params(builtin_presets()["example2"])
-    return params, state0
+    return build_params(builtin_presets()["example2"])
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from rclab import Diagnostics, ModelParams, ParseError, Scheme, State, StepConfi
 from rclab.csvio import read_csv, trajectory_csv, trajectory_table, write_trajectory_csv
 from rclab.integrator import Trajectory
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+PROPERTY = settings(max_examples=40)
 
 # 17 significant digits must carry subnormals, signed zeros and infinities
 SPECIAL = [5e-324, -5e-324, 2.2250738585072009e-308, 0.0, -0.0, math.inf, -math.inf]
@@ -119,3 +119,15 @@ def test_errors_name_the_line_of_the_file():
     with pytest.raises(ParseError) as err:
         read_csv("t,f_1\n\n0,1\n\n0,x\n")
     assert err.value.line == 5
+
+
+# write_trajectory_csv spells numbers in ASCII, without '_'; float alone would
+# read "٣" as 3.0 and "1_0" as 10.0
+@PROPERTY
+@given(st.integers(1, len(SMALL_CSV) - 1), st.integers(0, len(HEADER) - 1),
+       st.sampled_from(["٣", "1_0", "1_000.5", "٣.5e1", "0.１", "-1e1_0"]))
+def test_numbers_in_other_spellings_fail_with_their_line(row, col, spelling):
+    lines = apply(SMALL_CSV, ("cell", row, col, spelling))
+    with pytest.raises(ParseError, match="ASCII") as err:
+        read_csv("\n".join(lines) + "\n")
+    assert err.value.line == row + 1

@@ -9,7 +9,7 @@ import rclab.esd
 from helpers import bb_esd, random_instance
 from rclab import H_value, ModelParams, solve_esd, verify_esd
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+PROPERTY = settings(max_examples=40)
 
 
 # generic instances: hypothesis draws only the seed, because its own float

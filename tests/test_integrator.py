@@ -24,6 +24,7 @@ from rclab import (
     validate_params,
 )
 from rclab.errors import DimensionMismatch, StepRejected, UndefinedEntropy, ValidationError
+from rclab.integrator import _plan_steps
 
 
 class TestSemiImplicitStep:
@@ -140,6 +141,13 @@ class TestSimulate:
         params, state0 = n1_instance()
         traj = simulate(params, state0, 1.0, StepConfig(dt=0.3))
         assert traj.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-12)
+
+    def test_a_horizon_below_the_dropped_remainder_takes_one_step(self):
+        params, state0 = n1_instance()
+        traj = simulate(params, state0, 1e-14, StepConfig(dt=0.1))
+        assert traj.times.tolist() == [0.0, 1e-14]
+        # the flagship plan keeps its 7,500 uniform steps
+        assert _plan_steps(3000.0, 0.4) == [0.4] * 7500
 
     def test_uniform_step_count_is_robust_to_rounding(self):
         params, state0 = n1_instance()

@@ -49,7 +49,6 @@ class TestValidateParams:
         assert c.M0 == 2.0
         assert c.M_tilde == 4.0
         assert c.mu0 == pytest.approx(1.0 / 3.5, rel=1e-15)
-        assert np.array_equal(c.C_R, [1.0])
 
     def test_zero_consumption_gives_unbounded_step(self):
         params = ModelParams(

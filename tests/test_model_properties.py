@@ -8,7 +8,7 @@ from helpers import random_instance
 from rclab import H_gradient, H_hessian, H_value
 from rclab.model import restricted_gradient, restricted_H, restricted_hessian_factor
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+PROPERTY = settings(max_examples=40)
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -19,7 +19,7 @@ from rclab import (
 )
 from rclab.scenarios import ScenarioSpec
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+PROPERTY = settings(max_examples=25)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

@@ -1,6 +1,7 @@
 """Scenario construction, presets, and the text format round trip."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,12 @@ from rclab.scenarios import ScenarioSpec
 from dataclasses import replace
 
 
+def build_without_warning(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return build_params(spec)
+
+
 class TestPresets:
     def test_required_presets_exist(self):
         presets = builtin_presets()
@@ -32,8 +39,7 @@ class TestPresets:
         assert spec.sigma_star == 0.1 and spec.sigma_K == 0.2
         assert spec.N == 40 and spec.dt == 0.4
         assert (spec.growth_c2, spec.growth_c0) == (-2.0, 0.5)
-        with pytest.warns(UserWarning):
-            params, state0 = build_params(spec)
+        params, state0 = build_without_warning(spec)
         x = trait_grid(spec)
         assert params.h == pytest.approx(2.0 / 40, rel=1e-15)
         # kernel and supply match the Gaussian formulas at sample nodes
@@ -56,8 +62,7 @@ class TestPresets:
     def test_example2_data(self):
         spec = builtin_presets()["example2"]
         assert (spec.growth_c2, spec.growth_c0) == (-2.0, 0.0)
-        with pytest.warns(UserWarning):
-            params, state0 = build_params(spec)
+        params, state0 = build_without_warning(spec)
         x = trait_grid(spec)
         assert params.a == pytest.approx(-2 * x**2, rel=1e-15)
         assert state0.f == pytest.approx(np.sin(100 * x) + 1.0, rel=1e-14)
@@ -196,10 +201,24 @@ class TestBuilder:
 
     def test_wide_kernel_warns_near_singular(self):
         # a very wide kernel flattens the rows of K; growth_c0 = 0 keeps the
-        # net-rate assumption satisfiable despite the weak resource capture
+        # net-rate assumption satisfiable despite the weak resource capture.
+        # Building does not ask whether K is singular; the ESD solve does,
+        # once per call
         spec = replace(builtin_presets()["example1"], sigma_K=5.0, growth_c0=0.0)
-        with pytest.warns(UserWarning, match="near-singular"):
-            build_params(spec)
+        params, _ = build_without_warning(spec)
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="condition estimate") as record:
+                esd = solve_esd(params)
+            assert len(record) == 1
+            assert not esd.k_nonsingular
+
+    def test_builds_without_an_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("build_params took an SVD of K")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        params, _ = build_without_warning(replace(builtin_presets()["example1"], N=640))
+        assert params.K.shape == (640, 640)
 
     def test_zero_initial_species(self):
         spec = replace(

@@ -24,7 +24,7 @@ from rclab import (
 )
 from rclab.errors import StepRejected
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+PROPERTY = settings(max_examples=30)
 STEPS = 6
 
 
