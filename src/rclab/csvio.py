@@ -99,14 +99,22 @@ def read_csv(text: str) -> Table:
     for row, (lineno, line) in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, got {len(cells)}", line=lineno
-            )
-        # float alone would also read other Unicode digits and underscores
-        if not line.isascii() or "_" in line:
-            raise ParseError("numbers must be ASCII decimal text without '_'", line=lineno)
+            raise ParseError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
         try:
             block[row] = [float(cell) if cell else math.nan for cell in cells]
         except ValueError as err:
             raise ParseError(f"not a number: {err}", line=lineno) from err
+        # float alone also reads " 2", "+2", "1E5", "nan", "1_0", other Unicode
+        # digits, and "1e400" as inf
+        if _misspelt(line, block[row]):
+            raise ParseError("numbers must be ASCII text as %.17g writes them", line=lineno)
     return Table(header=header, columns={name: block[:, j] for j, name in enumerate(header)})
+
+
+def _misspelt(line: str, values: np.ndarray) -> bool:
+    """Whether the line of values holds a character that %.17g does not write,
+    a '+' not after 'e', or an infinite value not spelled inf."""
+    rest = line.encode("ascii", "replace").translate(None, b"0123456789.-,einf")
+    n_inf = np.count_nonzero(np.isinf(values))
+    return bool(rest.strip(b"+") or (rest and len(rest) > line.count("e+"))
+                or (n_inf and n_inf > line.count("inf")))

@@ -24,17 +24,13 @@ class NegativeInput(RclabError):
 class StepRejected(RclabError):
     """A time step produced a nonpositive denominator or an invalid state."""
 
-    def __init__(self, message: str, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
+    step_index: int | None = None  # simulate sets the index of the failing step
 
 
 class FixedPointDiverged(RclabError):
     """The implicit-step fixed-point iteration exhausted its iteration budget."""
 
-    def __init__(self, message: str, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
+    step_index: int | None = None  # simulate sets the index of the failing step
 
 
 class Mu0Violation(RclabError):

@@ -9,8 +9,9 @@ where R~ is the current R in the first sweep and the previous sweep's R'
 after it. The semi-implicit scheme is the first sweep. The fully implicit
 scheme, which has R' inside G, repeats the sweep until R' stops changing.
 
-Both keep f nonnegative and R positive whenever every denominator
-1 - dt*G_j stays positive; dt below the derived bound mu0 guarantees that.
+Both keep f >= 0 and R > 0 while every 1 - dt*G_j > 0, as dt < mu0 guarantees.
+Both public steps, and so simulate, raise StepRejected otherwise, and for any
+result that is not a state (f negative or not finite, R nonpositive or not finite).
 The fully implicit scheme additionally dissipates the relative entropy
 against the ESD at a quantified per-step rate.
 """
@@ -104,37 +105,38 @@ class EntropyTrace:
 
 def _sweep(
     params: ModelParams, f: np.ndarray, R: np.ndarray, dt: float,
-    fp_tol: float | None, max_sweeps: int,
+    fp_tol: float, max_sweeps: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(f, R, sweeps) one step of dt later: the first sweep if fp_tol is None,
-    else sweeps until successive R agree to fp_tol in the max norm."""
+    """(f, R, sweeps) one step of dt later, or StepRejected if that is not a state:
+    sweeps until successive R agree to fp_tol in the max norm."""
     _check_dims(params, f, R)
     num = R + dt * params.m * params.Rstar
     den = 1.0 + dt * params.m
     R_iter = R
     for sweep in range(1, max_sweeps + 1):
         dtG = dt * _growth(params, R_iter)
-        if np.any(dtG >= 1.0):
+        if dtG.max() >= 1.0:
             j = int(np.argmax(dtG >= 1.0))
             raise StepRejected(f"nonpositive update denominator for species {j} "
                                f"(dt*G = {dtG[j]:.6g} >= 1); reduce dt")
         f_new = f / (1.0 - dtG)
         R_new = num / (den + dt * params.h * (params.K.T @ f_new))
-        if fp_tol is None:
-            return f_new, R_new, sweep
-        change = float(np.max(np.abs(R_new - R_iter)))
-        if change <= fp_tol:
-            return f_new, R_new, sweep
+        change = float(np.abs(R_new - R_iter).max())
+        if not change > fp_tol:  # a NaN change ends the sweeps too, and fails below
+            break
         R_iter = R_new
-    raise FixedPointDiverged(
-        f"fixed-point iteration did not contract within {max_sweeps} sweeps "
-        f"(last update {change:.3e})"
-    )
+    else:
+        raise FixedPointDiverged("fixed-point iteration did not contract within "
+                                 f"{max_sweeps} sweeps (last update {change:.3e})")
+    if not (f_new.min() >= 0 and R_new.min() > 0
+            and f_new.max() < math.inf and R_new.max() < math.inf):
+        raise StepRejected("invalid state after the step")
+    return f_new, R_new, sweep
 
 
 def step_semi_implicit(params: ModelParams, state: State, dt: float) -> State:
     """One semi-implicit step: the first sweep, f updated with the current resources."""
-    f, R, _ = _sweep(params, state.f, state.R, dt, None, 1)
+    f, R, _ = _sweep(params, state.f, state.R, dt, math.inf, 1)
     return State(f=f, R=R)
 
 
@@ -172,8 +174,8 @@ def simulate(
     """Advance state0 to T_final, recording the states, then the diagnostics.
 
     The entropy diagnostic S is recorded only when a reference state is
-    supplied (and defined). Any loss of nonnegativity/positivity aborts with
-    the failing step index.
+    supplied (and defined). A step that the kernel rejects aborts the run
+    with its step index.
     """
     if not (T_final > 0 and math.isfinite(T_final)):
         raise ValidationError("T_final", "must be positive and finite")
@@ -208,9 +210,6 @@ def simulate(
         except (StepRejected, FixedPointDiverged) as err:
             err.step_index = i
             raise
-        if not (np.all(state.f >= 0) and np.all(state.R > 0)
-                and np.all(np.isfinite(state.f)) and np.all(np.isfinite(state.R))):
-            raise StepRejected("invalid state after the step", step_index=i)
         t += dt
         times[i + 1], f[i + 1], R[i + 1] = t, state.f, state.R
 
@@ -243,6 +242,5 @@ def entropy_trace(trajectory: Trajectory, esd: EsdResult) -> EntropyTrace:
     flagged: tuple[int, ...] = ()
     if trajectory.config.scheme is Scheme.FULLY_IMPLICIT:
         slack = 1e-10 * (1.0 + np.abs(S[:-1]))
-        bad = np.flatnonzero(np.diff(S) > bounds + slack)
-        flagged = tuple(int(i) for i in bad)
+        flagged = tuple(np.flatnonzero(np.diff(S) > bounds + slack).tolist())
     return EntropyTrace(times=trajectory.times, S=S, bounds=bounds, flagged_steps=flagged)

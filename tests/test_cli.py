@@ -421,6 +421,17 @@ class TestErrors:
                     "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: step 0: nonpositive update denominator")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_invalid_state_names_the_step(self, tmp_path, capsys):
+        # the semi-implicit step overflows f; the implicit one recovers from this start
+        path = tmp_path / "huge.rc"
+        path.write_text(_n1_scenario("gaussian").replace("initial_f.amp = 1.0\n",
+                                                         "initial_f.amp = 1.75e308\n"),
+                        encoding="utf-8")
+        assert run(["simulate", "--scenario", str(path), "--scheme", "semi",
+                    "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.endswith("error: step 0: invalid state after the step\n")
+
     @pytest.mark.parametrize("args", [
         ["esd", "--solver-tol", "nan"],
         ["esd", "--solver-tol", "-1"],

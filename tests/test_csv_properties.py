@@ -121,11 +121,12 @@ def test_errors_name_the_line_of_the_file():
     assert err.value.line == 5
 
 
-# write_trajectory_csv spells numbers in ASCII, without '_'; float alone would
-# read "٣" as 3.0 and "1_0" as 10.0
+# write_trajectory_csv spells numbers as %.17g does, in ASCII; float alone would
+# read "٣" as 3.0, "1_0" as 10.0, " 2" as 2.0, "1e400" as inf and "nan" as a blank
 @PROPERTY
 @given(st.integers(1, len(SMALL_CSV) - 1), st.integers(0, len(HEADER) - 1),
-       st.sampled_from(["٣", "1_0", "1_000.5", "٣.5e1", "0.１", "-1e1_0"]))
+       st.sampled_from(["٣", "1_0", "1_000.5", "٣.5e1", "0.１", "-1e1_0",
+                        " 2", "+2", "Infinity", "1e400", "nan", "NaN", "1E5"]))
 def test_numbers_in_other_spellings_fail_with_their_line(row, col, spelling):
     lines = apply(SMALL_CSV, ("cell", row, col, spelling))
     with pytest.raises(ParseError, match="ASCII") as err:

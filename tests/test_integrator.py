@@ -379,3 +379,36 @@ class TestStepErrors:
         for step in (step_semi_implicit, step_fully_implicit):
             with pytest.raises(DimensionMismatch):
                 step(params, state, 0.1)
+
+
+class TestInvalidResults:
+    """The sweep kernel judges every step: both public steps, and so simulate,
+    raise StepRejected for a result that is not a state."""
+
+    @pytest.mark.parametrize("f, R", [([1.0], [math.nan]), ([math.inf], [1.0]),
+                                      ([-1.0], [1.0]), ([1.0], [-5.0])])
+    @pytest.mark.parametrize("step", [step_semi_implicit, step_fully_implicit])
+    def test_steps_reject_a_result_that_is_not_a_state(self, step, f, R):
+        params, _ = n1_instance()
+        with pytest.raises(StepRejected, match="invalid state after the step"):
+            step(params, State(f=np.array(f), R=np.array(R)), 0.1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_f_is_rejected(self):
+        # a valid state: the first sweep overflows f to inf and R to 0
+        params, _ = n1_instance()
+        state = State(f=np.array([1.75e308]), R=np.array([1.0]))
+        with pytest.raises(StepRejected, match="invalid state after the step"):
+            step_semi_implicit(params, state, 0.1)
+        # the implicit fixed point is a state: at R ~ 0, 1 - dt*G = 1.05
+        new, _ = step_fully_implicit(params, state, 0.1)
+        assert new.f == pytest.approx([1.75e308 / 1.05], rel=1e-14)
+        assert 0 < new.R[0] < 1e-300
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_simulate_names_the_step(self):
+        params, _ = n1_instance()
+        state0 = State(f=np.array([1.75e308]), R=np.array([1.0]))
+        with pytest.raises(StepRejected, match="invalid state after the step") as err:
+            simulate(params, state0, 1.0, StepConfig(dt=0.1))
+        assert err.value.step_index == 0

@@ -1,9 +1,13 @@
-"""Reflection symmetry on random center-0 scenarios of the example1 family.
+"""Symmetries of the model on random instances.
 
-With center 0 the midpoint grid satisfies x == -x[::-1] exactly, so a, Rstar,
-K and the initial data are exactly mirror-symmetric, and so are the exact
-ESD, Dirac weights and trajectory. The computed ones differ from their
-mirror images only by the order of round-off, and by the solve tolerances.
+Reflection, on center-0 scenarios of the example1 family: the midpoint grid
+satisfies x == -x[::-1] exactly, so a, Rstar, K and the initial data are
+exactly mirror-symmetric, and so are the exact ESD, Dirac weights and
+trajectory. The computed ones differ from their mirror images only by the
+order of round-off, and by the solve tolerances.
+
+Relabelling, on helpers.random_instance draws: permuting the traits permutes
+the trajectory, to round-off, under both schemes.
 """
 
 from dataclasses import replace
@@ -12,14 +16,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_instance, random_state
 from rclab import (
+    ModelParams,
     Scheme,
+    State,
     StepConfig,
     build_params,
     builtin_presets,
     dirac_weights,
     simulate,
     solve_esd,
+    validate_params,
 )
 
 PROPERTY = settings(max_examples=30)
@@ -64,3 +72,23 @@ def test_semi_implicit_trajectory_is_mirror_symmetric(scenario):
     for x in (traj.f, traj.R):
         scale = np.max(x, axis=1, keepdims=True)
         assert np.all(np.abs(x - x[:, ::-1]) <= 1e-13 * scale)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_trajectory_is_permutation_equivariant(seed):
+    rng = np.random.default_rng(seed)
+    params = random_instance(rng)
+    state0 = random_state(rng, params)
+    P = rng.permutation(params.N)
+    permuted = ModelParams(N=params.N, h=params.h, a=params.a[P], K=params.K[P][:, P],
+                           m=params.m[P], Rstar=params.Rstar[P])
+    dt = 0.5 * min(validate_params(params, state0).mu0, 0.1)
+    for scheme in Scheme:
+        config = StepConfig(dt=dt, scheme=scheme)
+        traj = simulate(params, state0, 20 * dt, config)
+        other = simulate(permuted, State(f=state0.f[P], R=state0.R[P]), 20 * dt, config)
+        assert len(other.times) == 21
+        for x, y in ((traj.f[:, P], other.f), (traj.R[:, P], other.R)):
+            scale = np.max(x, axis=1, keepdims=True)
+            assert np.all(np.abs(x - y) <= 1e-13 * scale)
