@@ -103,6 +103,8 @@ class EntropyTrace:
     flagged_steps: tuple[int, ...]
 
 
+# an overflow or NaN in the sweeps is reported by the state test after them, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(
     params: ModelParams, f: np.ndarray, R: np.ndarray, dt: float,
     fp_tol: float, max_sweeps: int,

@@ -331,22 +331,30 @@ def H_hessian(params: ModelParams, f: np.ndarray) -> np.ndarray:
 
 
 Support = np.ndarray | slice  # trait indices, or slice(None) for every trait
+# a stack of supports (rows of indices, x likewise) gives one row each, with the bits of
+# that support alone: the trailing unit axes make matmul take each row's own product
+
+
+def restricted_uptake(params: ModelParams, support: Support, x: np.ndarray) -> np.ndarray:
+    """Uptake rates b_k = m_k + h sum_{j in S} x_j K_jk at f_S = x, f = 0 off S."""
+    return params.m + params.h * np.matmul(x[..., None, :], params.K[support])[..., 0, :]
 
 
 def restricted_H(params: ModelParams, support: Support, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """H at f_S = x, f = 0 off S, and the uptake rates b_k = m_k + h sum_{j in S} x_j K_jk."""
-    b = params.m + params.h * (x @ params.K[support])
+    """H at f_S = x, f = 0 off S, and the uptake rates b there; one support only."""
+    b = restricted_uptake(params, support, x)
     return float(-(params.a_star[support] @ x) - np.sum(params.m * params.Rstar * np.log(b))), b
 
 
 def restricted_gradient(params: ModelParams, support: Support, b: np.ndarray) -> np.ndarray:
     """dH/df_S = -a*_S - h K_S Rhat at the uptake rates b, with Rhat = m Rstar / b."""
-    return -params.a_star[support] - params.h * (params.K[support] @ _resources(params, b))
+    Rhat = _resources(params, b)[..., None]
+    return -params.a_star[support] - params.h * np.matmul(params.K[support], Rhat)[..., 0]
 
 
 def restricted_hessian_factor(params: ModelParams, support: Support, b: np.ndarray) -> np.ndarray:
     """M_S = K_S * (h sqrt(m Rstar) / b); the Hessian of H in f_S is M_S M_S^T."""
-    return params.K[support] * (params.h * np.sqrt(params.m * params.Rstar) / b)
+    return params.K[support] * (params.h * np.sqrt(params.m * params.Rstar) / b)[..., None, :]
 
 
 def compute_diagnostics(

@@ -1,14 +1,13 @@
 """Threshold predicates and constructive special steady states.
 
 Extinction happens exactly when every intrinsic growth rate is nonpositive.
-The special steady states minimize the convex objective H with f held at 0
-off one or two traits; the projected Newton of the ESD solver
-(`esd.newton_on_support`) finds that minimizer from below each single-peak
-weight, and the weights are rho = h f. A trait with a_i > 0 > a*_i has a
-unique single-peak weight, the root of its strictly decreasing growth
-g(rho). Two such traits have a two-peak state exactly when both weights of
-the minimizer on the pair are positive: H is convex, so a coexistence state
-is that minimizer.
+The special steady states minimize the convex objective H with f = 0 off one
+or two traits; their weights are rho = h f. The single-peak weight of a
+trait with a_i > 0 > a*_i is the root of dH/df_i(x e_i), increasing and
+concave in x, so Newton from below rises to it without overshooting
+(Fourier's condition): one Newton iteration steps every trait at once, with
+no line search and no projection. A two-peak state exists exactly when the
+minimizer of H on the pair (`esd.newton_on_support`) weighs both traits.
 """
 
 from __future__ import annotations
@@ -20,11 +19,14 @@ import numpy as np
 
 from .errors import NegativeInput, NewtonFailed, NotApplicable
 from .esd import EsdResult, newton_on_support
-from .model import ModelParams, reconstruct_R, restricted_gradient, restricted_H
+from .model import ModelParams, reconstruct_R, restricted_gradient, restricted_hessian_factor
+from .model import restricted_uptake
 
 # the restricted solves stop at a complementarity residual of _TOL max|a*_S|
 _TOL = 1e-13
 _MAXIT = 100
+# traits per single-peak Newton block: bounds its (traits x N) work arrays
+_BLOCK = 64
 
 
 class Persistence(enum.Enum):
@@ -55,9 +57,7 @@ class TwoPeakSteadyState:
 
 def extinction_predicate(params: ModelParams) -> Persistence:
     """EXTINCTION iff a_j <= 0 for every trait, else SURVIVAL."""
-    if np.all(params.a <= 0):
-        return Persistence.EXTINCTION
-    return Persistence.SURVIVAL
+    return Persistence.EXTINCTION if np.all(params.a <= 0) else Persistence.SURVIVAL
 
 
 def positive_steady_state_excluded(params: ModelParams) -> bool:
@@ -66,12 +66,8 @@ def positive_steady_state_excluded(params: ModelParams) -> bool:
 
 
 def persistence_sum(esd: EsdResult, params: ModelParams) -> float:
-    """Sum of intrinsic growth rates over the surviving traits.
-
-    Nonnegative (up to round-off) at every verified ESD.
-    """
-    idx = list(esd.persistence_set)
-    return float(np.sum(params.a[idx])) if idx else 0.0
+    """Sum of a_j over the surviving traits; nonnegative (up to round-off) at a verified ESD."""
+    return float(np.sum(params.a[list(esd.persistence_set)]))
 
 
 def _checked_growing(params: ModelParams, indices) -> np.ndarray:
@@ -86,19 +82,11 @@ def _checked_growing(params: ModelParams, indices) -> np.ndarray:
     return indices
 
 
-def _restricted_weights(params: ModelParams, support: np.ndarray) -> np.ndarray:
-    """Weights rho = h f of the minimizer of H over f >= 0 with f = 0 off
-    `support`, by projected Newton from below each single-peak weight: by
-    Jensen's inequality a single peak's growth is at most -a*_i - h K_i.Rstar
-    / (1 + cbar_i f_i), cbar_i the K_ik Rstar_k-weighted mean of h K_ik / m_k."""
-    w = params.K[support] * params.Rstar
-    cbar = np.sum(w * (params.h * params.K[support] / params.m), axis=1) / np.sum(w, axis=1)
-    tol = _TOL * float(np.max(np.abs(params.a_star[support])))
-    x, steps, residual = newton_on_support(
-        params, support, params.a[support] / (-params.a_star[support] * cbar), tol, _MAXIT)
-    if residual > tol:
-        raise NewtonFailed(f"traits {support.tolist()}: residual {residual:.3e}, {steps} steps")
-    return params.h * x
+def _below(params: ModelParams, traits: np.ndarray) -> np.ndarray:
+    """Below each single-peak weight (Jensen): the root of -a*_i - h K_i.Rstar/(1 + cbar_i x)."""
+    w = params.K[traits] * params.Rstar
+    cbar = np.sum(w * (params.h * params.K[traits] / params.m), axis=1) / np.sum(w, axis=1)
+    return params.a[traits] / (-params.a_star[traits] * cbar)
 
 
 def _growth(params: ModelParams, support: np.ndarray, rho) -> np.ndarray:
@@ -106,23 +94,35 @@ def _growth(params: ModelParams, support: np.ndarray, rho) -> np.ndarray:
     x = np.asarray(rho, dtype=float) / params.h
     if np.any(x < 0):
         raise NegativeInput("weights rho must be nonnegative")
-    return -restricted_gradient(params, support, restricted_H(params, support, x)[1])
+    return -restricted_gradient(params, support, restricted_uptake(params, support, x))
 
 
 def dirac_growth(params: ModelParams, i: int, rho: float) -> float:
-    """g(rho): net growth of trait i when it alone carries weight rho.
-
-    g(0) = a_i, g(inf) = a*_i < 0; strictly decreasing whenever row i of K
-    has a positive entry.
-    """
+    """g(rho): net growth of trait i when it alone carries weight rho; g(0) = a_i,
+    g(inf) = a*_i < 0, strictly decreasing whenever row i of K has a positive entry."""
     return float(_growth(params, np.array([i]), [rho])[0])
 
 
 def dirac_weights(params: ModelParams, indices) -> np.ndarray:
-    """Weights rho_bar of the single-peak steady states on the traits
-    `indices`, one restricted solve each; each needs a_i > 0 > a*_i."""
-    return np.array([_restricted_weights(params, np.array([i]))[0]
-                     for i in _checked_growing(params, indices)])
+    """Single-peak weights h x on the traits `indices` (a_i > 0 > a*_i): Newton on the stack
+    of their supports, _BLOCK at a time; a trait freezes once |min(x_i, g_i)| <= _TOL |a*_i|."""
+    traits = _checked_growing(params, indices)
+    x, tol = np.empty(traits.size), _TOL * np.abs(params.a_star[traits])
+    for start in range(0, traits.size, _BLOCK):
+        live = np.arange(start, min(start + _BLOCK, traits.size))
+        x[live] = _below(params, traits[live])
+        for steps in range(_MAXIT + 1):
+            b = restricted_uptake(params, traits[live, None], x[live, None])
+            g = restricted_gradient(params, traits[live, None], b)[:, 0]
+            going = ~(np.abs(np.minimum(x[live], g)) <= tol[live])  # NaN goes on, to fail
+            live, b, g = live[going], b[going], g[going]
+            if live.size == 0:
+                break
+            if steps == _MAXIT:
+                raise NewtonFailed(f"trait {traits[live[0]]}: not converged in {steps} steps")
+            M = restricted_hessian_factor(params, traits[live, None], b)
+            x[live] -= g / np.matmul(M, M.swapaxes(1, 2))[:, 0, 0]
+    return params.h * x
 
 
 def _carried(params: ModelParams, support, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -135,15 +135,12 @@ def _carried(params: ModelParams, support, rho) -> tuple[np.ndarray, np.ndarray]
 def dirac_steady_state(params: ModelParams, i: int) -> DiracSteadyState:
     """Unique single-peak steady state on trait i; requires a_i > 0."""
     rho = float(dirac_weights(params, [i])[0])
-    f, R = _carried(params, [i], rho)
-    return DiracSteadyState(trait_index=i, rho_bar=rho, f_tilde=f, R_tilde=R)
+    return DiracSteadyState(i, rho, *_carried(params, [i], rho))
 
 
-def two_peak_system(
-    params: ModelParams, i: int, l: int, rho1: float, rho2: float
-) -> tuple[float, float]:
-    """Residuals (F1, F2) of the coupled two-peak equilibrium equations: the
-    net growth of traits i and l when they alone carry the weights rho1, rho2."""
+def two_peak_system(params: ModelParams, i: int, l: int, rho1: float,
+                    rho2: float) -> tuple[float, float]:
+    """Two-peak residuals (F1, F2): the growth of traits i, l alone at weights rho1, rho2."""
     F1, F2 = _growth(params, np.array([i, l]), [rho1, rho2])
     return float(F1), float(F2)
 
@@ -153,9 +150,12 @@ def two_peak_steady_state(params: ModelParams, i: int, l: int) -> TwoPeakSteadyS
     the minimizer of H on the pair leaves one of them at weight 0."""
     if i == l:
         raise NotApplicable("the two peak traits must be distinct")
-    rho = _restricted_weights(params, _checked_growing(params, [i, l]))
-    if rho[0] <= 0 or rho[1] <= 0:
+    support = _checked_growing(params, [i, l])
+    tol = _TOL * float(np.max(np.abs(params.a_star[support])))
+    x, steps, residual = newton_on_support(params, support, _below(params, support), tol, _MAXIT)
+    if residual > tol:
+        raise NewtonFailed(f"traits {support.tolist()}: residual {residual:.3e}, {steps} steps")
+    rho1, rho2 = map(float, params.h * x)
+    if rho1 <= 0 or rho2 <= 0:
         return None
-    f, R = _carried(params, [i, l], rho)
-    return TwoPeakSteadyState(indices=(i, l), rho1=float(rho[0]), rho2=float(rho[1]),
-                              f_tilde=f, R_tilde=R)
+    return TwoPeakSteadyState((i, l), rho1, rho2, *_carried(params, [i, l], [rho1, rho2]))

@@ -421,7 +421,6 @@ class TestErrors:
                     "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: step 0: nonpositive update denominator")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_invalid_state_names_the_step(self, tmp_path, capsys):
         # the semi-implicit step overflows f; the implicit one recovers from this start
         path = tmp_path / "huge.rc"
@@ -430,7 +429,7 @@ class TestErrors:
                         encoding="utf-8")
         assert run(["simulate", "--scenario", str(path), "--scheme", "semi",
                     "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.endswith("error: step 0: invalid state after the step\n")
+        assert capsys.readouterr().err == "error: step 0: invalid state after the step\n"
 
     @pytest.mark.parametrize("args", [
         ["esd", "--solver-tol", "nan"],

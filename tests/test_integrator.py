@@ -393,7 +393,6 @@ class TestInvalidResults:
         with pytest.raises(StepRejected, match="invalid state after the step"):
             step(params, State(f=np.array(f), R=np.array(R)), 0.1)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_an_overflowing_f_is_rejected(self):
         # a valid state: the first sweep overflows f to inf and R to 0
         params, _ = n1_instance()
@@ -405,7 +404,6 @@ class TestInvalidResults:
         assert new.f == pytest.approx([1.75e308 / 1.05], rel=1e-14)
         assert 0 < new.R[0] < 1e-300
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_simulate_names_the_step(self):
         params, _ = n1_instance()
         state0 = State(f=np.array([1.75e308]), R=np.array([1.0]))

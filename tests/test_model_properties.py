@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from helpers import random_instance
 from rclab import H_gradient, H_hessian, H_value
-from rclab.model import restricted_gradient, restricted_H, restricted_hessian_factor
+from rclab.model import (
+    restricted_gradient,
+    restricted_H,
+    restricted_hessian_factor,
+    restricted_uptake,
+)
 
 PROPERTY = settings(max_examples=40)
 
@@ -49,3 +54,23 @@ def test_restricted_forms_on_every_trait_are_the_full_forms_bit_for_bit(seed):
     assert H == H_value(params, f)
     assert np.array_equal(g, H_gradient(params, f))
     assert np.array_equal(hess, H_hessian(params, f))
+
+
+@PROPERTY
+@given(seeds)
+def test_a_stack_of_one_trait_supports_gives_each_row_bit_for_bit(seed):
+    # the batched single-peak Newton's g and g' = M M^T against one trait at a time
+    rng = np.random.default_rng(seed)
+    params = random_instance(rng, n_max=300)
+    traits = rng.integers(0, params.N, size=int(rng.integers(1, 40)))
+    x = rng.uniform(0.0, 3.0, traits.size)
+    b = restricted_uptake(params, traits[:, None], x[:, None])
+    g = restricted_gradient(params, traits[:, None], b)
+    M = restricted_hessian_factor(params, traits[:, None], b)
+    hess = np.matmul(M, M.swapaxes(1, 2))
+    for k, i in enumerate(traits):
+        b_i = restricted_uptake(params, np.array([i]), x[[k]])
+        M_i = restricted_hessian_factor(params, np.array([i]), b_i)
+        assert np.array_equal(b[k], b_i)
+        assert np.array_equal(g[k], restricted_gradient(params, np.array([i]), b_i))
+        assert np.array_equal(hess[k], M_i @ M_i.T)

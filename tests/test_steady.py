@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     bisect_decreasing,
@@ -15,6 +17,7 @@ from helpers import (
 from rclab import (
     ModelParams,
     NegativeInput,
+    NewtonFailed,
     NotApplicable,
     Persistence,
     State,
@@ -26,9 +29,11 @@ from rclab import (
     positive_steady_state_excluded,
     rhs,
     solve_esd,
+    steady,
     two_peak_steady_state,
     two_peak_system,
 )
+from rclab.esd import newton_on_support
 
 
 class TestPredicates:
@@ -157,6 +162,36 @@ class TestLockstepBisection:
             dirac_weights(params, [0, 1])
         assert dirac_weights(params, [0]) == pytest.approx(
             [bisect_decreasing(lambda r: dirac_growth_scalar(params, 0, r))], rel=1e-10, abs=0)
+
+
+class TestBatchedNewton:
+    """The single-peak weights of a batch: each trait's weight is its own."""
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**32 - 1))
+    def test_each_weight_is_independent_of_its_batch(self, seed):
+        # up to 300 traits, so that traits move between the Newton blocks
+        rng = np.random.default_rng(seed)
+        params = random_instance(rng, n_max=300)
+        growing = np.flatnonzero(params.a > 0)
+        perm = rng.permutation(growing.size)
+        weights = dirac_weights(params, growing)
+        assert np.array_equal(dirac_weights(params, growing[perm]), weights[perm])
+        for k in rng.choice(growing.size, size=min(growing.size, 8), replace=False):
+            # one projected-Newton solve on the trait alone, from f = 0
+            i, rho = growing[k], weights[k]
+            tol = steady._TOL * abs(params.a_star[i])
+            x, _, residual = newton_on_support(params, np.array([i]), np.zeros(1), tol, 100)
+            assert residual <= tol
+            assert rho == pytest.approx(params.h * x[0], rel=1e-12, abs=0)
+
+    def test_unconverged_trait_is_named(self, example1, monkeypatch):
+        params, _ = example1
+        growing = np.flatnonzero(params.a > 0)
+        monkeypatch.setattr(steady, "_MAXIT", 1)
+        with pytest.raises(NewtonFailed, match=r"^trait \d+: not converged in 1 steps$") as err:
+            dirac_weights(params, growing)
+        assert int(str(err.value).split()[1].rstrip(":")) in growing
 
 
 class TestTwoPeak:
