@@ -85,6 +85,9 @@ def _trajectory_summary(traj) -> dict[str, float]:
     }
     if not np.isnan(d.S[-1]):
         summary["final_S"] = float(d.S[-1])
+    if traj.fp_iteration_counts:  # implicit runs: fixed-point sweeps per step
+        summary["fp_sweeps_mean"] = sum(traj.fp_iteration_counts) / len(traj.fp_iteration_counts)
+        summary["fp_sweeps_max"] = max(traj.fp_iteration_counts)
     return summary
 
 

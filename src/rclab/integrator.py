@@ -107,14 +107,15 @@ class EntropyTrace:
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep(
     params: ModelParams, f: np.ndarray, R: np.ndarray, dt: float,
-    fp_tol: float, max_sweeps: int,
+    fp_tol: float, max_sweeps: int, R_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(f, R, sweeps) one step of dt later, or StepRejected if that is not a state:
-    sweeps until successive R agree to fp_tol in the max norm."""
+    """(f, R, sweeps) one step of dt later, as read-only arrays, or StepRejected
+    if that is not a state: sweeps from R_start (default R) until successive
+    resource iterates agree to fp_tol in the max norm."""
     _check_dims(params, f, R)
     num = R + dt * params.m * params.Rstar
     den = 1.0 + dt * params.m
-    R_iter = R
+    R_iter = R if R_start is None else R_start
     for sweep in range(1, max_sweeps + 1):
         dtG = dt * _growth(params, R_iter)
         if dtG.max() >= 1.0:
@@ -133,6 +134,7 @@ def _sweep(
     if not (f_new.min() >= 0 and R_new.min() > 0
             and f_new.max() < math.inf and R_new.max() < math.inf):
         raise StepRejected("invalid state after the step")
+    f_new.flags.writeable = R_new.flags.writeable = False  # so State keeps them uncopied
     return f_new, R_new, sweep
 
 
@@ -143,10 +145,25 @@ def step_semi_implicit(params: ModelParams, state: State, dt: float) -> State:
 
 
 def step_fully_implicit(
-    params: ModelParams, state: State, dt: float, fp_tol: float = 1e-12, fp_maxit: int = 200
+    params: ModelParams, state: State, dt: float, fp_tol: float = 1e-12, fp_maxit: int = 200,
+    R_start: np.ndarray | None = None,
 ) -> tuple[State, int]:
     """One fully implicit step: sweeps until successive resource iterates
-    agree to fp_tol in the max norm. Returns the new state and the sweep count."""
+    agree to fp_tol in the max norm. Returns the new state and the sweep count.
+
+    The first iterate is R_start, or state.R when it is None. A step that
+    fails from R_start (StepRejected or FixedPointDiverged) is retaken from
+    state.R, and that outcome, with its sweep count, stands: a start never
+    rejects a step that state.R accepts. (The converse is not checked: beyond
+    mu0, a good start can carry a step whose sweeps from state.R reject it.)
+    """
+    if R_start is not None:
+        _check_dims(params, R_start)
+        try:
+            f, R, sweeps = _sweep(params, state.f, state.R, dt, fp_tol, fp_maxit, R_start)
+            return State(f=f, R=R), sweeps
+        except (StepRejected, FixedPointDiverged):
+            pass
     f, R, sweeps = _sweep(params, state.f, state.R, dt, fp_tol, fp_maxit)
     return State(f=f, R=R), sweeps
 
@@ -175,6 +192,10 @@ def simulate(
 ) -> Trajectory:
     """Advance state0 to T_final, recording the states, then the diagnostics.
 
+    From the third step on, each implicit fixed point starts from the
+    quadratic extrapolation max(3 R^n - 3 R^{n-1} + R^{n-2}, R^n / 2) of the
+    recorded resources (the first two start at R^n); the step still converges
+    to fp_tol, and is retaken from R^n if it fails from the prediction.
     The entropy diagnostic S is recorded only when a reference state is
     supplied (and defined). A step that the kernel rejects aborts the run
     with its step index.
@@ -203,8 +224,10 @@ def simulate(
     for i, dt in enumerate(steps):
         try:
             if config.scheme is Scheme.FULLY_IMPLICIT:
+                R_start = (None if i < 2 else np.maximum(
+                    3.0 * (R[i] - R[i - 1]) + R[i - 2], 0.5 * R[i]))
                 state, sweeps = step_fully_implicit(
-                    params, state, dt, config.fp_tol, config.fp_maxit
+                    params, state, dt, config.fp_tol, config.fp_maxit, R_start
                 )
                 sweep_counts.append(sweeps)
             else:

@@ -220,7 +220,7 @@ def growth_rate(params: ModelParams, R: np.ndarray) -> np.ndarray:
 
 def _growth(params: ModelParams, R: np.ndarray) -> np.ndarray:
     """growth_rate for a float vector R whose shape the caller has checked."""
-    return params.a + params.h * params.K @ (R - params.Rstar)
+    return params.a + params.h * (params.K @ (R - params.Rstar))
 
 
 def rhs(params: ModelParams, state: State) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,13 @@
 """report.json: flat keys, strict JSON and the exit status."""
 
 import json
+import math
 
 import numpy as np
 
-from rclab import ModelParams, State, validate_params
-from rclab.cli import _write_report
+from helpers import n1_instance
+from rclab import ModelParams, Scheme, State, StepConfig, simulate, validate_params
+from rclab.cli import _trajectory_summary, _write_report
 
 
 def read_report(out_dir):
@@ -34,3 +36,13 @@ def test_flat_keys_and_all_passed(tmp_path, capsys):
                     "comparison.L1_distance_f": 0.5, "verdicts.a": True, "verdicts.b": False}
     assert status == 1
     assert capsys.readouterr().out == "a: pass\nb: FAIL\n"
+
+
+def test_implicit_runs_report_their_fixed_point_sweeps(tmp_path):
+    params, state0 = n1_instance()
+    for scheme in Scheme:  # at fp_tol = inf every implicit step is one sweep
+        traj = simulate(params, state0, 1.0, StepConfig(dt=0.1, scheme=scheme, fp_tol=math.inf))
+        _write_report(tmp_path, "x", {}, trajectory=_trajectory_summary(traj))
+        flat = read_report(tmp_path)
+        sweeps = [flat.get(f"trajectory.fp_sweeps_{k}") for k in ("mean", "max")]
+        assert sweeps == ([1, 1] if scheme is Scheme.FULLY_IMPLICIT else [None, None])

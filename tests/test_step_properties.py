@@ -79,6 +79,28 @@ def test_public_steps_equal_the_oracle_bit_for_bit(instance, dt_factor):
 
 
 @PROPERTY
+@given(instances(), st.floats(0.01, 1000.0), st.data())
+def test_a_start_never_rejects_a_step_that_R_accepts(instance, dt_factor, data):
+    """From any positive R_start the step reaches the fixed point of the R^n
+    start, or is retaken from R^n and raises what that start raises. (A start
+    may carry a step that R^n rejects; then it must still give a state.)"""
+    params, state = instance
+    dt = dt_factor * min(validate_params(params, state).mu0, 1.0)
+    R_start = data.draw(uniform(params.N, 1e-3, 10.0))
+    for fp_tol, fp_maxit in ((1e-12, 200), (1e-15, 3)):
+        plain = outcome(step_fully_implicit, params, state, dt, fp_tol, fp_maxit)
+        started = outcome(step_fully_implicit, params, state, dt, fp_tol, fp_maxit, R_start)
+        if isinstance(started, type):
+            assert started is plain
+        else:
+            new, _ = started
+            assert np.all(new.f >= 0) and np.all(new.R > 0)
+            if not isinstance(plain, type):
+                assert np.max(np.abs(new.R - plain[0].R)) <= 4 * fp_tol
+                assert np.max(np.abs(new.f - plain[0].f)) <= 4 * fp_tol * np.max(plain[0].f)
+
+
+@PROPERTY
 @given(instances(), st.floats(0.01, 0.99))
 def test_semi_step_is_the_first_implicit_sweep(instance, dt_factor):
     params, state = instance
