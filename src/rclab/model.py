@@ -14,9 +14,10 @@ evaluates the convex objective
 whose minimizer over f >= 0 is the evolutionarily stable distribution, the
 resources Rhat(f) in equilibrium with a species vector, with dH/df =
 -G(Rhat(f)), the Hessian of H (in factored form), and the diagnostic
-functionals used to monitor trajectories. H, its gradient and the Hessian
-factor are written once, for f held at 0 off a support S (`restricted_*`);
-the full forms are the case where S is every trait.
+functionals used to monitor trajectories. H, the uptake rates
+b = m + h K^T f, the gradient of H and its Hessian factor are written once,
+for f held at 0 off a support S (`restricted_*`); the full forms are the case
+where S is every trait.
 """
 
 from __future__ import annotations
@@ -191,11 +192,11 @@ def validate_params(params: ModelParams, initial: State) -> DerivedConstants:
     if not (np.all(np.isfinite(initial.f)) and np.all(np.isfinite(initial.R))):
         raise AssumptionViolation("initial state must be finite")
 
-    K_M = float(np.max(params.K)) if params.N > 0 else 0.0
+    K_M = float(np.max(params.K))
     m_lower = float(np.min(params.m))
     m_upper = float(np.max(params.m))
     beta = min(gamma, m_lower)
-    M0 = float(np.sum(initial.f) + np.sum(initial.R))
+    M0 = float(total_mass(initial))
     M_tilde = M0 + m_upper * float(np.sum(params.Rstar)) / beta
     denom = K_M * M_tilde - gamma
     mu0 = math.inf if denom <= 0 else 1.0 / denom
@@ -227,9 +228,9 @@ def rhs(params: ModelParams, state: State) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides (df/dt, dR/dt) of the coupled system."""
     _check_dims(params, state.f, state.R)
     G = growth_rate(params, state.R)
-    df = state.f * G
-    dR = params.m * (params.Rstar - state.R) - params.h * state.R * (params.K.T @ state.f)
-    return df, dR
+    # supply m Rstar minus uptake R b
+    dR = params.m * params.Rstar - state.R * restricted_uptake(params, _ALL, state.f)
+    return state.f * G, dR
 
 
 def total_mass(state: State) -> float | np.ndarray:
@@ -283,29 +284,19 @@ def q_value(state: State, reference_R: np.ndarray) -> float | np.ndarray:
     return _per_row(0.5 * np.sum((state.R - reference_R) ** 2, axis=-1))
 
 
-def _uptake(
-    params: ModelParams, f: np.ndarray, stacked: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """f checked to lie in the nonnegative orthant, and the shifted resource
-    uptake rates b_k = m_k + h * sum_j K_jk f_j.
-
-    The trailing unit axis makes matmul do one matrix-vector product per row
-    of a stack, the arithmetic of K.T @ f for a single state.
-    """
+def _species(params: ModelParams, f: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """f as a float array, checked for shape and to lie in the nonnegative orthant."""
     f = np.asarray(f, dtype=float)
     _check_dims(params, f, stacked=stacked)
     if np.any(f < 0):
         raise NegativeInput("species vector f must be nonnegative")
-    return f, params.m + params.h * np.matmul(params.K.T, f[..., None])[..., 0]
+    return f
 
 
 def H_value(params: ModelParams, f: np.ndarray) -> float | np.ndarray:
     """Objective H(f) = -a*.f - sum_k m_k Rstar_k ln(m_k + h sum_j K_jk f_j),
     one value per row for a stack of rows f."""
-    f, b = _uptake(params, f, stacked=True)
-    # a row-by-row dot product, as -a* @ f computes for a single state
-    linear = np.matmul(f[..., None, :], -params.a_star[:, None])[..., 0, 0]
-    return _per_row(linear - np.sum(params.m * params.Rstar * np.log(b), axis=-1))
+    return restricted_H(params, _ALL, _species(params, f, stacked=True))[0]
 
 
 def _resources(params: ModelParams, b: np.ndarray) -> np.ndarray:
@@ -315,24 +306,26 @@ def _resources(params: ModelParams, b: np.ndarray) -> np.ndarray:
 def reconstruct_R(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Resource levels Rhat_k = m_k Rstar_k / (m_k + h sum_j K_jk f_j) in
     equilibrium with a fixed species vector f >= 0."""
-    return _resources(params, _uptake(params, f)[1])
+    return _resources(params, restricted_uptake(params, _ALL, _species(params, f)))
 
 
 def H_gradient(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Gradient of H; component i equals -G_i(Rhat(f))."""
-    return restricted_gradient(params, slice(None), _uptake(params, f)[1])
+    return restricted_gradient(params, _ALL, restricted_uptake(params, _ALL, _species(params, f)))
 
 
 def H_hessian(params: ModelParams, f: np.ndarray) -> np.ndarray:
     """Hessian of H in factored form M M^T (see `restricted_hessian_factor`);
     symmetric positive semidefinite, and definite when K is nonsingular."""
-    M = restricted_hessian_factor(params, slice(None), _uptake(params, f)[1])
+    b = restricted_uptake(params, _ALL, _species(params, f))
+    M = restricted_hessian_factor(params, _ALL, b)
     return M @ M.T
 
 
 Support = np.ndarray | slice  # trait indices, or slice(None) for every trait
-# a stack of supports (rows of indices, x likewise) gives one row each, with the bits of
-# that support alone: the trailing unit axes make matmul take each row's own product
+_ALL = slice(None)
+# a stack of states, or of supports (rows of indices, x likewise), gives one row each with
+# the bits of that row alone: the trailing unit axes make matmul take each row's own product
 
 
 def restricted_uptake(params: ModelParams, support: Support, x: np.ndarray) -> np.ndarray:
@@ -340,10 +333,14 @@ def restricted_uptake(params: ModelParams, support: Support, x: np.ndarray) -> n
     return params.m + params.h * np.matmul(x[..., None, :], params.K[support])[..., 0, :]
 
 
-def restricted_H(params: ModelParams, support: Support, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """H at f_S = x, f = 0 off S, and the uptake rates b there; one support only."""
+def restricted_H(
+    params: ModelParams, support: Support, x: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """H at f_S = x, f = 0 off S, and the uptake rates b there. The linear term
+    is a row-by-row dot product, as -a*_S @ x computes for a single state."""
     b = restricted_uptake(params, support, x)
-    return float(-(params.a_star[support] @ x) - np.sum(params.m * params.Rstar * np.log(b))), b
+    linear = np.matmul(x[..., None, :], -params.a_star[support][..., None])[..., 0, 0]
+    return _per_row(linear - np.sum(params.m * params.Rstar * np.log(b), axis=-1)), b
 
 
 def restricted_gradient(params: ModelParams, support: Support, b: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ class TestVerify:
         report = read_report(out)
         verdict_keys = {k for k in report if k.startswith("verdicts.")}
         assert verdict_keys == {
-            "verdicts.positivity", "verdicts.mass_bound", "verdicts.esd_convergence",
+            "verdicts.mass_bound", "verdicts.esd_convergence",
             "verdicts.persistence_sum", "verdicts.entropy_monotone",
         }
         assert all(report[k] for k in verdict_keys)
@@ -217,12 +217,18 @@ class TestEsd:
         assert run(["esd", "--preset", "example1", "--cross-check",
                     "--out", str(out)]) == 2
 
-    def test_cross_check_refused_before_solving(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("N", [40, 3])
+    def test_cross_check_refused_before_solving(self, tmp_path, monkeypatch, capsys, N):
+        # at N = 3 the oracle's grid would take hours
+        path = tmp_path / "s.txt"
+        path.write_text(save_scenario(replace(builtin_presets()["example1"], N=N)),
+                        encoding="utf-8")
         calls = []
         monkeypatch.setattr("rclab.cli.solve_esd", lambda *a, **k: calls.append(1))
-        assert run(["esd", "--preset", "example1", "--cross-check",
+        assert run(["esd", "--scenario", str(path), "--cross-check",
                     "--out", str(tmp_path)]) == 2
         assert calls == []
+        assert "--cross-check needs N <= 2" in capsys.readouterr().err
 
     def test_example1_dimorphic(self, tmp_path):
         out = tmp_path / "d"

@@ -73,6 +73,8 @@ class TestValidateParams:
         params, _ = n1_instance()
         with pytest.raises(DimensionMismatch):
             validate_params(params, State(f=np.ones(2), R=np.ones(2)))
+        with pytest.raises(DimensionMismatch, match="coefficient vectors"):
+            validate_params(replace(params, m=np.ones(2)), State(f=np.ones(1), R=np.ones(1)))
 
     @pytest.mark.parametrize(
         "field,value",
@@ -83,6 +85,8 @@ class TestValidateParams:
             ("Rstar", np.array([0.0])),
             ("Rstar", np.array([-1.0])),
             ("a", np.array([np.nan])),
+            ("K", np.array([[np.inf]])),
+            ("N", 0),
         ],
     )
     def test_bad_coefficients_rejected(self, field, value):
@@ -99,6 +103,8 @@ class TestValidateParams:
             validate_params(params, State(f=np.array([-0.1]), R=np.ones(1)))
         with pytest.raises(AssumptionViolation):
             validate_params(params, State(f=np.ones(1), R=np.array([0.0])))
+        with pytest.raises(AssumptionViolation, match="finite"):
+            validate_params(params, State(f=np.array([np.nan]), R=np.ones(1)))
 
     def test_nonpositive_h_rejected(self):
         params = ModelParams(N=1, h=0.0, a=np.array([-1.0]), K=np.array([[1.0]]),
@@ -213,6 +219,14 @@ class TestLyapunovS:
 
 
 class TestExtinctionF:
+    def test_undefined_with_S_on_nonpositive_resources(self):
+        params, _ = n1_instance()
+        state = State(f=np.array([1.0]), R=np.array([0.0]))
+        with pytest.raises(UndefinedEntropy, match="resource levels"):
+            lyapunov_S(state, State(f=np.array([1.0]), R=np.array([1.0])))
+        with pytest.raises(UndefinedEntropy, match="resource levels"):
+            extinction_F(state, params)
+
     def test_hand_values(self):
         params, _ = n1_instance()
         assert extinction_F(State(f=np.array([0.0]), R=np.array([1.0])), params) == 1.0

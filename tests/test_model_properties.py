@@ -74,3 +74,26 @@ def test_a_stack_of_one_trait_supports_gives_each_row_bit_for_bit(seed):
         assert np.array_equal(b[k], b_i)
         assert np.array_equal(g[k], restricted_gradient(params, np.array([i]), b_i))
         assert np.array_equal(hess[k], M_i @ M_i.T)
+
+
+@PROPERTY
+@given(seeds)
+def test_a_stack_of_states_gives_each_row_bit_for_bit(seed):
+    # a trajectory's H column against H at one recorded state at a time, on every
+    # trait and on one support
+    rng = np.random.default_rng(seed)
+    params = random_instance(rng, n_max=300)
+    f = rng.uniform(0.0, 3.0, (int(rng.integers(1, 40)), params.N))
+    H = H_value(params, f)
+    for k, row in enumerate(f):
+        assert H[k] == H_value(params, row)
+    subset = np.flatnonzero(rng.random(params.N) < 0.5)
+    for support, x in ((slice(None), f), (subset, f[:, subset])):
+        H_S, b = restricted_H(params, support, x)
+        assert np.array_equal(b, restricted_uptake(params, support, x))
+        for k, row in enumerate(x):
+            H_k, b_k = restricted_H(params, support, row)
+            assert H_S[k] == H_k
+            assert np.array_equal(b[k], b_k)
+            assert np.array_equal(b_k, restricted_uptake(params, support, row))
+    assert np.array_equal(H, restricted_H(params, slice(None), f)[0])

@@ -92,6 +92,19 @@ def test_spec_field_types_are_checked(change):
     assert err.value.field == next(iter(change))
 
 
+@pytest.mark.parametrize("change, field", [
+    ({"center": float("inf")}, "center"),
+    ({"fp_maxit": 0}, "fp_maxit"),
+    ({"initial_f_amp": -1.0}, "initial_f.amp"),
+    ({"initial_f_sigma": 0.0}, "initial_f.sigma"),
+    ({"initial_R_kind": "constant", "initial_R_value": 0.0}, "initial_R.value"),
+])
+def test_spec_values_are_range_checked(change, field):
+    with pytest.raises(ValidationError) as err:
+        build_params(replace(builtin_presets()["example1"], **change))
+    assert err.value.field == field
+
+
 PRESET_LINES = [save_scenario(spec).splitlines() for spec in builtin_presets().values()]
 KEYS = sorted({line.partition(" =")[0] for lines in PRESET_LINES for line in lines}
               | {"initial_f.freq", "initial_f.offset", "initial_f.amp", "initial_R.value"})

@@ -217,6 +217,11 @@ class TestTwoPeak:
         f1, f2 = two_peak_system(params, 0, 1, tp.rho1, tp.rho2)
         assert abs(f1) <= 1e-10 and abs(f2) <= 1e-10
 
+    def test_unconverged_pair_is_named(self, monkeypatch):
+        monkeypatch.setattr(steady, "_MAXIT", 0)
+        with pytest.raises(NewtonFailed, match=r"^traits \[0, 1\]: residual .*, 0 steps$"):
+            two_peak_steady_state(n2_coupled(), 0, 1)
+
     def test_same_trait_rejected(self):
         params = n2_decoupled()
         with pytest.raises(NotApplicable):
