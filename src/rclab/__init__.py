@@ -21,7 +21,6 @@ from .esd import (
     EsdReport,
     EsdResult,
     brute_force_esd,
-    check_K_nonsingular,
     kkt_residual,
     solve_esd,
     verify_esd,

@@ -102,7 +102,7 @@ def _esd_summary(esd) -> dict[str, float]:
         "persistence_count": len(esd.persistence_set),
         "H_at_min": esd.H_at_min,
         "iterations": esd.iterations,
-        "k_nonsingular": esd.k_nonsingular,
+        "f_unique": esd.f_unique,
     }
 
 

@@ -5,7 +5,9 @@ nonnegative orthant; the resource levels are the reconstructed resources
 Rhat(f) of the model core (`model.reconstruct_R`).
 
 The solver adds the fittest invader to the support one outer step at a
-time and solves the restricted problem by projected Newton (`solve_esd`).
+time and solves the restricted problem by projected Newton (`solve_esd`),
+then certifies that the minimizer is unique from the rows of K on its
+support.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, NegativeInput, NotConverged, ValidationError
-from .model import H_gradient, H_value, ModelParams, growth_rate, reconstruct_R
+from .model import H_gradient, ModelParams, growth_rate, reconstruct_R
 from .model import restricted_gradient, restricted_H, restricted_hessian_factor
 
 SUPPORT_EPS = 1e-8
@@ -28,9 +30,9 @@ class EsdResult:
     """Converged minimizer of H with its reconstructed resources.
 
     persistence_set holds the indices with f_tilde above the numerical
-    support threshold; k_nonsingular is False when the consumption matrix is
-    numerically rank-deficient, in which case f_tilde may be non-unique
-    although R_tilde still is.
+    support threshold. f_unique is True when f_tilde is proved to be the only
+    minimizer (see `solve_esd`); when it is False, f_tilde may be one of
+    many, although R_tilde is unique regardless.
     """
 
     f_tilde: np.ndarray
@@ -39,7 +41,7 @@ class EsdResult:
     kkt_residual: float
     persistence_set: tuple[int, ...]
     iterations: int
-    k_nonsingular: bool
+    f_unique: bool
 
 
 @dataclass(frozen=True)
@@ -64,16 +66,6 @@ def kkt_residual(params: ModelParams, f: np.ndarray) -> float:
     return _complementarity(f, H_gradient(params, f))
 
 
-def check_K_nonsingular(params: ModelParams) -> tuple[bool, float]:
-    """SVD-based singularity test returning (nonsingular, condition_estimate): K
-    counts as singular when its smallest singular value is below 1e-12 times the largest."""
-    s = params.singular_values_K
-    smax, smin = float(s[0]), float(s[-1])
-    if smax == 0.0:
-        return False, np.inf
-    return smin > 1e-12 * smax, (np.inf if smin == 0.0 else smax / smin)
-
-
 def solve_esd(
     params: ModelParams,
     f_init: np.ndarray | None = None,
@@ -90,6 +82,14 @@ def solve_esd(
     0 leave S. The start is f = 0, or `f_init`, whose support seeds S.
     `iterations` counts outer plus Newton steps and `maxit` bounds that
     total; NotConverged is raised when it runs out or a step stalls.
+
+    Uniqueness: all minimizers share b = m + h K^T f (H is strictly convex
+    in b), so R_tilde and g, and vanish where g_j > 0; two differ by a d with
+    K_Z^T d = 0 on Z = {j : f_j > 0 or g_j <= tol}. So f_tilde is unique when
+    Z is empty or the rows of K on Z are independent (the second-order
+    condition on the critical cone, Nocedal & Wright 2006, Thm. 12.6):
+    f_unique tests the singular values of the Hessian factor on Z, in
+    O(|Z|^2 N), and a warning gives their condition estimate when it fails.
     """
     if not (tol > 0 and np.isfinite(tol)):
         raise ValidationError("tol", f"must be positive and finite, got {tol}")
@@ -98,11 +98,6 @@ def solve_esd(
         raise NegativeInput("f_init must be nonnegative")
     if not np.all(np.isfinite(f)):
         raise ValidationError("f_init", "must be finite")
-    nonsingular, cond = check_K_nonsingular(params)
-    if not nonsingular:
-        warnings.warn(f"consumption matrix is numerically singular (condition estimate "
-                      f"{cond:.3e}); the minimizer of H may be non-unique (the "
-                      "reconstructed resources are still unique)", stacklevel=2)
 
     iterations = 0
     while True:
@@ -125,9 +120,20 @@ def solve_esd(
             raise NotConverged(iterations, residual)
         iterations += 1 + steps
         f[support] = x
+
+    h_val, b = restricted_H(params, slice(None), f)  # H_value's bits, and b at f_tilde
+    # degenerate traits (g_j <= tol off the support) go into Z, never out of it
+    Z = np.flatnonzero((f > 0) | (g <= tol))
+    s = np.linalg.svd(restricted_hessian_factor(params, Z, b), compute_uv=False)
+    f_unique = bool(s.size == 0 or s[-1] > 1e-12 * s[0])
+    if not f_unique:
+        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+        warnings.warn(f"consumption rows on the ESD support are numerically singular "
+                      f"(condition estimate {cond:.3e}); the minimizer of H may be "
+                      "non-unique (the reconstructed resources are still unique)", stacklevel=2)
     return EsdResult(
-        f_tilde=f, R_tilde=reconstruct_R(params, f), H_at_min=H_value(params, f),
-        kkt_residual=residual, iterations=iterations, k_nonsingular=nonsingular,
+        f_tilde=f, R_tilde=reconstruct_R(params, f), H_at_min=h_val,
+        kkt_residual=residual, iterations=iterations, f_unique=f_unique,
         persistence_set=tuple(int(j) for j in np.flatnonzero(f > SUPPORT_EPS)),
     )
 

@@ -68,10 +68,9 @@ class ModelParams:
         object.__setattr__(self, "K", _freeze(self.K))
         object.__setattr__(self, "m", _freeze(self.m))
         object.__setattr__(self, "Rstar", _freeze(self.Rstar))
-        # a_star and singular_values_K, computed on first use; every new
-        # instance, also one from `dataclasses.replace`, starts empty. (A
-        # functools.cached_property would write the instance __dict__, after
-        # which every attribute read of the model is about 3x slower.)
+        # a_star, computed on first use; each new instance (also one from
+        # `dataclasses.replace`) starts empty. A functools.cached_property would
+        # write the instance __dict__, making every attribute read ~3x slower.
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -80,13 +79,6 @@ class ModelParams:
         if "a_star" not in self._cache:
             self._cache["a_star"] = _freeze(self.a - self.h * self.K @ self.Rstar)
         return self._cache["a_star"]
-
-    @property
-    def singular_values_K(self) -> np.ndarray:
-        """Singular values of K in descending order, read-only."""
-        if "svd" not in self._cache:
-            self._cache["svd"] = _freeze(np.linalg.svd(self.K, compute_uv=False))
-        return self._cache["svd"]
 
 
 @dataclass(frozen=True)
@@ -269,7 +261,8 @@ def lyapunov_S(state: State, reference: State) -> float | np.ndarray:
 def extinction_F(state: State, params: ModelParams) -> float | np.ndarray:
     """Extinction functional F = -sum_k Rstar_k ln R_k + sum_j f_j + sum_k R_k.
 
-    Non-increasing along trajectories whenever all a_j <= 0.
+    When all a_j <= 0 it is non-increasing along the exact flow and the fully
+    implicit scheme; a semi-implicit step can raise it, even for dt < mu0.
     """
     if np.any(state.R <= 0):
         raise UndefinedEntropy("resource levels must be positive")

@@ -76,9 +76,9 @@ def trait_grid(spec: ScenarioSpec) -> np.ndarray:
 def build_params(spec: ScenarioSpec) -> tuple[ModelParams, State]:
     """Instantiate the model and initial state described by `spec`.
 
-    Builds and validates (`validate_params`); it takes no SVD of K. Whether K
-    is singular matters only to the uniqueness of the ESD's species vector,
-    so `solve_esd` tests it, warns when it is and reports it (k_nonsingular).
+    Builds and validates (`validate_params`); it takes no SVD of K. Whether
+    the ESD's species vector is unique depends only on the rows of K on its
+    support, so `solve_esd` certifies it there and reports it (f_unique).
     """
     _validate_spec(spec)
     x = trait_grid(spec)

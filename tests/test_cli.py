@@ -242,17 +242,18 @@ class TestEsd:
         assert clusters == 2
 
 
-    def test_one_svd_per_command(self, tmp_path, monkeypatch):
-        calls = []
+    def test_no_svd_of_K_per_command(self, tmp_path, monkeypatch):
+        # each solve certifies uniqueness on its support: a 2 x 40 factor
+        shapes = []
         svd = np.linalg.svd
 
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         assert run(["esd", "--preset", "example1", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        assert shapes == [(2, 40), (2, 40)]
 
     def test_restart_disagreement_fails_its_verdict(self, tmp_path, monkeypatch):
         solve = rclab.cli.solve_esd

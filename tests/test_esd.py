@@ -18,13 +18,13 @@ from rclab import (
     brute_force_esd,
     build_params,
     builtin_presets,
-    check_K_nonsingular,
     kkt_residual,
     reconstruct_R,
     rhs,
     solve_esd,
     verify_esd,
 )
+from rclab.model import restricted_H, restricted_hessian_factor
 
 
 def extinction_instance() -> ModelParams:
@@ -185,36 +185,58 @@ class TestVerifyEsd:
         assert report.is_esd
 
 
+def solve_without_warning(params: ModelParams):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return solve_esd(params)
+
+
+def equal_rows_instance() -> ModelParams:
+    """Two identical traits: every (x, 1 - x), 0 <= x <= 1, minimizes H."""
+    return ModelParams(N=2, h=1.0, a=np.array([1.0, 1.0]), K=np.ones((2, 2)),
+                       m=np.ones(2), Rstar=np.ones(2))
+
+
 class TestCheckKNonsingular:
+    """The uniqueness certificate of solve_esd: K's rows on Z = {j : f_j > 0 or
+    g_j <= tol} must be nonsingular; the rest of K does not matter."""
+
     def test_identity(self):
-        params = ModelParams(N=2, h=1.0, a=np.array([-1.0, -1.0]), K=np.eye(2),
+        esd = solve_without_warning(n2_decoupled())
+        assert np.allclose(esd.f_tilde, 1.0, atol=1e-10)
+        assert esd.f_unique
+
+    def test_extinct_esd_is_unique_for_a_singular_K(self):
+        params = ModelParams(N=2, h=1.0, a=np.array([-1.0, -1.0]),
+                             K=np.array([[1.0, 0.5], [1.0, 0.5]]),
                              m=np.ones(2), Rstar=np.ones(2))
-        nonsingular, cond = check_K_nonsingular(params)
-        assert nonsingular
-        assert cond == pytest.approx(1.0, rel=1e-12)
+        esd = solve_without_warning(params)
+        assert np.array_equal(esd.f_tilde, np.zeros(2))
+        assert esd.f_unique
 
     def test_equal_rows_singular(self):
-        params = ModelParams(N=2, h=1.0, a=np.array([-1.0, -1.0]),
-                             K=np.array([[1.0, 0.5], [1.0, 0.5]]),
-                             m=np.ones(2), Rstar=np.ones(2))
-        nonsingular, _ = check_K_nonsingular(params)
-        assert not nonsingular
+        # the solver picks f = (1, 0); trait 1 is off the support at g = 0,
+        # a degenerate trait that the certificate must count in Z
+        with pytest.warns(UserWarning):
+            esd = solve_esd(equal_rows_instance())
+        assert esd.persistence_set == (0,)
+        assert not esd.f_unique
 
     def test_example1_condition_estimate_is_finite(self, example1):
-        # the clustered Gaussian kernel is numerically rank-deficient at
-        # double precision; the estimate itself stays finite and reportable
+        # K itself is singular to working precision (cond ~1e18), but its
+        # two support rows are far from dependent
         params, _ = example1
-        nonsingular, cond = check_K_nonsingular(params)
-        assert np.isfinite(cond)
-        assert cond > 1e12
-        assert not nonsingular
+        esd = solve_without_warning(params)
+        assert esd.f_unique
+        b = restricted_H(params, slice(None), esd.f_tilde)[1]
+        support = np.array(esd.persistence_set)
+        s = np.linalg.svd(restricted_hessian_factor(params, support, b), compute_uv=False)
+        assert s[0] / s[-1] < 2.0
 
     def test_singular_kernel_warns_in_solver(self):
-        params = ModelParams(N=2, h=1.0, a=np.array([-1.0, -1.0]),
-                             K=np.array([[1.0, 0.5], [1.0, 0.5]]),
-                             m=np.ones(2), Rstar=np.ones(2))
-        with pytest.warns(UserWarning, match="singular"):
-            solve_esd(params)
+        with pytest.warns(UserWarning, match="condition estimate") as record:
+            solve_esd(equal_rows_instance())
+        assert len(record) == 1
 
 
 class TestBruteForce:

@@ -2,7 +2,8 @@
 Barzilai-Borwein oracle in tests/helpers.py."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rclab.esd
@@ -60,3 +61,47 @@ def test_H_does_not_increase_over_outer_steps(params):
     finally:
         rclab.esd.H_gradient = gradient
     assert all(b <= a + 1e-12 * (1.0 + abs(a)) for a, b in zip(values, values[1:]))
+
+
+def low_rank_instance(seed: int) -> ModelParams:
+    """random_instance with K = U V of random rank r <= N, so K is singular for
+    r < N while the rows of K on a support of at most r traits may not be."""
+    rng = np.random.default_rng(seed)
+    params = random_instance(rng, n_max=12)
+    r = int(rng.integers(1, params.N + 1))
+    K = rng.uniform(0.0, 1.0, (params.N, r)) @ rng.uniform(0.0, 1.0, (r, params.N)) / r
+    a = params.a_star + params.h * K @ params.Rstar  # the same net rates a*
+    return ModelParams(N=params.N, h=params.h, a=a, K=K, m=params.m, Rstar=params.Rstar)
+
+
+certified = st.one_of(instances, st.integers(0, 2**32 - 1).map(low_rank_instance))
+
+
+@PROPERTY
+@given(certified, st.randoms(use_true_random=False))
+def test_a_certified_esd_is_found_from_any_start(params, rnd):
+    esd = solve_esd(params)
+    if not esd.f_unique:
+        return
+    f_init = np.zeros(params.N)
+    for j in rnd.sample(range(params.N), rnd.randint(1, params.N)):
+        f_init[j] = rnd.uniform(0.0, 2.0 / params.h)
+    restart = solve_esd(params, f_init=f_init)
+    assert restart.f_unique
+    assert np.max(np.abs(restart.f_tilde - esd.f_tilde)) <= 1e-6
+
+
+@PROPERTY
+@given(certified, st.randoms(use_true_random=False))
+def test_a_copied_support_trait_is_not_certified(params, rnd):
+    f = solve_esd(params).f_tilde
+    support, off = np.flatnonzero(f > 0), np.flatnonzero(f == 0)
+    assume(support.size > 0 and off.size > 0)
+    j, k = rnd.choice(support.tolist()), rnd.choice(off.tolist())
+    # trait k now consumes and grows as trait j does; f stays a minimizer
+    # (g_k = g_j = 0), and so does every split of f_j between j and k
+    a, K = params.a.copy(), params.K.copy()
+    a[k], K[k] = a[j], K[j]
+    copied = ModelParams(N=params.N, h=params.h, a=a, K=K, m=params.m, Rstar=params.Rstar)
+    with pytest.warns(UserWarning, match="condition estimate"):
+        assert not solve_esd(copied).f_unique

@@ -199,18 +199,18 @@ class TestBuilder:
         with pytest.raises(AssumptionViolation):
             build_params(spec)
 
-    def test_wide_kernel_warns_near_singular(self):
-        # a very wide kernel flattens the rows of K; growth_c0 = 0 keeps the
-        # net-rate assumption satisfiable despite the weak resource capture.
-        # Building does not ask whether K is singular; the ESD solve does,
-        # once per call
+    def test_wide_kernel_esd_is_certified_unique(self):
+        # a very wide kernel flattens the rows of K, which is singular to
+        # working precision; growth_c0 = 0 keeps the net-rate assumption
+        # satisfiable. Every trait goes extinct, so the ESD f = 0 is unique
+        # whatever K's rank, and the solve does not warn
         spec = replace(builtin_presets()["example1"], sigma_K=5.0, growth_c0=0.0)
         params, _ = build_without_warning(spec)
-        for _ in range(2):
-            with pytest.warns(UserWarning, match="condition estimate") as record:
-                esd = solve_esd(params)
-            assert len(record) == 1
-            assert not esd.k_nonsingular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            esd = solve_esd(params)
+        assert not np.any(esd.f_tilde)
+        assert esd.f_unique
 
     def test_builds_without_an_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
@@ -219,6 +219,18 @@ class TestBuilder:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         params, _ = build_without_warning(replace(builtin_presets()["example1"], N=640))
         assert params.K.shape == (640, 640)
+
+    def test_solve_esd_takes_no_svd_of_K(self, monkeypatch):
+        # the uniqueness certificate looks at the rows of K on the support only
+        params, _ = build_without_warning(replace(builtin_presets()["example1"], N=640))
+        svd = np.linalg.svd
+
+        def small_svd(a, *args, **kwargs):
+            assert a.shape[0] < params.N, f"solve_esd took an SVD of a {a.shape} matrix"
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", small_svd)
+        assert solve_esd(params).f_unique
 
     def test_zero_initial_species(self):
         spec = replace(

@@ -55,9 +55,13 @@ def symmetric_scenarios(draw):
 @given(symmetric_scenarios())
 def test_esd_and_dirac_weights_are_mirror_symmetric(scenario):
     params, _ = scenario
-    # f_tilde is unique only for a nonsingular K, R_tilde always
-    R = solve_esd(params, tol=ESD_TOL).R_tilde
+    # R_tilde is always unique, f_tilde where the solve certifies it
+    esd = solve_esd(params, tol=ESD_TOL)
+    R = esd.R_tilde
     assert np.max(np.abs(R - R[::-1])) <= 100 * ESD_TOL * np.max(R)
+    if esd.f_unique:
+        f = esd.f_tilde
+        assert np.max(np.abs(f - f[::-1])) <= 1e-6 * max(1.0, np.max(f))
     growing = np.flatnonzero(params.a > 0)
     rho = dict(zip(growing.tolist(), dirac_weights(params, growing).tolist()))
     for i, weight in rho.items():
