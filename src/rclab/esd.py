@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, NegativeInput, NotConverged, ValidationError
-from .model import H_gradient, ModelParams, growth_rate, reconstruct_R
+from .model import H_gradient, ModelParams, _check_dims, _growth, reconstruct_R
 from .model import restricted_gradient, restricted_H, restricted_hessian_factor
 
 SUPPORT_EPS = 1e-8
@@ -188,7 +188,8 @@ def verify_esd(params: ModelParams, f: np.ndarray, R: np.ndarray, tol: float) ->
     """
     f = np.asarray(f, dtype=float)
     R = np.asarray(R, dtype=float)
-    G = growth_rate(params, R)
+    _check_dims(params, f, R)
+    G = _growth(params, R)
     on = f > SUPPORT_EPS
     support_growth = float(np.max(np.abs(G[on]))) if np.any(on) else 0.0
     offsupport_growth = float(np.max(G[~on])) if np.any(~on) else -np.inf

@@ -254,6 +254,7 @@ def entropy_trace(trajectory: Trajectory, esd: EsdResult) -> EntropyTrace:
     bound by more than 1e-10 * (1 + |S^n|) are flagged; the bound is not
     asserted for semi-implicit trajectories.
     """
+    _check_dims(trajectory.params, esd.f_tilde, esd.R_tilde)
     S = lyapunov_S(State(f=trajectory.f, R=trajectory.R),
                    State(f=esd.f_tilde, R=esd.R_tilde))
     if np.any(np.isnan(S)):

@@ -5,9 +5,9 @@ The system couples N species abundances f_j to N resource levels R_k:
     df_j/dt = f_j * G_j(R),          G_j(R) = a_j + h * sum_k K_jk (R_k - Rstar_k)
     dR_k/dt = m_k (Rstar_k - R_k) - h R_k * sum_j K_jk f_j
 
-The effective net rates a*_j = a_j - h * sum_k K_jk Rstar_k must all be
-strictly negative; gamma = -max_j a*_j measures the margin. The module also
-evaluates the convex objective
+A model is checked when it is built: K >= 0, m, Rstar, h > 0, and every net
+rate a*_j = a_j - h * sum_k K_jk Rstar_k < 0, with margin gamma = -max_j a*_j.
+The module also evaluates the convex objective
 
     H(f) = -sum_j a*_j f_j - sum_k m_k Rstar_k ln(m_k + h sum_j K_jk f_j)
 
@@ -23,7 +23,7 @@ where S is every trait.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One instance of the competition system.
+    """One instance of the competition system. Building one (also by
+    `dataclasses.replace`) checks the standing assumptions, and raises
+    AssumptionViolation naming the one that fails, or DimensionMismatch.
 
     N: number of traits (species and resources share the grid size)
     h: trait-cell width / resource weight
@@ -54,6 +56,7 @@ class ModelParams:
        to resource k
     m: resource relaxation rates, shape (N,)
     Rstar: resource carrying capacities, shape (N,)
+    a_star: net rates a* = a - h * K @ Rstar, derived, read-only, all < 0
     """
 
     N: int
@@ -62,23 +65,37 @@ class ModelParams:
     K: np.ndarray
     m: np.ndarray
     Rstar: np.ndarray
+    a_star: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _freeze(self.a))
-        object.__setattr__(self, "K", _freeze(self.K))
-        object.__setattr__(self, "m", _freeze(self.m))
-        object.__setattr__(self, "Rstar", _freeze(self.Rstar))
-        # a_star, computed on first use; each new instance (also one from
-        # `dataclasses.replace`) starts empty. A functools.cached_property would
-        # write the instance __dict__, making every attribute read ~3x slower.
-        object.__setattr__(self, "_cache", {})
-
-    @property
-    def a_star(self) -> np.ndarray:
-        """Net rates a* = a - h * K @ Rstar, read-only; validation requires these < 0."""
-        if "a_star" not in self._cache:
-            self._cache["a_star"] = _freeze(self.a - self.h * self.K @ self.Rstar)
-        return self._cache["a_star"]
+        for name in ("a", "K", "m", "Rstar"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        n = self.N
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise AssumptionViolation(f"N must be a positive integer, got {n}")
+        if self.a.shape != (n,) or self.m.shape != (n,) or self.Rstar.shape != (n,):
+            raise DimensionMismatch(f"coefficient vectors must have shape ({n},)")
+        if self.K.shape != (n, n):
+            raise DimensionMismatch(f"K must have shape ({n}, {n}), got {self.K.shape}")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise AssumptionViolation(f"h must be positive and finite, got {self.h}")
+        if not np.all(np.isfinite(self.a)):
+            raise AssumptionViolation("growth rates a must be finite")
+        if not np.all(np.isfinite(self.K)):
+            raise AssumptionViolation("consumption matrix K must be finite")
+        if np.any(self.K < 0):
+            j, k = np.argwhere(self.K < 0)[0]
+            raise AssumptionViolation(f"K[{j}][{k}] = {self.K[j, k]} is negative")
+        if not np.all(np.isfinite(self.m)) or np.any(self.m <= 0):
+            raise AssumptionViolation("relaxation rates m must be positive and finite")
+        if not np.all(np.isfinite(self.Rstar)) or np.any(self.Rstar <= 0):
+            raise AssumptionViolation("carrying capacities Rstar must be positive and finite")
+        astar = _freeze(self.a - self.h * self.K @ self.Rstar)
+        object.__setattr__(self, "a_star", astar)
+        if not np.max(astar) < 0:
+            j = int(np.argmax(astar))
+            raise AssumptionViolation(f"net rate a*[{j}] = {astar[j]:.6g} is not negative; "
+                                      "every a_j - h*sum_k K_jk*Rstar_k must be < 0")
 
 
 @dataclass(frozen=True)
@@ -128,15 +145,10 @@ class Diagnostics:
 
 
 def _check_dims(params: ModelParams, *vectors: np.ndarray, stacked: bool = False) -> None:
-    n = params.N
-    if params.a.shape != (n,) or params.m.shape != (n,) or params.Rstar.shape != (n,):
-        raise DimensionMismatch(f"coefficient vectors must have shape ({n},)")
-    if params.K.shape != (n, n):
-        raise DimensionMismatch(f"K must have shape ({n}, {n}), got {params.K.shape}")
     for v in vectors:
         shape = v.shape[1:] if stacked and v.ndim == 2 else v.shape
-        if shape != (n,):
-            raise DimensionMismatch(f"expected shape ({n},), got {v.shape}")
+        if shape != (params.N,):
+            raise DimensionMismatch(f"expected shape ({params.N},), got {v.shape}")
 
 
 def _per_row(x: np.ndarray) -> float | np.ndarray:
@@ -146,37 +158,10 @@ def _per_row(x: np.ndarray) -> float | np.ndarray:
 
 
 def validate_params(params: ModelParams, initial: State) -> DerivedConstants:
-    """Check the standing assumptions and return all derived constants.
-
-    Raises AssumptionViolation naming the failing condition, or
-    DimensionMismatch for shape errors.
-    """
-    if params.N < 1:
-        raise AssumptionViolation(f"N must be a positive integer, got {params.N}")
+    """Check the initial state against the model, whose standing assumptions were checked
+    when it was built, and return all derived constants. Raises AssumptionViolation naming
+    the failing condition of the state, or DimensionMismatch for its shapes."""
     _check_dims(params, initial.f, initial.R)
-    if not (params.h > 0 and math.isfinite(params.h)):
-        raise AssumptionViolation(f"h must be positive and finite, got {params.h}")
-    if not np.all(np.isfinite(params.a)):
-        raise AssumptionViolation("growth rates a must be finite")
-    if not np.all(np.isfinite(params.K)):
-        raise AssumptionViolation("consumption matrix K must be finite")
-    if np.any(params.K < 0):
-        j, k = np.argwhere(params.K < 0)[0]
-        raise AssumptionViolation(f"K[{j}][{k}] = {params.K[j, k]} is negative")
-    if not np.all(np.isfinite(params.m)) or np.any(params.m <= 0):
-        raise AssumptionViolation("relaxation rates m must be positive and finite")
-    if not np.all(np.isfinite(params.Rstar)) or np.any(params.Rstar <= 0):
-        raise AssumptionViolation("carrying capacities Rstar must be positive and finite")
-
-    astar = params.a_star
-    gamma = float(-np.max(astar))
-    if gamma <= 0:
-        j = int(np.argmax(astar))
-        raise AssumptionViolation(
-            f"net rate a*[{j}] = {astar[j]:.6g} is not negative; "
-            "every a_j - h*sum_k K_jk*Rstar_k must be < 0"
-        )
-
     if np.any(initial.f < 0):
         raise AssumptionViolation("initial species abundances must be nonnegative")
     if np.any(initial.R <= 0):
@@ -184,6 +169,7 @@ def validate_params(params: ModelParams, initial: State) -> DerivedConstants:
     if not (np.all(np.isfinite(initial.f)) and np.all(np.isfinite(initial.R))):
         raise AssumptionViolation("initial state must be finite")
 
+    gamma = float(-np.max(params.a_star))
     K_M = float(np.max(params.K))
     m_lower = float(np.min(params.m))
     m_upper = float(np.max(params.m))
@@ -274,6 +260,8 @@ def extinction_F(state: State, params: ModelParams) -> float | np.ndarray:
 
 def q_value(state: State, reference_R: np.ndarray) -> float | np.ndarray:
     """Quadratic resource deviation Q = 1/2 sum_k (R_k - ref_k)^2."""
+    if np.shape(reference_R)[-1:] != state.R.shape[-1:]:
+        raise DimensionMismatch(f"reference {np.shape(reference_R)} for states {state.R.shape}")
     return _per_row(0.5 * np.sum((state.R - reference_R) ** 2, axis=-1))
 
 
@@ -358,6 +346,7 @@ def compute_diagnostics(
     mass = total_mass(state)
     s = None if np.ndim(mass) == 0 else np.full(np.shape(mass), np.nan)
     if reference is not None:
+        _check_dims(params, reference.f, reference.R)
         try:
             s = lyapunov_S(state, reference)
         except UndefinedEntropy:

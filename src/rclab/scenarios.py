@@ -76,9 +76,8 @@ def trait_grid(spec: ScenarioSpec) -> np.ndarray:
 def build_params(spec: ScenarioSpec) -> tuple[ModelParams, State]:
     """Instantiate the model and initial state described by `spec`.
 
-    Builds and validates (`validate_params`); it takes no SVD of K. Whether
-    the ESD's species vector is unique depends only on the rows of K on its
-    support, so `solve_esd` certifies it there and reports it (f_unique).
+    Building the model checks the standing assumptions, and `validate_params`
+    the initial state. No SVD of K is taken (`solve_esd` certifies f_unique).
     """
     _validate_spec(spec)
     x = trait_grid(spec)

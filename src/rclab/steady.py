@@ -3,11 +3,12 @@
 Extinction happens exactly when every intrinsic growth rate is nonpositive.
 The special steady states minimize the convex objective H with f = 0 off one
 or two traits; their weights are rho = h f. The single-peak weight of a
-trait with a_i > 0 > a*_i is the root of dH/df_i(x e_i), increasing and
-concave in x, so Newton from below rises to it without overshooting
-(Fourier's condition): one Newton iteration steps every trait at once, with
-no line search and no projection. A two-peak state exists exactly when the
-minimizer of H on the pair (`esd.newton_on_support`) weighs both traits.
+trait with a_i > 0 is the root of dH/df_i(x e_i), which rises from -a_i to
+-a*_i > 0 (a model's net rates are all negative) and is concave in x, so
+Newton from below rises to it without overshooting (Fourier's condition):
+one Newton iteration steps every trait at once, with no line search and no
+projection. A two-peak state exists exactly when the minimizer of H on the
+pair (`esd.newton_on_support`) weighs both traits.
 """
 
 from __future__ import annotations
@@ -70,16 +71,22 @@ def persistence_sum(esd: EsdResult, params: ModelParams) -> float:
     return float(np.sum(params.a[list(esd.persistence_set)]))
 
 
+def _traits(params: ModelParams, indices) -> np.ndarray:
+    """The trait indices as an array, checked to be a 1-D list of integers in range."""
+    traits = np.asarray(indices)
+    if (traits.ndim != 1 or (traits.size and not np.issubdtype(traits.dtype, np.integer))
+            or np.any((traits < 0) | (traits >= params.N))):
+        raise NotApplicable(f"trait indices {indices!r} are not 1-D integers in [0, {params.N})")
+    return traits.astype(int)
+
+
 def _checked_growing(params: ModelParams, indices) -> np.ndarray:
     """The trait indices as an array, each checked to have a single-peak state."""
-    indices = np.asarray(indices, dtype=int)
-    for i in indices:
-        if not (0 <= i < params.N):
-            raise NotApplicable(f"trait index {i} out of range")
-        if not params.a[i] > 0 > params.a_star[i]:
-            raise NotApplicable(f"trait {i} has a_i = {params.a[i]:.6g}, a*_i = "
-                                f"{params.a_star[i]:.6g}; a single peak needs a_i > 0 > a*_i")
-    return indices
+    traits = _traits(params, indices)
+    for i in traits:
+        if not params.a[i] > 0:
+            raise NotApplicable(f"trait {i} has a_i = {params.a[i]:.6g} <= 0: no single peak")
+    return traits
 
 
 def _below(params: ModelParams, traits: np.ndarray) -> np.ndarray:
@@ -100,11 +107,11 @@ def _growth(params: ModelParams, support: np.ndarray, rho) -> np.ndarray:
 def dirac_growth(params: ModelParams, i: int, rho: float) -> float:
     """g(rho): net growth of trait i when it alone carries weight rho; g(0) = a_i,
     g(inf) = a*_i < 0, strictly decreasing whenever row i of K has a positive entry."""
-    return float(_growth(params, np.array([i]), [rho])[0])
+    return float(_growth(params, _traits(params, [i]), [rho])[0])
 
 
 def dirac_weights(params: ModelParams, indices) -> np.ndarray:
-    """Single-peak weights h x on the traits `indices` (a_i > 0 > a*_i): Newton on the stack
+    """Single-peak weights h x on the traits `indices` (a_i > 0): Newton on the stack
     of their supports, _BLOCK at a time; a trait freezes once |min(x_i, g_i)| <= _TOL |a*_i|."""
     traits = _checked_growing(params, indices)
     x, tol = np.empty(traits.size), _TOL * np.abs(params.a_star[traits])
@@ -141,7 +148,7 @@ def dirac_steady_state(params: ModelParams, i: int) -> DiracSteadyState:
 def two_peak_system(params: ModelParams, i: int, l: int, rho1: float,
                     rho2: float) -> tuple[float, float]:
     """Two-peak residuals (F1, F2): the growth of traits i, l alone at weights rho1, rho2."""
-    F1, F2 = _growth(params, np.array([i, l]), [rho1, rho2])
+    F1, F2 = _growth(params, _traits(params, [i, l]), [rho1, rho2])
     return float(F1), float(F2)
 
 

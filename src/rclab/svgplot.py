@@ -150,24 +150,25 @@ def render_profile(table: Table) -> str:
 
 
 def render_entropy(table: Table, log_scale: bool = False) -> str:
-    """Entropy S and resource deviation Q versus time."""
+    """Entropy S and resource deviation Q versus time; a log scale draws each where it is > 0."""
     t = table.numeric("t")
     series = []
     if "S" in table.header and not np.any(np.isnan(table.column("S"))):
-        series.append(("S", table.column("S")))
-    series.append(("Q", table.numeric("Q")))
+        series.append(("S", t, table.column("S")))
+    series.append(("Q", t, table.numeric("Q")))
     if log_scale:
-        series = [
-            (f"log10({name})", np.log10(np.maximum(vals, 1e-300)))
-            for name, vals in series
-        ]
-    ymin, ymax = _bounds([vals for _, vals in series])
+        names = ", ".join(name for name, _, _ in series)
+        series = [(f"log10({name})", ts[vals > 0], np.log10(vals[vals > 0]))
+                  for name, ts, vals in series if np.any(vals > 0)]
+        if not series:
+            raise ParseError(f"no positive value to draw on a log scale in columns {names}")
+    ymin, ymax = _bounds([vals for _, _, vals in series])
     body: list[str] = []
     panel = _Panel(_ML, _MT, _W - _ML - _MR, _H - _MT - _MB,
                    float(t[0]), float(t[-1]), ymin, ymax)
     panel.frame(body, "diagnostics", "t", "value")
-    for idx, (name, vals) in enumerate(series):
-        panel.polyline(body, t, vals, _COLORS[idx % len(_COLORS)], name, idx)
+    for idx, (name, ts, vals) in enumerate(series):
+        panel.polyline(body, ts, vals, _COLORS[idx % len(_COLORS)], name, idx)
     return _document(body)
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from rclab import builtin_presets, load_scenario, save_scenario
 from rclab.cli import main
 from rclab.csvio import read_csv
 from rclab.errors import NewtonFailed, ParseError
+from rclab.svgplot import render_entropy
 
 
 def run(args):
@@ -356,6 +358,23 @@ class TestPlot:
         assert run(["plot", "--csv", str(csv), "--kind", "entropy", "--log",
                     "--out-svg", str(svg)]) == 0
         assert "log10" in svg.read_text(encoding="utf-8")
+
+    def test_log_scale_draws_only_positive_values(self, tmp_path):
+        # Q = 0 at t = 0 of this run; drawn at 1e-300, it set the axis at -315
+        csv = self._trajectory(tmp_path)
+        svg = tmp_path / "log.svg"
+        assert run(["plot", "--csv", str(csv), "--kind", "entropy", "--log",
+                    "--out-svg", str(svg)]) == 0
+        y_ticks = re.findall(r'text-anchor="end"[^>]* font-size="10">([^<]*)<',
+                             svg.read_text(encoding="utf-8"))
+        assert len(y_ticks) == 5
+        assert min(float(v) for v in y_ticks) > -100
+
+    def test_log_scale_without_a_positive_value_names_the_columns(self):
+        table = read_csv("t,S,Q\n0,-1,0\n1,-2,0\n")
+        assert "log10(Q)" not in render_entropy(table)
+        with pytest.raises(ParseError, match="columns S, Q"):
+            render_entropy(table, log_scale=True)
 
     def test_empty_csv_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -1,10 +1,10 @@
-"""solve_esd rejects unusable inputs up front, naming the argument."""
+"""solve_esd and verify_esd reject unusable inputs up front, naming the argument."""
 
 import numpy as np
 import pytest
 
 from helpers import n1_instance
-from rclab import ValidationError, solve_esd
+from rclab import DimensionMismatch, ValidationError, solve_esd, verify_esd
 
 
 @pytest.mark.parametrize("f_init", [[np.nan], [np.inf]])
@@ -19,3 +19,10 @@ def test_tol_must_be_positive_and_finite(tol):
     params, _ = n1_instance()
     with pytest.raises(ValidationError, match="'tol'"):
         solve_esd(params, tol=tol)
+
+
+@pytest.mark.parametrize("f,R", [(np.ones(2), np.ones(1)), (np.ones(1), np.ones(2))])
+def test_verify_esd_checks_the_shapes_of_f_and_R(f, R):
+    params, _ = n1_instance()
+    with pytest.raises(DimensionMismatch, match="expected shape"):
+        verify_esd(params, f, R, tol=1e-8)

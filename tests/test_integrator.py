@@ -176,6 +176,12 @@ class TestSimulate:
         assert traj.times[-1] == pytest.approx(20.0, rel=1e-12)
         assert len(traj.fp_iteration_counts) == 50
 
+    def test_reference_of_another_trait_count_rejected(self):
+        params, state0 = n1_instance()
+        with pytest.raises(DimensionMismatch):
+            simulate(params, state0, 1.0, StepConfig(dt=0.1),
+                     reference=State(f=np.ones(2), R=np.ones(2)))
+
     def test_lengths_agree(self):
         params, state0 = n1_instance()
         traj = simulate(params, state0, 2.0, StepConfig(dt=0.1))
@@ -276,6 +282,12 @@ class TestEntropyTrace:
         traj = simulate(params, State(f=np.zeros(1), R=np.ones(1)), 1.0, StepConfig(dt=0.1))
         with pytest.raises(UndefinedEntropy, match=r"at t = 0$"):
             entropy_trace(traj, solve_esd(params))
+
+    def test_esd_of_another_model_rejected(self, example1_esd):
+        params, state0 = n1_instance()
+        traj = simulate(params, state0, 1.0, StepConfig(dt=0.1))
+        with pytest.raises(DimensionMismatch):
+            entropy_trace(traj, example1_esd)
 
     def test_semi_implicit_flagship_monotone(self, example1_traj_semi, example1_esd):
         trace = entropy_trace(example1_traj_semi, example1_esd)

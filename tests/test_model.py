@@ -1,10 +1,14 @@
 """Model-core: validation, right-hand sides, functionals, H and derivatives."""
 
 import math
+import re
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     fd_gradient,
@@ -29,6 +33,7 @@ from rclab import (
     extinction_F,
     growth_rate,
     lyapunov_S,
+    q_value,
     reconstruct_R,
     rhs,
     simulate,
@@ -61,12 +66,10 @@ class TestValidateParams:
         assert c.M_tilde >= c.M0
 
     def test_positive_net_rate_rejected(self):
-        params = ModelParams(
-            N=1, h=1.0, a=np.array([0.5]), K=np.zeros((1, 1)),
-            m=np.ones(1), Rstar=np.ones(1),
-        )
+        # a model is checked when it is built, so this one cannot exist
         with pytest.raises(AssumptionViolation, match="a\\*"):
-            validate_params(params, State(f=np.ones(1), R=np.ones(1)))
+            ModelParams(N=1, h=1.0, a=np.array([0.5]), K=np.zeros((1, 1)),
+                        m=np.ones(1), Rstar=np.ones(1))
 
     def test_dimension_mismatch(self):
         params, _ = n1_instance()
@@ -92,9 +95,8 @@ class TestValidateParams:
         base = dict(N=1, h=1.0, a=np.array([-1.0]), K=np.array([[1.0]]),
                     m=np.array([1.0]), Rstar=np.array([1.0]))
         base[field] = value
-        params = ModelParams(**base)
         with pytest.raises(AssumptionViolation):
-            validate_params(params, State(f=np.ones(1), R=np.ones(1)))
+            ModelParams(**base)
 
     def test_bad_initial_state_rejected(self):
         params, _ = n1_instance()
@@ -106,10 +108,9 @@ class TestValidateParams:
             validate_params(params, State(f=np.array([np.nan]), R=np.ones(1)))
 
     def test_nonpositive_h_rejected(self):
-        params = ModelParams(N=1, h=0.0, a=np.array([-1.0]), K=np.array([[1.0]]),
-                             m=np.ones(1), Rstar=np.ones(1))
         with pytest.raises(AssumptionViolation):
-            validate_params(params, State(f=np.ones(1), R=np.ones(1)))
+            ModelParams(N=1, h=0.0, a=np.array([-1.0]), K=np.array([[1.0]]),
+                        m=np.ones(1), Rstar=np.ones(1))
 
     def test_mu0_unbounded_iff_no_positive_part(self):
         rng = np.random.default_rng(11)
@@ -123,6 +124,91 @@ class TestValidateParams:
                 assert math.isfinite(c.mu0) and c.mu0 > 0
 
 
+def _corrupted(rng: np.random.Generator, params: ModelParams, kind: str):
+    """One field of a valid model made invalid: the changed fields, and the
+    exception type and message its check raises."""
+    n = params.N
+    j, k = int(rng.integers(n)), int(rng.integers(n))
+    messages = {"a": "growth rates a must be finite",
+                "K": "consumption matrix K must be finite",
+                "m": "relaxation rates m must be positive and finite",
+                "Rstar": "carrying capacities Rstar must be positive and finite"}
+    if kind == "N":  # too small, or not an integer
+        N = int(rng.integers(-2, 1)) if rng.random() < 0.5 else float(n)
+        return {"N": N}, AssumptionViolation, f"N must be a positive integer, got {N}"
+    if kind == "h":
+        h = float(rng.choice([0.0, -rng.uniform(0.0, 2.0), np.inf, np.nan]))
+        return {"h": h}, AssumptionViolation, f"h must be positive and finite, got {h}"
+    if kind == "shape":
+        name = str(rng.choice(["a", "K", "m", "Rstar"]))
+        if name == "K":
+            K = np.ones((n, n + 1))
+            return {"K": K}, DimensionMismatch, f"K must have shape ({n}, {n}), got {K.shape}"
+        return ({name: np.ones(n + 1)}, DimensionMismatch,
+                f"coefficient vectors must have shape ({n},)")
+    if kind == "net rate":  # raise a_j until a*_j >= 0
+        a = params.a.copy()
+        a[j] += rng.uniform(0.01, 1.0) - params.a_star[j]
+        astar = a - params.h * params.K @ params.Rstar
+        i = int(np.argmax(astar))
+        return {"a": a}, AssumptionViolation, (
+            f"net rate a*[{i}] = {astar[i]:.6g} is not negative; "
+            "every a_j - h*sum_k K_jk*Rstar_k must be < 0")
+    if kind == "negative K":
+        K = params.K.copy()
+        K[j, k] = -rng.uniform(1e-3, 1.0)
+        return {"K": K}, AssumptionViolation, f"K[{j}][{k}] = {K[j, k]} is negative"
+    name = kind.split()[-1]
+    values = getattr(params, name).copy()
+    if kind.startswith("nonfinite"):
+        values.flat[int(rng.integers(values.size))] = rng.choice([np.nan, np.inf, -np.inf])
+    else:  # nonpositive m or Rstar
+        values[j] = rng.choice([0.0, -rng.uniform(0.0, 2.0)])
+    return {name: values}, AssumptionViolation, messages[name]
+
+
+_KINDS = ["N", "h", "shape", "net rate", "negative K", "nonpositive m", "nonpositive Rstar",
+          "nonfinite a", "nonfinite K", "nonfinite m", "nonfinite Rstar"]
+
+
+class TestBuiltModelIsChecked:
+    """A ModelParams checks the standing assumptions when it is built."""
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(_KINDS))
+    def test_one_corrupted_field_is_named_when_built_or_replaced(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        params = random_instance(rng)
+        changes, error, message = _corrupted(rng, params, kind)
+        fields = dict(N=params.N, h=params.h, a=params.a, K=params.K, m=params.m,
+                      Rstar=params.Rstar)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ModelParams(**{**fields, **changes})
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            replace(params, **changes)
+
+    @pytest.mark.parametrize("change", [
+        {"h": 0.0},  # solve_esd ran 100,000 iterations before NotConverged
+        {"K": np.array([[-1.0]])},  # solve_esd returned f = [0.333]
+        {"K": np.array([[np.nan]])},  # numpy's bare ValueError in solve_esd
+    ])
+    def test_defects_that_reached_solve_esd_fail_when_built(self, change):
+        params, _ = n1_instance()
+        fields = dict(N=1, h=1.0, a=params.a, K=params.K, m=params.m, Rstar=params.Rstar)
+        start = time.perf_counter()
+        with pytest.raises(AssumptionViolation):
+            ModelParams(**{**fields, **change})
+        with pytest.raises(AssumptionViolation):
+            replace(params, **change)
+        assert time.perf_counter() - start < 0.5
+
+    def test_a_star_is_derived_not_given(self):
+        params, _ = n1_instance()
+        with pytest.raises(TypeError):
+            ModelParams(N=1, h=1.0, a=params.a, K=params.K, m=params.m, Rstar=params.Rstar,
+                        a_star=params.a_star)
+
+
 class TestCachedInvariants:
     def test_a_star_is_read_only_and_exact(self, example1):
         params, _ = example1
@@ -134,7 +220,6 @@ class TestCachedInvariants:
 
     def test_replaced_model_gets_fresh_values(self):
         params = random_instance(np.random.default_rng(7))
-        params.a_star  # fill the cache
         other = replace(params, a=params.a + 1.0, K=2.0 * params.K)
         assert np.array_equal(other.a_star, other.a - other.h * other.K @ other.Rstar)
 
@@ -365,6 +450,11 @@ class TestDiagnostics:
         f.flags.writeable = False
         assert State(f=f, R=R).f is f  # read-only and owning its data: kept as is
         assert State(f=f[1:], R=R[1:]).f.base is None  # a view is copied
+
+    def test_q_reference_of_another_trait_count_rejected(self):
+        _, state = n1_instance()
+        with pytest.raises(DimensionMismatch):
+            q_value(state, np.ones(3))
 
     def test_rhs_dimension_check(self):
         params, _ = n1_instance()

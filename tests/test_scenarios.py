@@ -232,6 +232,18 @@ class TestBuilder:
         monkeypatch.setattr(np.linalg, "svd", small_svd)
         assert solve_esd(params).f_unique
 
+    def test_validate_params_does_not_scan_K(self, monkeypatch):
+        # the model checked K when it was built; the initial state is what is left
+        params, state0 = build_without_warning(replace(builtin_presets()["example1"], N=640))
+        isfinite = np.isfinite
+
+        def vector_isfinite(x, *args, **kwargs):
+            assert np.ndim(x) < 2, f"validate_params scanned a {np.shape(x)} array"
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", vector_isfinite)
+        assert validate_params(params, state0).gamma > 0
+
     def test_zero_initial_species(self):
         spec = replace(
             builtin_presets()["n1-closedform"],

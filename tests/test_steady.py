@@ -15,6 +15,7 @@ from helpers import (
     random_instance,
 )
 from rclab import (
+    AssumptionViolation,
     ModelParams,
     NegativeInput,
     NewtonFailed,
@@ -154,14 +155,35 @@ class TestLockstepBisection:
         self._assert_matches_scalar_bisection(params)
 
     def test_missing_sign_change_raises(self):
-        # trait 1 consumes nothing, so its growth stays at a_1 > 0 for every weight
-        params = ModelParams(N=2, h=1.0, a=np.array([0.5, 0.5]),
-                             K=np.array([[1.0, 0.0], [0.0, 0.0]]),
-                             m=np.ones(2), Rstar=np.ones(2))
-        with pytest.raises(NotApplicable):
-            dirac_weights(params, [0, 1])
+        # trait 1 consumes nothing, so its growth would stay at a_1 > 0 for
+        # every weight: a*_1 = 0.5 > 0, and such a model cannot be built
+        with pytest.raises(AssumptionViolation, match="a\\*"):
+            ModelParams(N=2, h=1.0, a=np.array([0.5, 0.5]),
+                        K=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                        m=np.ones(2), Rstar=np.ones(2))
+        params = n2_decoupled()
         assert dirac_weights(params, [0]) == pytest.approx(
             [bisect_decreasing(lambda r: dirac_growth_scalar(params, 0, r))], rel=1e-10, abs=0)
+
+
+class TestTraitIndices:
+    """Trait indices are a 1-D list of integers in range; nothing else is rounded or read."""
+
+    @pytest.mark.parametrize("call", [
+        lambda p: dirac_weights(p, [1.7]),
+        lambda p: dirac_weights(p, np.array([[0, 1]])),
+        lambda p: dirac_steady_state(p, 0.5),
+        lambda p: two_peak_steady_state(p, 0.5, 1),
+        lambda p: two_peak_system(p, 0, 1.5, 0.1, 0.1),
+        lambda p: dirac_growth(p, 0.5, 0.1),
+        lambda p: dirac_growth(p, -1, 0.1),
+    ])
+    def test_other_indices_rejected(self, call):
+        with pytest.raises(NotApplicable, match="trait ind"):
+            call(n2_coupled())
+
+    def test_no_traits_give_no_weights(self):
+        assert dirac_weights(n2_coupled(), []).shape == (0,)
 
 
 class TestBatchedNewton:
