@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
     params, state0 = build_params(spec)
     constants = validate_params(params, state0)
     traj = simulate(params, state0, spec.T_final, _step_config(spec))
-    csvio.write_trajectory_csv(out / "trajectory.csv", traj)
+    csvio.write_csv(out / "trajectory.csv", csvio.trajectory_table(traj))
     return _write_report(out, name, _trajectory_verdicts(traj, constants), constants,
                          trajectory=_trajectory_summary(traj))
 
@@ -169,7 +169,7 @@ def cmd_esd(args) -> int:
         verdicts["brute_force_agreement"] = bool(
             np.max(np.abs(ref - esd.f_tilde)) <= 1e-3 + 1e-9
         )
-    (out / "esd.csv").write_text(csvio.esd_csv(trait_grid(spec), esd), encoding="utf-8")
+    csvio.write_csv(out / "esd.csv", csvio.esd_table(trait_grid(spec), esd))
     print(f"kkt residual: {esd.kkt_residual:.3e}")
     print(f"persistence set: {list(esd.persistence_set)}")
     return _write_report(out, name, verdicts, constants, esd=_esd_summary(esd))
@@ -214,9 +214,9 @@ def cmd_verify(args) -> int:
             max_violation = float(np.max(excess, initial=-np.inf))
             verdicts["entropy_monotone"] = len(trace.flagged_steps) == 0
 
-    csvio.write_trajectory_csv(out / "trajectory.csv", traj)
-    (out / "esd.csv").write_text(csvio.esd_csv(trait_grid(spec), esd), encoding="utf-8")
     table = csvio.trajectory_table(traj)
+    csvio.write_csv(out / "trajectory.csv", table)
+    csvio.write_csv(out / "esd.csv", csvio.esd_table(trait_grid(spec), esd))
     (out / "profile.svg").write_text(svgplot.render_profile(table), encoding="utf-8")
     (out / "entropy.svg").write_text(svgplot.render_entropy(table), encoding="utf-8")
     return _write_report(

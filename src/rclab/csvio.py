@@ -1,14 +1,14 @@
 """CSV serialization of trajectories and stable distributions.
 
-All numbers are written with 17 significant digits so files round-trip
-losslessly. In memory a table is named float columns, built from a trajectory
-or parsed from a file; NaN marks a blank cell, such as an undefined S.
+In memory a table is named float columns, built from a trajectory or a
+stable distribution or parsed from a file; NaN marks a blank cell, such as an
+undefined S. `write_csv` writes every table, each number with 17 significant
+digits so files round-trip losslessly.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,14 +21,9 @@ from .integrator import Trajectory
 
 @dataclass(frozen=True)
 class Table:
-    """Named float columns of equal length; NaN marks a blank cell."""
+    """Named float columns of equal length, in file order; NaN marks a blank cell."""
 
-    header: list[str]
     columns: dict[str, np.ndarray]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.columns[self.header[0]])
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
@@ -49,36 +44,24 @@ def trajectory_table(traj: Trajectory) -> Table:
     header = ["t", *(f"f_{j}" for j in traits), *(f"R_{k}" for k in traits),
               "mass", "S", "Q", "F", "H"]
     columns = [traj.times, *traj.f.T, *traj.R.T, d.mass, d.S, d.Q, d.F, d.H]
-    return Table(header=header, columns=dict(zip(header, columns)))
+    return Table(dict(zip(header, columns)))
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """Render a trajectory as CSV: t, f_1..f_N, R_1..R_N, mass, S, Q, F, H."""
-    return "".join(_lines(trajectory_table(traj)))
+def esd_table(trait: np.ndarray, esd: EsdResult) -> Table:
+    """The columns trait, f_tilde, R_tilde of a stable distribution."""
+    return Table({"trait": trait, "f_tilde": esd.f_tilde, "R_tilde": esd.R_tilde})
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    """Write trajectory_csv(traj) to path a row at a time: the text of a long
-    run never sits in memory whole, nor does its encoded copy."""
+def write_csv(path: Path, table: Table) -> None:
+    """Write a table to path a row at a time: the text of a long run never
+    sits in memory whole, nor does its encoded copy."""
+    block = np.column_stack(list(table.columns.values()))
+    pattern = ",".join(["%.17g"] * len(table.columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_lines(trajectory_table(traj)))
-
-
-def esd_csv(trait: np.ndarray, esd: EsdResult) -> str:
-    """Render a stable distribution as CSV: trait, f_tilde, R_tilde."""
-    header = ["trait", "f_tilde", "R_tilde"]
-    columns = [trait, esd.f_tilde, esd.R_tilde]
-    return "".join(_lines(Table(header=header, columns=dict(zip(header, columns)))))
-
-
-def _lines(table: Table) -> Iterator[str]:
-    block = np.column_stack([table.columns[name] for name in table.header])
-    pattern = ",".join(["%.17g"] * len(table.header)) + "\n"
-    # row by row: converting the whole block at once would hold every cell as a
-    # Python float; %.17g spells NaN, the blank, "nan", as it spells no number
-    yield ",".join(table.header) + "\n"
-    for row in block:
-        yield (pattern % tuple(row.tolist())).replace("nan", "")
+        fh.write(",".join(table.columns) + "\n")
+        # row by row: converting the whole block at once would hold every cell as a
+        # Python float; %.17g spells NaN, the blank, "nan", as it spells no number
+        fh.writelines((pattern % tuple(row.tolist())).replace("nan", "") for row in block)
 
 
 def read_csv(text: str) -> Table:
@@ -108,7 +91,7 @@ def read_csv(text: str) -> Table:
         # digits, and "1e400" as inf
         if _misspelt(line, block[row]):
             raise ParseError("numbers must be ASCII text as %.17g writes them", line=lineno)
-    return Table(header=header, columns={name: block[:, j] for j, name in enumerate(header)})
+    return Table({name: block[:, j] for j, name in enumerate(header)})
 
 
 def _misspelt(line: str, values: np.ndarray) -> bool:

@@ -22,15 +22,13 @@ class NegativeInput(RclabError):
 
 
 class StepRejected(RclabError):
-    """A time step produced a nonpositive denominator or an invalid state."""
+    """A time step failed: a nonpositive denominator, an invalid state or no convergence."""
 
     step_index: int | None = None  # simulate sets the index of the failing step
 
 
-class FixedPointDiverged(RclabError):
+class FixedPointDiverged(StepRejected):
     """The implicit-step fixed-point iteration exhausted its iteration budget."""
-
-    step_index: int | None = None  # simulate sets the index of the failing step
 
 
 class Mu0Violation(RclabError):
@@ -74,7 +72,7 @@ class ParseError(RclabError):
 
 
 class ValidationError(RclabError):
-    """A scenario field has an out-of-range or inconsistent value."""
+    """A scenario or configuration field has an out-of-range or inconsistent value."""
 
     def __init__(self, field: str, message: str = ""):
         super().__init__(f"invalid value for '{field}'" + (f": {message}" if message else ""))

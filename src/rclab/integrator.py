@@ -61,13 +61,13 @@ class StepConfig:
 
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
-            raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
+            raise ValidationError("scheme", f"must be a Scheme, got {self.scheme!r}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
+            raise ValidationError("dt", "must be positive and finite")
         if not (self.fp_tol > 0):
-            raise ValueError("fp_tol must be positive")
+            raise ValidationError("fp_tol", "must be positive")
         if not isinstance(self.fp_maxit, (int, np.integer)) or self.fp_maxit < 1:
-            raise ValueError(f"fp_maxit must be an integer of at least 1, got {self.fp_maxit!r}")
+            raise ValidationError("fp_maxit", f"must be an integer >= 1, got {self.fp_maxit!r}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,8 @@ def step_fully_implicit(
     agree to fp_tol in the max norm. Returns the new state and the sweep count.
 
     The first iterate is R_start, or state.R when it is None. A step that
-    fails from R_start (StepRejected or FixedPointDiverged) is retaken from
-    state.R, and that outcome, with its sweep count, stands: a start never
+    fails from R_start (StepRejected, which FixedPointDiverged is) is retaken
+    from state.R, and that outcome, with its sweep count, stands: a start never
     rejects a step that state.R accepts. (The converse is not checked: beyond
     mu0, a good start can carry a step whose sweeps from state.R reject it.)
     """
@@ -162,7 +162,7 @@ def step_fully_implicit(
         try:
             f, R, sweeps = _sweep(params, state.f, state.R, dt, fp_tol, fp_maxit, R_start)
             return State(f=f, R=R), sweeps
-        except (StepRejected, FixedPointDiverged):
+        except StepRejected:
             pass
     f, R, sweeps = _sweep(params, state.f, state.R, dt, fp_tol, fp_maxit)
     return State(f=f, R=R), sweeps
@@ -197,12 +197,14 @@ def simulate(
     recorded resources (the first two start at R^n); the step still converges
     to fp_tol, and is retaken from R^n if it fails from the prediction.
     The entropy diagnostic S is recorded only when a reference state is
-    supplied (and defined). A step that the kernel rejects aborts the run
-    with its step index.
+    supplied (and defined); one of another trait count fails before the first
+    step. A step the kernel rejects or cannot converge aborts the run with its index.
     """
     if not (T_final > 0 and math.isfinite(T_final)):
         raise ValidationError("T_final", "must be positive and finite")
     constants = validate_params(params, state0)
+    if reference is not None:
+        _check_dims(params, reference.f, reference.R)
     if math.isfinite(constants.mu0) and config.dt >= constants.mu0:
         msg = (
             f"dt = {config.dt:.6g} exceeds the guaranteed-stable bound "
@@ -232,7 +234,7 @@ def simulate(
                 sweep_counts.append(sweeps)
             else:
                 state = step_semi_implicit(params, state, dt)
-        except (StepRejected, FixedPointDiverged) as err:
+        except StepRejected as err:
             err.step_index = i
             raise
         t += dt

@@ -223,9 +223,12 @@ def lyapunov_S(state: State, reference: State) -> float | np.ndarray:
     terms with fr_j = 0 contribute only f_j. Undefined when the reference
     supports a species that is extinct in `state`, or when any resource
     level is nonpositive: one state raises, a stack gets NaN on those rows.
+    A reference of another trait count raises DimensionMismatch.
     """
     f, R = state.f, state.R
     fr, Rr = reference.f, reference.R
+    if fr.shape[-1:] != f.shape[-1:] or Rr.shape[-1:] != R.shape[-1:]:
+        raise DimensionMismatch(f"reference {fr.shape}/{Rr.shape} for states {f.shape}/{R.shape}")
     support = fr > 0
     extinct = support & (f <= 0)
     undefined = np.any(extinct, axis=-1) | np.any(R <= 0, axis=-1) | np.any(Rr <= 0)
@@ -245,11 +248,13 @@ def lyapunov_S(state: State, reference: State) -> float | np.ndarray:
 
 
 def extinction_F(state: State, params: ModelParams) -> float | np.ndarray:
-    """Extinction functional F = -sum_k Rstar_k ln R_k + sum_j f_j + sum_k R_k.
+    """Extinction functional F = -sum_k Rstar_k ln R_k + sum_j f_j + sum_k R_k,
+    for a state or a stack of states of the model's trait count.
 
     When all a_j <= 0 it is non-increasing along the exact flow and the fully
     implicit scheme; a semi-implicit step can raise it, even for dt < mu0.
     """
+    _check_dims(params, state.f, state.R, stacked=True)
     if np.any(state.R <= 0):
         raise UndefinedEntropy("resource levels must be positive")
     return _per_row(

@@ -42,7 +42,8 @@ _CHOICES = {
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Complete description of one simulation scenario."""
+    """Complete description of one simulation scenario. Building one (also by
+    `dataclasses.replace`) checks it, and raises ValidationError naming the field."""
 
     N: int
     L: float
@@ -66,6 +67,9 @@ class ScenarioSpec:
     fp_maxit: int
     enforce_mu0: bool
 
+    def __post_init__(self):
+        _validate_spec(self)
+
 
 def trait_grid(spec: ScenarioSpec) -> np.ndarray:
     """Midpoint trait coordinates; exactly reflection-symmetric for center 0."""
@@ -79,7 +83,6 @@ def build_params(spec: ScenarioSpec) -> tuple[ModelParams, State]:
     Building the model checks the standing assumptions, and `validate_params`
     the initial state. No SVD of K is taken (`solve_esd` certifies f_unique).
     """
-    _validate_spec(spec)
     x = trait_grid(spec)
     y = x
     h = spec.L / spec.N
@@ -221,9 +224,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
         if isinstance(values[field.name], float) and not math.isfinite(values[field.name]):
             raise ValidationError(key, "must be finite")
 
-    spec = ScenarioSpec(**values)
-    _validate_spec(spec)
-    return spec
+    return ScenarioSpec(**values)
 
 
 def _validate_spec(spec: ScenarioSpec) -> None:
@@ -273,7 +274,6 @@ def _fmt(value: object) -> str:
 
 def save_scenario(spec: ScenarioSpec) -> str:
     """Serialize to the canonical text form: each set field, in field order."""
-    _validate_spec(spec)
     return "".join(
         f"{key} = {_fmt(getattr(spec, field.name))}\n"
         for key, field in _FIELDS.items()

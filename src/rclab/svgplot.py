@@ -94,7 +94,7 @@ def _document(body: list[str]) -> str:
 
 def _series_names(table: Table, prefix: str) -> list[str]:
     """The numbered columns prefix1..prefixN in trait order (f_tilde is not one)."""
-    names = [c for c in table.header
+    names = [c for c in table.columns
              if c.startswith(prefix) and c[len(prefix):].isdecimal()]
     return sorted(names, key=lambda c: int(c[len(prefix):]))
 
@@ -117,7 +117,7 @@ def render_profile(table: Table) -> str:
     """
     body: list[str] = []
     half_w = (_W - _ML - _MR - 40) / 2
-    if "trait" in table.header:
+    if "trait" in table.columns:
         x = table.numeric("trait")
         series_f = [("f", table.numeric("f_tilde"))]
         series_R = [("R", table.numeric("R_tilde"))]
@@ -153,7 +153,7 @@ def render_entropy(table: Table, log_scale: bool = False) -> str:
     """Entropy S and resource deviation Q versus time; a log scale draws each where it is > 0."""
     t = table.numeric("t")
     series = []
-    if "S" in table.header and not np.any(np.isnan(table.column("S"))):
+    if "S" in table.columns and not np.any(np.isnan(table.column("S"))):
         series.append(("S", t, table.column("S")))
     series.append(("Q", t, table.numeric("Q")))
     if log_scale:
@@ -178,9 +178,9 @@ def render_waterfall(table: Table) -> str:
     if not names_f:
         raise UnknownKind("waterfall needs a trajectory CSV with f_* columns")
     fmat = np.array([table.numeric(c) for c in names_f]).T  # rows = times
-    n_rows = fmat.shape[0]
-    layers = min(_WATERFALL_LAYERS, n_rows)
-    picks = sorted({int(round(i)) for i in np.linspace(0, n_rows - 1, layers)})
+    n_times = fmat.shape[0]
+    layers = min(_WATERFALL_LAYERS, n_times)
+    picks = sorted({int(round(i)) for i in np.linspace(0, n_times - 1, layers)})
     fmax = float(np.max(fmat)) or 1.0
     body: list[str] = []
     panel = _Panel(_ML, _MT, _W - _ML - _MR, _H - _MT - _MB,

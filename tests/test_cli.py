@@ -136,7 +136,7 @@ class TestSimulate:
                     "--out", str(out)]) == 0
         table = read_csv((out / "trajectory.csv").read_text(encoding="utf-8"))
         report = read_report(out)
-        assert table.n_rows == report["trajectory.steps"] + 1
+        assert len(table.column("t")) == report["trajectory.steps"] + 1
         f = table.numeric("f_1")
         assert np.all(np.isfinite(f)) and np.all(f >= 0)
         assert np.all(np.isfinite(table.numeric("R_1")))
@@ -153,37 +153,37 @@ class TestSimulate:
         assert int(np.sum(local_max & (interior > 1e-6))) == 2
 
     def test_csv_round_trip_is_lossless(self, tmp_path):
-        from rclab import State, StepConfig, simulate
-        from rclab.csvio import trajectory_csv
+        from rclab import StepConfig, simulate
+        from rclab.csvio import trajectory_table, write_csv
         from helpers import n1_instance
 
         params, state0 = n1_instance()
         traj = simulate(params, state0, 2.0, StepConfig(dt=0.1))
-        table = read_csv(trajectory_csv(traj))
+        path = tmp_path / "trajectory.csv"
+        write_csv(path, trajectory_table(traj))
+        table = read_csv(path.read_text(encoding="utf-8"))
         assert np.array_equal(table.numeric("t"), traj.times)
         assert np.array_equal(table.numeric("f_1"), traj.f[:, 0])
         assert np.array_equal(table.numeric("R_1"), traj.R[:, 0])
         assert np.array_equal(table.numeric("H"), traj.diagnostics.H)
 
-    def test_written_csv_is_the_rendered_text_without_holding_it(self, tmp_path):
+    def test_written_csv_is_never_held_whole(self, tmp_path):
         import tracemalloc
 
         from rclab import StepConfig, simulate
-        from rclab.csvio import trajectory_csv, write_trajectory_csv
+        from rclab.csvio import trajectory_table, write_csv
         from helpers import n1_instance
 
         params, state0 = n1_instance()
         traj = simulate(params, state0, 400.0, StepConfig(dt=0.1))  # S blank throughout
-        text = trajectory_csv(traj)
         path = tmp_path / "trajectory.csv"
         tracemalloc.start()
         try:
-            write_trajectory_csv(path, traj)
+            write_csv(path, trajectory_table(traj))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert path.read_bytes() == text.encode("utf-8")
-        assert peak < len(text)  # rows are written as they are rendered, never joined
+        assert peak < path.stat().st_size  # rows are written as they are rendered, never joined
 
     def test_zero_species_scenario(self, tmp_path):
         path = tmp_path / "zero.rc"
@@ -441,6 +441,14 @@ class TestErrors:
         assert str(path) in capsys.readouterr().err
         with pytest.raises(ParseError, match="latin1.rc"):
             load_scenario(path)
+
+    def test_bad_override_fails_before_the_output_directory_is_made(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert run(["simulate", "--preset", "n1-closedform", "--T", "-1",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid value for 'T_final': must be positive and finite\n")
+        assert not out.exists()
 
     def test_step_failure_names_the_step(self, tmp_path, capsys):
         assert run(["simulate", "--preset", "n1-closedform", "--dt", "3", "--scheme", "semi",

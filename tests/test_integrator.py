@@ -176,11 +176,18 @@ class TestSimulate:
         assert traj.times[-1] == pytest.approx(20.0, rel=1e-12)
         assert len(traj.fp_iteration_counts) == 50
 
-    def test_reference_of_another_trait_count_rejected(self):
+    def test_reference_of_another_trait_count_rejected(self, monkeypatch):
+        import rclab.integrator as integrator
+
+        steps = []
+        step = integrator.step_semi_implicit
+        monkeypatch.setattr(integrator, "step_semi_implicit",
+                            lambda *args: steps.append(1) or step(*args))
         params, state0 = n1_instance()
         with pytest.raises(DimensionMismatch):
             simulate(params, state0, 1.0, StepConfig(dt=0.1),
                      reference=State(f=np.ones(2), R=np.ones(2)))
+        assert steps == []  # rejected before the first step
 
     def test_lengths_agree(self):
         params, state0 = n1_instance()
@@ -366,19 +373,18 @@ class TestColumns:
 
 class TestStepConfig:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            StepConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            StepConfig(dt=0.1, fp_tol=0.0)
-        with pytest.raises(ValueError):
-            StepConfig(dt=0.1, fp_maxit=0)
+        for field, value in [("dt", 0.0), ("fp_tol", 0.0), ("fp_maxit", 0)]:
+            with pytest.raises(ValidationError) as err:
+                StepConfig(**{"dt": 0.1, field: value})
+            assert err.value.field == field
 
     @pytest.mark.parametrize("field, value", [
         ("scheme", "implicit"), ("dt", math.inf), ("dt", math.nan), ("fp_maxit", 2.5),
     ])
     def test_rejects_wrong_kinds_naming_the_field(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValidationError, match=field) as err:
             StepConfig(**{"dt": 0.1, field: value})
+        assert err.value.field == field
 
 
 class TestStepCallContract:
@@ -409,6 +415,13 @@ class TestStepErrors:
         first = step_semi_implicit(params, state, 0.1)  # the first sweep moves R by this
         with pytest.raises(FixedPointDiverged, match=f"last update {abs(first.R[0] - 1.0):.3e}"):
             step_fully_implicit(params, state, 0.1, fp_tol=1e-15, fp_maxit=1)
+
+    def test_a_divergence_is_a_rejected_step_naming_its_index(self):
+        params, state0 = n1_instance()
+        config = StepConfig(dt=0.1, scheme=Scheme.FULLY_IMPLICIT, fp_maxit=1)
+        with pytest.raises(StepRejected, match="did not contract") as err:
+            simulate(params, state0, 1.0, config)
+        assert isinstance(err.value, FixedPointDiverged) and err.value.step_index == 0
 
     @pytest.mark.parametrize("f, R", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0])])
     def test_state_shapes_are_checked(self, f, R):

@@ -451,10 +451,14 @@ class TestDiagnostics:
         assert State(f=f, R=R).f is f  # read-only and owning its data: kept as is
         assert State(f=f[1:], R=R[1:]).f.base is None  # a view is copied
 
-    def test_q_reference_of_another_trait_count_rejected(self):
-        _, state = n1_instance()
+    def test_q_S_and_F_of_another_trait_count_rejected(self):
+        params, state = n1_instance()
         with pytest.raises(DimensionMismatch):
             q_value(state, np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            lyapunov_S(state, State(f=np.ones(3), R=np.ones(3)))
+        with pytest.raises(DimensionMismatch):
+            extinction_F(State(f=np.ones(3), R=np.ones(3)), params)
 
     def test_rhs_dimension_check(self):
         params, _ = n1_instance()

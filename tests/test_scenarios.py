@@ -253,7 +253,8 @@ class TestBuilder:
         assert np.array_equal(state0.f, np.zeros(1))
 
     def test_spec_validation_direct(self):
-        with pytest.raises(ValidationError):
-            save_scenario(replace(builtin_presets()["example1"], dt=-1.0))
+        with pytest.raises(ValidationError) as err:
+            replace(builtin_presets()["example1"], dt=-1.0)  # building the spec checks it
+        assert err.value.field == "dt"
         with pytest.raises(ValidationError):
             save_scenario(replace(builtin_presets()["example1"], scheme="leapfrog"))
