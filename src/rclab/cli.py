@@ -264,10 +264,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_plot(args) -> int:
     try:
-        text = Path(args.csv).read_text(encoding="utf-8")
+        with open(args.csv, encoding="utf-8") as fh:
+            table = csvio.read_csv(fh)
     except (OSError, UnicodeDecodeError) as err:
         raise RclabError(f"cannot read {args.csv}: {err}") from err
-    table = csvio.read_csv(text)
     svg = svgplot.render(table, args.kind, log_scale=args.log)
     Path(args.out_svg).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out_svg}")
@@ -337,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RclabError as err:
+    except (RclabError, OSError) as err:  # an OSError names its path
         step = getattr(err, "step_index", None)
         print(f"error: {'' if step is None else f'step {step}: '}{err}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 import re
+import sys
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 
@@ -221,8 +222,6 @@ def parse_scenario(text: str) -> ScenarioSpec:
         if not re.fullmatch(pattern, value):
             raise ParseError(message.format(value), field=key)
         values[field.name] = convert(value)
-        if isinstance(values[field.name], float) and not math.isfinite(values[field.name]):
-            raise ValidationError(key, "must be finite")
 
     return ScenarioSpec(**values)
 
@@ -237,14 +236,15 @@ def _validate_spec(spec: ScenarioSpec) -> None:
         allowed = _TYPES[kind][3]
         if isinstance(value, bool) != (kind == "bool") or not isinstance(value, allowed):
             raise ValidationError(key, f"must be {kind}, not {type(value).__name__}")
+        # false also for NaN, and for an int too large to be a float
+        if kind == "float" and not abs(value) <= sys.float_info.max:
+            raise ValidationError(key, "must be finite")
     if spec.N < 1:
         raise ValidationError("N", "must be a positive integer")
     for name in ("L", "sigma_star", "sigma_K", "m_const", "dt", "T_final", "fp_tol"):
         value = getattr(spec, name)
-        if not (value > 0 and math.isfinite(value)):
+        if value <= 0:
             raise ValidationError(name, "must be positive and finite")
-    if not math.isfinite(spec.center):
-        raise ValidationError("center", "must be finite")
     if spec.fp_maxit < 1:
         raise ValidationError("fp_maxit", "must be at least 1")
     for name, choices in _CHOICES.items():

@@ -19,6 +19,18 @@ def run(args):
     return main(args)
 
 
+def read_table(path):
+    with open(path, encoding="utf-8") as fh:
+        return read_csv(fh)
+
+
+def _long_n1_csv(tmp_path):
+    """The trajectory.csv of a 4,000-step n1-closedform run, about 0.6 MB."""
+    out = tmp_path / "long"
+    assert run(["simulate", "--preset", "n1-closedform", "--T", "400", "--out", str(out)]) == 0
+    return out / "trajectory.csv"
+
+
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
 
@@ -134,7 +146,7 @@ class TestSimulate:
         out = tmp_path / "s"
         assert run(["simulate", "--preset", "n1-closedform", "--T", "2.0",
                     "--out", str(out)]) == 0
-        table = read_csv((out / "trajectory.csv").read_text(encoding="utf-8"))
+        table = read_table(out / "trajectory.csv")
         report = read_report(out)
         assert len(table.column("t")) == report["trajectory.steps"] + 1
         f = table.numeric("f_1")
@@ -146,7 +158,7 @@ class TestSimulate:
     def test_example1_final_profile_has_two_local_maxima(self, tmp_path):
         out = tmp_path / "e1"
         assert run(["simulate", "--preset", "example1", "--out", str(out)]) == 0
-        table = read_csv((out / "trajectory.csv").read_text(encoding="utf-8"))
+        table = read_table(out / "trajectory.csv")
         final_f = np.array([table.numeric(f"f_{j}")[-1] for j in range(1, 41)])
         interior = final_f[1:-1]
         local_max = (interior > final_f[:-2]) & (interior > final_f[2:])
@@ -161,7 +173,7 @@ class TestSimulate:
         traj = simulate(params, state0, 2.0, StepConfig(dt=0.1))
         path = tmp_path / "trajectory.csv"
         write_csv(path, trajectory_table(traj))
-        table = read_csv(path.read_text(encoding="utf-8"))
+        table = read_table(path)
         assert np.array_equal(table.numeric("t"), traj.times)
         assert np.array_equal(table.numeric("f_1"), traj.f[:, 0])
         assert np.array_equal(table.numeric("R_1"), traj.R[:, 0])
@@ -185,13 +197,50 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak < path.stat().st_size  # rows are written as they are rendered, never joined
 
+    def test_read_csv_holds_only_the_parsed_floats(self, tmp_path):
+        import tracemalloc
+
+        path = _long_n1_csv(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                table = read_csv(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        floats = sum(col.nbytes for col in table.columns.values())
+        assert peak < 1.5 * floats  # neither the text nor a list of its lines is held
+
+    def test_misspelt_cell_late_in_the_file_names_its_file_line(self, tmp_path):
+        path = _long_n1_csv(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = lines[3900].split(",")
+        row[1] = "1E5"
+        lines[3900] = ",".join(row)
+        lines[1:1] = ["", "  "]  # blank lines still count
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as fh, pytest.raises(ParseError, match="ASCII") as err:
+            read_csv(fh)
+        assert err.value.line == 3903
+
+    def test_non_utf8_byte_past_the_first_read_rejected_naming_the_file(self, tmp_path, capsys):
+        path = _long_n1_csv(tmp_path)
+        data = bytearray(path.read_bytes())
+        at = data.index(b"1", 100_000)  # past the first 64 KB
+        data[at] = 0xFF
+        path.write_bytes(bytes(data))
+        assert run(["plot", "--csv", str(path), "--kind", "profile",
+                    "--out-svg", str(tmp_path / "no.svg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and "utf-8" in err
+
     def test_zero_species_scenario(self, tmp_path):
         path = tmp_path / "zero.rc"
         path.write_text(_n1_scenario("zero"), encoding="utf-8")
         out = tmp_path / "z"
         assert run(["simulate", "--scenario", str(path), "--T", "15",
                     "--out", str(out)]) == 0
-        table = read_csv((out / "trajectory.csv").read_text(encoding="utf-8"))
+        table = read_table(out / "trajectory.csv")
         f = table.numeric("f_1")
         assert np.array_equal(f, np.zeros_like(f))
         assert abs(table.numeric("R_1")[-1] - 1.0) < 1e-3  # relaxes to Rstar
@@ -201,7 +250,7 @@ class TestEsd:
     def test_extinction_preset(self, tmp_path):
         out = tmp_path / "e"
         assert run(["esd", "--preset", "example2", "--out", str(out)]) == 0
-        table = read_csv((out / "esd.csv").read_text(encoding="utf-8"))
+        table = read_table(out / "esd.csv")
         f = table.numeric("f_tilde")
         assert np.array_equal(f, np.zeros_like(f))
         report = read_report(out)
@@ -237,7 +286,7 @@ class TestEsd:
         assert run(["esd", "--preset", "example1", "--out", str(out)]) == 0
         report = read_report(out)
         assert report["esd.persistence_count"] >= 2
-        table = read_csv((out / "esd.csv").read_text(encoding="utf-8"))
+        table = read_table(out / "esd.csv")
         f = table.numeric("f_tilde")
         on = f > 1e-8
         clusters = int(np.sum(on[1:] & ~on[:-1]) + (1 if on[0] else 0))
@@ -371,7 +420,7 @@ class TestPlot:
         assert min(float(v) for v in y_ticks) > -100
 
     def test_log_scale_without_a_positive_value_names_the_columns(self):
-        table = read_csv("t,S,Q\n0,-1,0\n1,-2,0\n")
+        table = read_csv("t,S,Q\n0,-1,0\n1,-2,0\n".splitlines())
         assert "log10(Q)" not in render_entropy(table)
         with pytest.raises(ParseError, match="columns S, Q"):
             render_entropy(table, log_scale=True)
@@ -382,7 +431,7 @@ class TestPlot:
         assert run(["plot", "--csv", str(empty), "--kind", "profile",
                     "--out-svg", str(tmp_path / "no.svg")]) == 2
         with pytest.raises(ParseError):
-            read_csv("")
+            read_csv("".splitlines())
 
     def test_unknown_kind_rejected(self, tmp_path):
         csv = self._trajectory(tmp_path)
@@ -449,6 +498,22 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "error: invalid value for 'T_final': must be positive and finite\n")
         assert not out.exists()
+
+    def test_unwritable_svg_path_is_an_error_naming_it(self, tmp_path, capsys):
+        run(["simulate", "--preset", "n1-closedform", "--T", "2", "--out", str(tmp_path)])
+        capsys.readouterr()
+        svg = tmp_path / "missing" / "p.svg"
+        assert run(["plot", "--csv", str(tmp_path / "trajectory.csv"), "--kind", "profile",
+                    "--out-svg", str(svg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(svg) in err
+
+    def test_output_directory_that_is_a_file_is_an_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        assert run(["esd", "--preset", "n1-closedform", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
 
     def test_step_failure_names_the_step(self, tmp_path, capsys):
         assert run(["simulate", "--preset", "n1-closedform", "--dt", "3", "--scheme", "semi",

@@ -48,7 +48,8 @@ def test_written_trajectories_read_back_bit_for_bit(tmp_path):
     def check(traj):
         expected = trajectory_table(traj)
         write_csv(path, expected)
-        table = read_csv(path.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            table = read_csv(fh)
         assert list(table.columns) == list(expected.columns)
         for name in expected.columns:
             got, want = table.column(name), expected.columns[name]
@@ -110,7 +111,7 @@ def test_edited_csv_fails_only_with_a_located_parse_error(edit_list):
     for edit in edit_list:
         lines = apply(lines, edit)
     try:
-        table = read_csv("\n".join(lines) + "\n")
+        table = read_csv(("\n".join(lines) + "\n").splitlines())
         for name in HEADER:
             if name == "S":  # blank where the entropy is undefined
                 table.column(name)
@@ -122,7 +123,7 @@ def test_edited_csv_fails_only_with_a_located_parse_error(edit_list):
 
 def test_errors_name_the_line_of_the_file():
     with pytest.raises(ParseError) as err:
-        read_csv("t,f_1\n\n0,1\n\n0,x\n")
+        read_csv("t,f_1\n\n0,1\n\n0,x\n".splitlines())
     assert err.value.line == 5
 
 
@@ -135,5 +136,5 @@ def test_errors_name_the_line_of_the_file():
 def test_numbers_in_other_spellings_fail_with_their_line(row, col, spelling):
     lines = apply(SMALL_CSV, ("cell", row, col, spelling))
     with pytest.raises(ParseError, match="ASCII") as err:
-        read_csv("\n".join(lines) + "\n")
+        read_csv(("\n".join(lines) + "\n").splitlines())
     assert err.value.line == row + 1

@@ -1,7 +1,8 @@
 """Properties of the scenario text format on random input."""
 
+import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,35 @@ def test_spec_values_are_range_checked(change, field):
     with pytest.raises(ValidationError) as err:
         build_params(replace(builtin_presets()["example1"], **change))
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+@pytest.mark.parametrize("name, key, preset", [
+    ("growth_c2", "growth.c2", "example1"),
+    ("growth_c0", "growth.c0", "example1"),
+    ("initial_f_amp", "initial_f.amp", "example1"),
+    ("initial_f_sigma", "initial_f.sigma", "example1"),
+    ("initial_f_freq", "initial_f.freq", "example2"),
+    ("initial_f_offset", "initial_f.offset", "example2"),
+    ("initial_R_value", "initial_R.value", "example2"),
+])
+def test_non_finite_values_are_refused_naming_the_field(name, key, preset, value):
+    # save_scenario would write them, and parse_scenario refuse the text; an int
+    # too large for a float would overflow in build_params
+    spec = builtin_presets()[preset]
+    for build in (lambda: ScenarioSpec(**{**asdict(spec), name: value}),
+                  lambda: replace(spec, **{name: value})):
+        with pytest.raises(ValidationError, match="must be finite") as err:
+            build()
+        assert err.value.field == key
+
+
+def test_overflowing_number_in_text_is_refused_naming_its_key():
+    text = save_scenario(builtin_presets()["example1"])
+    assert "growth.c2 = -2.0\n" in text
+    with pytest.raises(ValidationError, match="must be finite") as err:
+        parse_scenario(text.replace("growth.c2 = -2.0\n", "growth.c2 = 1e400\n"))
+    assert err.value.field == "growth.c2"
 
 
 PRESET_LINES = [save_scenario(spec).splitlines() for spec in builtin_presets().values()]
