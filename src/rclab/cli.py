@@ -149,14 +149,14 @@ def cmd_esd(args) -> int:
     constants = validate_params(params, state0)
     if args.cross_check and params.N > 2:  # the N = 3 grid holds 5001^3 points: hours
         raise RclabError(f"--cross-check needs N <= 2, got N = {params.N}")
-    esd = solve_esd(params, tol=args.solver_tol)
-    check = verify_esd(params, esd.f_tilde, esd.R_tilde, tol=10 * args.solver_tol)
+    esd = solve_esd(params, tol=_ESD_SOLVER_TOL)
+    check = verify_esd(params, esd.f_tilde, esd.R_tilde, tol=10 * _ESD_SOLVER_TOL)
     # restart from min(N, 4) random traits; stdlib random spares numpy.random's 5.8 MB
     rng = random.Random(args.seed)
     f_init = np.zeros(params.N)
     for j in rng.sample(range(params.N), min(params.N, 4)):
         f_init[j] = rng.uniform(0.0, 2.0 / params.h)
-    restart = solve_esd(params, f_init=f_init, tol=args.solver_tol)
+    restart = solve_esd(params, f_init=f_init, tol=_ESD_SOLVER_TOL)
     verdicts = {
         "esd_certified": check.is_esd,
         "persistence_sum": persistence_sum(esd, params) >= -1e-8,
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
     params, state0 = build_params(spec)
     constants = validate_params(params, state0)
 
-    esd = solve_esd(params, tol=args.solver_tol)
+    esd = solve_esd(params, tol=_ESD_SOLVER_TOL)
     reference = State(f=esd.f_tilde, R=esd.R_tilde)
     config = _step_config(spec)
     traj = simulate(params, state0, spec.T_final, config, reference=reference)
@@ -209,8 +209,8 @@ def cmd_verify(args) -> int:
             summary["S_undefined_at_t"] = float(traj.times[undefined[0]])
             verdicts["entropy_monotone"] = False
         else:
-            trace = entropy_trace(traj, esd)
-            excess = np.diff(trace.S) - trace.bounds
+            trace = entropy_trace(traj)
+            excess = np.diff(traj.diagnostics.S) - trace.bounds
             max_violation = float(np.max(excess, initial=-np.inf))
             verdicts["entropy_monotone"] = len(trace.flagged_steps) == 0
 
@@ -263,6 +263,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if args.log and args.kind != "entropy":
+        raise RclabError(f"--log applies to --kind entropy only, not {args.kind}")
     try:
         with open(args.csv, encoding="utf-8") as fh:
             table = csvio.read_csv(fh)
@@ -306,8 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("esd", help="compute the stable distribution")
     _add_scenario_args(p)
-    p.add_argument("--solver-tol", type=_positive_float, default=_ESD_SOLVER_TOL,
-                   help="complementarity residual target")
     p.add_argument("--cross-check", action="store_true",
                    help="compare against exhaustive grid search (N <= 2)")
     p.add_argument("--seed", type=int, default=0, help="seed for auxiliary draws")
@@ -317,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--tol", type=_positive_float, default=1e-3,
                    help="convergence tolerance for the final-state comparison")
-    p.add_argument("--solver-tol", type=_positive_float, default=_ESD_SOLVER_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="threshold predicates and special steady states")

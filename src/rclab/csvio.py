@@ -36,9 +36,11 @@ class Table:
         return self.columns[name]
 
     def numeric(self, name: str) -> np.ndarray:
+        """The column, which must hold a finite number in every cell."""
         col = self.column(name)
-        if np.any(np.isnan(col)):
-            raise ParseError(f"column '{name}' has blank cells", field=name)
+        if not np.all(np.isfinite(col)):
+            what = "blank cells" if np.any(np.isnan(col)) else "infinite values"
+            raise ParseError(f"column '{name}' has {what}", field=name)
         return col
 
 

@@ -13,7 +13,8 @@ Both keep f >= 0 and R > 0 while every 1 - dt*G_j > 0, as dt < mu0 guarantees.
 Both public steps, and so simulate, raise StepRejected otherwise, and for any
 result that is not a state (f negative or not finite, R nonpositive or not finite).
 The fully implicit scheme additionally dissipates the relative entropy
-against the ESD at a quantified per-step rate.
+against the ESD at a quantified per-step rate; `entropy_trace` checks this on
+the S column of a trajectory recorded against a reference, which it keeps.
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ import numpy as np
 
 from .errors import FixedPointDiverged, Mu0Violation, StepRejected, UndefinedEntropy
 from .errors import ValidationError
-from .esd import EsdResult
 from .model import (
     Diagnostics,
     ModelParams,
     State,
     _check_dims,
+    _check_state,
     _growth,
     compute_diagnostics,
-    lyapunov_S,
     validate_params,
 )
 
@@ -73,7 +73,8 @@ class StepConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded time series in columns: row n of f and R is the state at
-    times[n], t = 0 first; diagnostics has one column per functional."""
+    times[n], t = 0 first; diagnostics has one column per functional, with S
+    measured against reference (all NaN when there is none)."""
 
     params: ModelParams
     config: StepConfig
@@ -82,6 +83,7 @@ class Trajectory:
     R: np.ndarray
     diagnostics: Diagnostics
     fp_iteration_counts: list[int]
+    reference: State | None = None
 
     @property
     def final_state(self) -> State:
@@ -90,15 +92,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EntropyTrace:
-    """Per-step relative entropy against an ESD and its dissipation bound.
+    """The per-step dissipation bound of a trajectory's relative entropy S.
 
     bounds[n] is the guaranteed (nonpositive) bound on S[n+1] - S[n] for the
     fully implicit scheme; flagged_steps lists the step indices where the
     recorded decrement exceeded the bound beyond floating round-off.
     """
 
-    times: np.ndarray
-    S: np.ndarray
     bounds: np.ndarray
     flagged_steps: tuple[int, ...]
 
@@ -197,14 +197,15 @@ def simulate(
     recorded resources (the first two start at R^n); the step still converges
     to fp_tol, and is retaken from R^n if it fails from the prediction.
     The entropy diagnostic S is recorded only when a reference state is
-    supplied (and defined); one of another trait count fails before the first
-    step. A step the kernel rejects or cannot converge aborts the run with its index.
+    supplied (and defined); one that is not a state of the model (f >= 0,
+    R > 0, all finite, N traits) fails before the first step. A step the
+    kernel rejects or cannot converge aborts the run with its index.
     """
     if not (T_final > 0 and math.isfinite(T_final)):
         raise ValidationError("T_final", "must be positive and finite")
     constants = validate_params(params, state0)
     if reference is not None:
-        _check_dims(params, reference.f, reference.R)
+        _check_state(params, reference, "reference")
     if math.isfinite(constants.mu0) and config.dt >= constants.mu0:
         msg = (
             f"dt = {config.dt:.6g} exceeds the guaranteed-stable bound "
@@ -244,31 +245,31 @@ def simulate(
     return Trajectory(
         params=params, config=config, times=times, f=f, R=R,
         diagnostics=compute_diagnostics(params, State(f=f, R=R), reference),
-        fp_iteration_counts=sweep_counts,
+        fp_iteration_counts=sweep_counts, reference=reference,
     )
 
 
-def entropy_trace(trajectory: Trajectory, esd: EsdResult) -> EntropyTrace:
-    """Relative entropy along a trajectory with its per-step decay bound.
+def entropy_trace(trajectory: Trajectory) -> EntropyTrace:
+    """The per-step decay bound of the S column recorded against the trajectory's reference.
 
     bounds[n] = -dt_n * sum_k m_k Rstar_k (R_k^{n+1} - Rt_k)^2 / (R_k^{n+1} Rt_k).
     Steps of a fully implicit trajectory whose entropy increment exceeds the
     bound by more than 1e-10 * (1 + |S^n|) are flagged; the bound is not
-    asserted for semi-implicit trajectories.
+    asserted for semi-implicit trajectories. Raises UndefinedEntropy without a
+    reference, or naming the first time where S is undefined.
     """
-    _check_dims(trajectory.params, esd.f_tilde, esd.R_tilde)
-    S = lyapunov_S(State(f=trajectory.f, R=trajectory.R),
-                   State(f=esd.f_tilde, R=esd.R_tilde))
+    if trajectory.reference is None:
+        raise UndefinedEntropy("entropy needs a trajectory recorded against a reference")
+    S, Rt = trajectory.diagnostics.S, trajectory.reference.R
     if np.any(np.isnan(S)):
         row = int(np.flatnonzero(np.isnan(S))[0])
         raise UndefinedEntropy(f"entropy undefined at t = {trajectory.times[row]:.6g}")
-    params = trajectory.params
-    R1 = trajectory.R[1:]
+    params, R1 = trajectory.params, trajectory.R[1:]
     bounds = -np.diff(trajectory.times) * np.sum(
-        params.m * params.Rstar * (R1 - esd.R_tilde) ** 2 / (R1 * esd.R_tilde), axis=-1
+        params.m * params.Rstar * (R1 - Rt) ** 2 / (R1 * Rt), axis=-1
     )
     flagged: tuple[int, ...] = ()
     if trajectory.config.scheme is Scheme.FULLY_IMPLICIT:
         slack = 1e-10 * (1.0 + np.abs(S[:-1]))
         flagged = tuple(np.flatnonzero(np.diff(S) > bounds + slack).tolist())
-    return EntropyTrace(times=trajectory.times, S=S, bounds=bounds, flagged_steps=flagged)
+    return EntropyTrace(bounds=bounds, flagged_steps=flagged)

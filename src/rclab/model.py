@@ -157,18 +157,23 @@ def _per_row(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _check_state(params: ModelParams, state: State, name: str) -> None:
+    """Raise AssumptionViolation, its message led by name, unless state is one state of
+    the model with f >= 0, R > 0, all finite; or DimensionMismatch for its shapes."""
+    _check_dims(params, state.f, state.R)
+    if np.any(state.f < 0):
+        raise AssumptionViolation(f"{name} species abundances must be nonnegative")
+    if np.any(state.R <= 0):
+        raise AssumptionViolation(f"{name} resource levels must be positive")
+    if not (np.all(np.isfinite(state.f)) and np.all(np.isfinite(state.R))):
+        raise AssumptionViolation(f"{name} state must be finite")
+
+
 def validate_params(params: ModelParams, initial: State) -> DerivedConstants:
     """Check the initial state against the model, whose standing assumptions were checked
     when it was built, and return all derived constants. Raises AssumptionViolation naming
     the failing condition of the state, or DimensionMismatch for its shapes."""
-    _check_dims(params, initial.f, initial.R)
-    if np.any(initial.f < 0):
-        raise AssumptionViolation("initial species abundances must be nonnegative")
-    if np.any(initial.R <= 0):
-        raise AssumptionViolation("initial resource levels must be positive")
-    if not (np.all(np.isfinite(initial.f)) and np.all(np.isfinite(initial.R))):
-        raise AssumptionViolation("initial state must be finite")
-
+    _check_state(params, initial, "initial")
     gamma = float(-np.max(params.a_star))
     K_M = float(np.max(params.K))
     m_lower = float(np.min(params.m))

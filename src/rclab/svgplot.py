@@ -150,11 +150,12 @@ def render_profile(table: Table) -> str:
 
 
 def render_entropy(table: Table, log_scale: bool = False) -> str:
-    """Entropy S and resource deviation Q versus time; a log scale draws each where it is > 0."""
+    """Entropy S (unless blank) and resource deviation Q versus time; a log scale
+    draws each where it is > 0. A drawn column must be finite."""
     t = table.numeric("t")
     series = []
     if "S" in table.columns and not np.any(np.isnan(table.column("S"))):
-        series.append(("S", t, table.column("S")))
+        series.append(("S", t, table.numeric("S")))
     series.append(("Q", t, table.numeric("Q")))
     if log_scale:
         names = ", ".join(name for name, _, _ in series)

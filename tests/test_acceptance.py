@@ -63,10 +63,11 @@ def test_criterion_01_positivity_and_mass_bound(example1, example1_traj_implicit
              f"max mass {masses.max():.6g} vs cap {cap:.6g}")
 
 
-def test_criterion_02_discrete_entropy_dissipation(example1_traj_implicit, example1_esd):
-    trace = entropy_trace(example1_traj_implicit, example1_esd)
-    increments = np.diff(trace.S)
-    slack = 1e-10 * (1.0 + np.abs(trace.S[:-1]))
+def test_criterion_02_discrete_entropy_dissipation(example1_traj_implicit):
+    trace = entropy_trace(example1_traj_implicit)
+    S = example1_traj_implicit.diagnostics.S
+    increments = np.diff(S)
+    slack = 1e-10 * (1.0 + np.abs(S[:-1]))
     worst = float(np.max(increments - trace.bounds - slack))
     ok = len(trace.flagged_steps) == 0 and bool(np.all(increments <= trace.bounds + slack))
     _verdict(2, "discrete entropy dissipation", ok,

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,25 @@ class TestVerify:
         report = read_report(out)
         assert report["verdicts.entropy_monotone"] is False
         assert report["trajectory.S_undefined_at_t"] == 0.0
+
+    def test_entropy_is_computed_once_per_run(self, tmp_path, monkeypatch):
+        # at every binding of lyapunov_S, as `from .model import lyapunov_S` makes one
+        import rclab.model
+
+        calls = []
+        original = rclab.model.lyapunov_S
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "rclab"]:
+            if getattr(module, "lyapunov_S", None) is original:
+                monkeypatch.setattr(module, "lyapunov_S", counted)
+        assert run(["verify", "--preset", "n1-closedform", "--scheme", "implicit",
+                    "--out", str(tmp_path)]) == 0
+        assert read_report(tmp_path)["verdicts.entropy_monotone"] is True
+        assert len(calls) == 1
 
     def test_semi_implicit_report_has_no_entropy_verdict(self, tmp_path):
         path = tmp_path / "zero.rc"
@@ -459,6 +479,34 @@ class TestPlot:
                     "--out-svg", str(tmp_path / "no.svg")]) == 2
         assert f"needs {missing} columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, text, column", [
+        pytest.param("profile", "trait,f_tilde,R_tilde\n0,inf,1\n1,1,1\n", "f_tilde", id="esd"),
+        pytest.param("profile", "t,f_1,R_1\n0,1,1\n1,1,-inf\n", "R_1", id="profile"),
+        pytest.param("entropy", "t,Q\n0,1\n1,inf\n", "Q", id="Q"),
+        pytest.param("entropy", "t,S,Q\n0,inf,1\n1,1,1\n", "S", id="S"),
+        pytest.param("entropy --log", "t,Q\n0,1\n1,inf\n", "Q", id="log-Q"),
+        pytest.param("entropy --log", "t,S,Q\n0,inf,1\n1,1,1\n", "S", id="log-S"),
+        pytest.param("waterfall", "t,f_1,f_2\n0,1,1\n1,inf,1\n", "f_1", id="waterfall"),
+    ])
+    def test_infinite_drawn_value_rejected_naming_its_column(self, tmp_path, capsys,
+                                                             kind, text, column):
+        csv, svg = tmp_path / "inf.csv", tmp_path / "no.svg"
+        csv.write_text(text, encoding="utf-8")
+        assert run(["plot", "--csv", str(csv), "--kind", *kind.split(),
+                    "--out-svg", str(svg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: column '{column}' has infinite values (field '{column}')\n")
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("kind", ["profile", "waterfall"])
+    def test_log_scale_refused_for_other_kinds_before_reading(self, tmp_path, capsys, kind):
+        svg = tmp_path / "no.svg"
+        assert run(["plot", "--csv", str(tmp_path / "ghost.csv"), "--kind", kind, "--log",
+                    "--out-svg", str(svg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --log applies to --kind entropy only, not {kind}\n")
+        assert not svg.exists()
+
     def test_non_utf8_csv_rejected_naming_the_file(self, tmp_path, capsys):
         csv = tmp_path / "latin1.csv"
         csv.write_bytes(b"t,f_1,R_1\n0,1,\xff\n")
@@ -531,9 +579,6 @@ class TestErrors:
         assert capsys.readouterr().err == "error: step 0: invalid state after the step\n"
 
     @pytest.mark.parametrize("args", [
-        ["esd", "--solver-tol", "nan"],
-        ["esd", "--solver-tol", "-1"],
-        ["verify", "--solver-tol", "0"],
         ["verify", "--tol", "nan"],
         ["verify", "--tol", "inf"],
     ])

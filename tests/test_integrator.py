@@ -1,6 +1,7 @@
 """Time stepping: scheme updates, guards, trajectories, entropy trace."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from rclab import (
     step_semi_implicit,
     validate_params,
 )
-from rclab.errors import DimensionMismatch, StepRejected, UndefinedEntropy, ValidationError
+from rclab.errors import (
+    DimensionMismatch,
+    RclabError,
+    StepRejected,
+    UndefinedEntropy,
+    ValidationError,
+)
 from rclab.integrator import _plan_steps, _sweep
 
 
@@ -189,6 +196,25 @@ class TestSimulate:
                      reference=State(f=np.ones(2), R=np.ones(2)))
         assert steps == []  # rejected before the first step
 
+    @pytest.mark.parametrize("f, R, message", [
+        (1.0, 0.0, "reference resource levels must be positive"),
+        (math.nan, 1.0, "reference state must be finite"),
+        (-1.0, 1.0, "reference species abundances must be nonnegative"),
+        (1.0, math.inf, "reference state must be finite"),
+    ])
+    def test_reference_that_is_not_a_state_rejected(self, monkeypatch, f, R, message):
+        import rclab.integrator as integrator
+
+        steps = []
+        step = integrator.step_semi_implicit
+        monkeypatch.setattr(integrator, "step_semi_implicit",
+                            lambda *args: steps.append(1) or step(*args))
+        params, state0 = n1_instance()
+        with pytest.raises(RclabError, match=f"^{message}$"):
+            simulate(params, state0, 1.0, StepConfig(dt=0.1),
+                     reference=State(f=np.array([f]), R=np.array([R])))
+        assert steps == []  # rejected before the first step
+
     def test_lengths_agree(self):
         params, state0 = n1_instance()
         traj = simulate(params, state0, 2.0, StepConfig(dt=0.1))
@@ -261,8 +287,8 @@ class TestEntropyTrace:
         config = StepConfig(dt=0.1, scheme=Scheme.FULLY_IMPLICIT)
         traj = simulate(params, state0, 5.0, config,
                         reference=state0)
-        trace = entropy_trace(traj, esd)
-        assert np.max(np.abs(np.diff(trace.S))) < 1e-12
+        trace = entropy_trace(traj)
+        assert np.max(np.abs(np.diff(traj.diagnostics.S))) < 1e-12
         assert np.max(np.abs(trace.bounds)) < 1e-12
         assert trace.flagged_steps == ()
 
@@ -270,35 +296,52 @@ class TestEntropyTrace:
         params, state0 = n1_instance()
         esd = solve_esd(params)
         config = StepConfig(dt=0.1, scheme=Scheme.FULLY_IMPLICIT)
-        traj = simulate(params, state0, 30.0, config)
-        trace = entropy_trace(traj, esd)
+        traj = simulate(params, state0, 30.0, config,
+                        reference=State(f=esd.f_tilde, R=esd.R_tilde))
+        trace = entropy_trace(traj)
+        S = traj.diagnostics.S
         assert trace.flagged_steps == ()
-        assert np.all(np.diff(trace.S) <= trace.bounds + 1e-10 * (1 + np.abs(trace.S[:-1])))
+        assert np.all(np.diff(S) <= trace.bounds + 1e-10 * (1 + np.abs(S[:-1])))
 
     def test_semi_implicit_not_flagged(self):
         params, state0 = n1_instance()
         esd = solve_esd(params)
-        traj = simulate(params, state0, 30.0, StepConfig(dt=0.1))
-        trace = entropy_trace(traj, esd)
+        traj = simulate(params, state0, 30.0, StepConfig(dt=0.1),
+                        reference=State(f=esd.f_tilde, R=esd.R_tilde))
+        trace = entropy_trace(traj)
         assert trace.flagged_steps == ()  # the bound is only asserted for implicit
         # monotone in the eventual regime
-        assert np.all(np.diff(trace.S)[20:] <= 1e-12)
+        assert np.all(np.diff(traj.diagnostics.S)[20:] <= 1e-12)
+
+    def test_raised_entropy_flags_the_step_into_its_row(self):
+        params, state0 = n1_instance()
+        esd = solve_esd(params)
+        config = StepConfig(dt=0.1, scheme=Scheme.FULLY_IMPLICIT)
+        traj = simulate(params, state0, 3.0, config,
+                        reference=State(f=esd.f_tilde, R=esd.R_tilde))
+        S = traj.diagnostics.S.copy()
+        S[17] += 1e-3  # 40 times the margin of that step below its bound
+        raised = replace(traj, diagnostics=replace(traj.diagnostics, S=S))
+        assert entropy_trace(traj).flagged_steps == ()
+        assert entropy_trace(raised).flagged_steps == (16,)
 
     def test_undefined_where_the_esd_lives_names_the_time(self):
         params, _ = n1_instance()
-        traj = simulate(params, State(f=np.zeros(1), R=np.ones(1)), 1.0, StepConfig(dt=0.1))
+        esd = solve_esd(params)
+        traj = simulate(params, State(f=np.zeros(1), R=np.ones(1)), 1.0, StepConfig(dt=0.1),
+                        reference=State(f=esd.f_tilde, R=esd.R_tilde))
         with pytest.raises(UndefinedEntropy, match=r"at t = 0$"):
-            entropy_trace(traj, solve_esd(params))
+            entropy_trace(traj)
 
-    def test_esd_of_another_model_rejected(self, example1_esd):
+    def test_trajectory_recorded_without_a_reference_rejected(self):
         params, state0 = n1_instance()
         traj = simulate(params, state0, 1.0, StepConfig(dt=0.1))
-        with pytest.raises(DimensionMismatch):
-            entropy_trace(traj, example1_esd)
+        with pytest.raises(UndefinedEntropy, match="reference"):
+            entropy_trace(traj)
 
-    def test_semi_implicit_flagship_monotone(self, example1_traj_semi, example1_esd):
-        trace = entropy_trace(example1_traj_semi, example1_esd)
-        assert np.all(np.diff(trace.S) <= 1e-12)
+    def test_semi_implicit_flagship_monotone(self, example1_traj_semi):
+        trace = entropy_trace(example1_traj_semi)
+        assert np.all(np.diff(example1_traj_semi.diagnostics.S) <= 1e-12)
         assert trace.flagged_steps == ()
 
 

@@ -1,6 +1,7 @@
 """Properties of the two time-stepping schemes on random instances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,5 +136,11 @@ def test_implicit_steps_obey_the_entropy_bound_below_mu0(instance, dt_factor):
     params, state0 = instance
     dt = dt_factor * min(validate_params(params, state0).mu0, 1.0)
     config = StepConfig(dt=dt, scheme=Scheme.FULLY_IMPLICIT)
-    traj = simulate(params, state0, STEPS * dt, config)
-    assert entropy_trace(traj, solve_esd(params, tol=1e-12)).flagged_steps == ()
+    with warnings.catch_warnings():
+        # a singular K makes the minimizer f_tilde non-unique, and solve_esd says so; the
+        # bound holds against each minimizer, since they share R_tilde and G(R_tilde)
+        warnings.filterwarnings("ignore", "consumption rows on the ESD support are numerically")
+        esd = solve_esd(params, tol=1e-12)
+    traj = simulate(params, state0, STEPS * dt, config,
+                    reference=State(f=esd.f_tilde, R=esd.R_tilde))
+    assert entropy_trace(traj).flagged_steps == ()
