@@ -263,8 +263,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if args.log and args.kind != "entropy":
-        raise RclabError(f"--log applies to --kind entropy only, not {args.kind}")
+    svgplot.check_log_scale(args.kind, args.log)
     try:
         with open(args.csv, encoding="utf-8") as fh:
             table = csvio.read_csv(fh)

@@ -35,6 +35,7 @@ from .model import (
     _check_dims,
     _check_state,
     _growth,
+    _row_blocks,
     compute_diagnostics,
     validate_params,
 )
@@ -264,10 +265,11 @@ def entropy_trace(trajectory: Trajectory) -> EntropyTrace:
     if np.any(np.isnan(S)):
         row = int(np.flatnonzero(np.isnan(S))[0])
         raise UndefinedEntropy(f"entropy undefined at t = {trajectory.times[row]:.6g}")
-    params, R1 = trajectory.params, trajectory.R[1:]
-    bounds = -np.diff(trajectory.times) * np.sum(
-        params.m * params.Rstar * (R1 - Rt) ** 2 / (R1 * Rt), axis=-1
-    )
+    params, dt = trajectory.params, np.diff(trajectory.times)
+    bounds = np.empty(len(dt))
+    for rows in _row_blocks(len(dt), params.N):
+        R1 = trajectory.R[1:][rows]
+        bounds[rows] = -dt[rows] * np.sum(params.m * params.Rstar * (R1 - Rt) ** 2 / (R1 * Rt), -1)
     flagged: tuple[int, ...] = ()
     if trajectory.config.scheme is Scheme.FULLY_IMPLICIT:
         slack = 1e-10 * (1.0 + np.abs(S[:-1]))

@@ -23,6 +23,7 @@ where S is every trait.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,14 +346,42 @@ def restricted_hessian_factor(params: ModelParams, support: Support, b: np.ndarr
     return params.K[support] * (params.h * np.sqrt(params.m * params.Rstar) / b)[..., None, :]
 
 
+_BLOCK_CELLS = 32768  # a block of rows of a long stack: bounds the temporaries made for it
+
+
+def _row_blocks(rows: int, n: int) -> Iterator[slice]:
+    """Slices that cover rows of n cells each, about _BLOCK_CELLS cells at a time."""
+    step = max(1, _BLOCK_CELLS // n)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
 def compute_diagnostics(
     params: ModelParams, state: State, reference: State | None = None
 ) -> Diagnostics:
     """All diagnostics at one state, or their columns over a stack of states.
 
     S is computed only when a reference is supplied; Q is measured against
-    the reference resources when given, else against Rstar.
+    the reference resources when given, else against Rstar. A stack is worked
+    in blocks of rows, with the bits and errors of one call on all of it.
     """
+    f, R, n = state.f, state.R, params.N
+    if not (f.ndim == 2 and f.shape == R.shape == (len(f), n)
+            and (reference is None or reference.f.shape == reference.R.shape == (n,))):
+        return _diagnostics(params, state, reference)  # one state, or shapes that raise
+    columns = np.empty((5, len(f)))
+    blocks = ((rows, State(f=f[rows], R=R[rows])) for rows in _row_blocks(len(f), n))
+    for rows, block in blocks:
+        try:
+            d = _diagnostics(params, block, reference)
+        except NegativeInput:
+            for _, later in blocks:  # R <= 0 in any row is reported before f < 0
+                extinction_F(later, params)
+            raise
+        columns[:, rows] = d.mass, d.S, d.Q, d.F, d.H
+    return Diagnostics(*columns)
+
+
+def _diagnostics(params: ModelParams, state: State, reference: State | None) -> Diagnostics:
     mass = total_mass(state)
     s = None if np.ndim(mass) == 0 else np.full(np.shape(mass), np.nan)
     if reference is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .csvio import Table
-from .errors import ParseError, UnknownKind
+from .errors import ParseError, RclabError, UnknownKind
 
 _W, _H = 720.0, 460.0
 _ML, _MR, _MT, _MB = 64.0, 16.0, 34.0, 44.0
@@ -74,7 +74,8 @@ class _Panel:
 
     def polyline(self, out: list[str], xs, ys, color: str, label: str | None = None,
                  slot: int = 0) -> None:
-        pts = " ".join(f"{_fnum(self.px(x))},{_fnum(self.py(y))}" for x, y in zip(xs, ys))
+        # px, py map arrays with the bits of their scalar calls, and %.2f spells as _fnum does
+        pts = " ".join(["%.2f,%.2f" % p for p in zip(self.px(xs).tolist(), self.py(ys).tolist())])
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>'
         )
@@ -129,10 +130,10 @@ def render_profile(table: Table) -> str:
         if missing:
             raise ParseError(f"a trajectory profile needs {' and '.join(missing)} columns")
         x = np.arange(1, len(names_f) + 1, dtype=float)
-        fmat = np.array([table.numeric(c) for c in names_f])
-        rmat = np.array([table.numeric(c) for c in names_R])
-        series_f = [("t=start", fmat[:, 0]), ("t=end", fmat[:, -1])]
-        series_R = [("t=start", rmat[:, 0]), ("t=end", rmat[:, -1])]
+        ends_f = np.array([table.numeric(c)[[0, -1]] for c in names_f])
+        ends_R = np.array([table.numeric(c)[[0, -1]] for c in names_R])
+        series_f = [("t=start", ends_f[:, 0]), ("t=end", ends_f[:, 1])]
+        series_R = [("t=start", ends_R[:, 0]), ("t=end", ends_R[:, 1])]
         xlabel = "trait index"
     ymin_f, ymax_f = _bounds([s for _, s in series_f])
     ymin_R, ymax_R = _bounds([s for _, s in series_R])
@@ -177,25 +178,34 @@ def render_waterfall(table: Table) -> str:
     """Layered species profiles at evenly spaced times, early at the bottom."""
     names_f = _series_names(table, "f_")
     if not names_f:
-        raise UnknownKind("waterfall needs a trajectory CSV with f_* columns")
-    fmat = np.array([table.numeric(c) for c in names_f]).T  # rows = times
-    n_times = fmat.shape[0]
+        raise ParseError("waterfall needs a trajectory CSV with f_* columns")
+    columns = [table.numeric(c) for c in names_f]
+    n_times = len(columns[0])
     layers = min(_WATERFALL_LAYERS, n_times)
     picks = sorted({int(round(i)) for i in np.linspace(0, n_times - 1, layers)})
-    fmax = float(np.max(fmat)) or 1.0
+    fmax = max(float(np.max(c)) for c in columns) or 1.0
+    fmat = np.array([c[picks] for c in columns]).T  # rows = picked times
     body: list[str] = []
     panel = _Panel(_ML, _MT, _W - _ML - _MR, _H - _MT - _MB,
-                   1.0, float(fmat.shape[1]), 0.0, float(len(picks)) + 1.5)
+                   1.0, float(len(columns)), 0.0, float(len(picks)) + 1.5)
     panel.frame(body, "species over time", "trait index", "time (layers)")
-    x = np.arange(1, fmat.shape[1] + 1, dtype=float)
-    for layer, row in enumerate(picks):
-        ys = layer + 1.5 * fmat[row] / fmax
+    x = np.arange(1, len(columns) + 1, dtype=float)
+    for layer, row in enumerate(fmat):
+        ys = layer + 1.5 * row / fmax
         panel.polyline(body, x, ys, _COLORS[layer % len(_COLORS)])
     return _document(body)
 
 
+def check_log_scale(kind: str, log_scale: bool) -> None:
+    """Raise RclabError if a log scale is asked of a kind other than entropy."""
+    if log_scale and kind != "entropy":
+        raise RclabError(f"--log applies to --kind entropy only, not {kind}")
+
+
 def render(table: Table, kind: str, log_scale: bool = False) -> str:
-    """Dispatch on plot kind; raises UnknownKind for anything unrecognized."""
+    """Dispatch on plot kind; raises UnknownKind for anything unrecognized,
+    and RclabError for a log scale on a kind other than entropy."""
+    check_log_scale(kind, log_scale)
     if kind == "profile":
         return render_profile(table)
     if kind == "entropy":

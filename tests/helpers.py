@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from rclab import (
@@ -64,6 +66,24 @@ def random_state(rng: np.random.Generator, params: ModelParams) -> State:
         f=rng.uniform(0.0, 3.0, size=params.N),
         R=rng.uniform(0.1, 3.0, size=params.N),
     )
+
+
+def random_stack(rng: np.random.Generator, params: ModelParams, rows: int) -> State:
+    """rows random states of the model, stacked read-only so the State keeps them uncopied."""
+    f = rng.uniform(0.1, 2.0, size=(rows, params.N))
+    R = rng.uniform(0.5, 2.0, size=(rows, params.N))
+    f.flags.writeable = R.flags.writeable = False
+    return State(f=f, R=R)
+
+
+def traced_peak(call) -> int:
+    """The peak bytes that tracemalloc sees allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fd_gradient(params: ModelParams, f: np.ndarray, eps: float = 1e-5) -> np.ndarray:

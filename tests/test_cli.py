@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import rclab.cli
+from helpers import random_stack, traced_peak
 from rclab import builtin_presets, load_scenario, save_scenario
 from rclab.cli import main
-from rclab.csvio import read_csv
-from rclab.errors import NewtonFailed, ParseError
-from rclab.svgplot import render_entropy
+from rclab.csvio import Table, read_csv
+from rclab.errors import NewtonFailed, ParseError, RclabError
+from rclab.svgplot import render, render_entropy, render_profile, render_waterfall
 
 
 def run(args):
@@ -506,6 +507,28 @@ class TestPlot:
         assert capsys.readouterr().err == (
             f"error: --log applies to --kind entropy only, not {kind}\n")
         assert not svg.exists()
+
+    @pytest.mark.parametrize("kind", ["profile", "waterfall"])
+    def test_log_scale_refused_by_the_library_for_other_kinds(self, kind):
+        table = read_csv("t,f_1,R_1,Q\n0,1,1,1\n1,2,1,0.5\n".splitlines())
+        assert "log10" in render(table, "entropy", log_scale=True)
+        with pytest.raises(RclabError, match=f"entropy only, not {kind}$"):
+            render(table, kind, log_scale=True)
+
+    def test_waterfall_without_f_columns_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="waterfall needs a trajectory CSV"):
+            render_waterfall(read_csv("trait,f_tilde,R_tilde\n0,1,1\n".splitlines()))
+
+    @pytest.mark.parametrize("render_kind", [render_profile, render_waterfall])
+    def test_long_trajectory_drawn_without_copying_its_columns(self, example1, render_kind):
+        params, _ = example1
+        stack = random_stack(np.random.default_rng(6), params, 40_000)
+        traits = range(params.N)
+        table = Table({"t": np.arange(40_000.0),
+                       **{f"f_{j + 1}": stack.f[:, j] for j in traits},
+                       **{f"R_{j + 1}": stack.R[:, j] for j in traits}})
+        peak = traced_peak(lambda: render_kind(table))
+        assert peak < (stack.f.nbytes + stack.R.nbytes) / 4  # copied columns: 0.5x to 1.0x
 
     def test_non_utf8_csv_rejected_naming_the_file(self, tmp_path, capsys):
         csv = tmp_path / "latin1.csv"

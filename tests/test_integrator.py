@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import n1_instance, random_instance
+from helpers import n1_instance, random_instance, random_stack, traced_peak
 from rclab import (
     EsdResult,
     FixedPointDiverged,
@@ -31,7 +31,8 @@ from rclab.errors import (
     UndefinedEntropy,
     ValidationError,
 )
-from rclab.integrator import _plan_steps, _sweep
+from rclab.integrator import Trajectory, _plan_steps, _sweep
+from rclab.model import Diagnostics
 
 
 class TestSemiImplicitStep:
@@ -338,6 +339,26 @@ class TestEntropyTrace:
         traj = simulate(params, state0, 1.0, StepConfig(dt=0.1))
         with pytest.raises(UndefinedEntropy, match="reference"):
             entropy_trace(traj)
+
+    def test_long_trace_holds_blocks_not_copies_of_the_stack(self, example1):
+        params, _ = example1
+        rows = 40_000
+        stack = random_stack(np.random.default_rng(4), params, rows)
+        ref = State(f=np.ones(params.N), R=np.full(params.N, 0.9))
+        zeros = np.zeros(rows)
+        traj = Trajectory(
+            params=params, config=StepConfig(dt=0.4, scheme=Scheme.FULLY_IMPLICIT),
+            times=0.4 * np.arange(rows), f=stack.f, R=stack.R,
+            diagnostics=Diagnostics(mass=zeros, S=-1e6 * np.arange(rows), Q=zeros, F=zeros,
+                                    H=zeros),  # S falls by far more than any bound
+            fp_iteration_counts=[], reference=ref)
+        traces = []
+        peak = traced_peak(lambda: traces.append(entropy_trace(traj)))
+        assert peak < (stack.f.nbytes + stack.R.nbytes) / 4  # whole-stack temporaries: 1.0x
+        R1, Rt = stack.R[1:], ref.R
+        whole = -np.diff(traj.times) * np.sum(
+            params.m * params.Rstar * (R1 - Rt) ** 2 / (R1 * Rt), axis=-1)
+        assert np.array_equal(traces[0].bounds, whole) and traces[0].flagged_steps == ()
 
     def test_semi_implicit_flagship_monotone(self, example1_traj_semi):
         trace = entropy_trace(example1_traj_semi)

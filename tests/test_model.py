@@ -15,7 +15,9 @@ from helpers import (
     fd_hessian,
     n1_instance,
     random_instance,
+    random_stack,
     random_state,
+    traced_peak,
 )
 from rclab import (
     AssumptionViolation,
@@ -40,6 +42,7 @@ from rclab import (
     total_mass,
     validate_params,
 )
+from rclab.model import _BLOCK_CELLS
 
 
 class TestValidateParams:
@@ -434,6 +437,61 @@ class TestDiagnostics:
         ref = State(f=np.array([1.0]), R=np.array([0.5]))
         d = compute_diagnostics(params, State(f=np.zeros(1), R=np.ones(1)), ref)
         assert d.S is None
+
+    @staticmethod
+    def _over_blocks(example1):
+        """The flagship model, a stack of three blocks of rows and a ragged tail,
+        and the rows of a block."""
+        params, _ = example1
+        rows = _BLOCK_CELLS // params.N
+        stack = random_stack(np.random.default_rng(21), params, 3 * rows + rows // 7)
+        return params, np.array(stack.f), np.array(stack.R), rows
+
+    def test_stack_columns_match_one_state_calls_across_blocks(self, example1):
+        params, f, R, rows = self._over_blocks(example1)
+        f[rows + 5:rows + 9, 3] = 0.0  # S undefined in the second block only
+        ref = State(f=np.full(params.N, 0.5), R=np.ones(params.N))
+        d = compute_diagnostics(params, State(f=f, R=R), ref)
+        assert np.flatnonzero(np.isnan(d.S)).tolist() == list(range(rows + 5, rows + 9))
+        for n in range(len(f)):
+            one = compute_diagnostics(params, State(f=f[n], R=R[n]), ref)
+            assert (d.mass[n], d.Q[n], d.F[n], d.H[n]) == (one.mass, one.Q, one.F, one.H)
+            assert np.isnan(d.S[n]) if one.S is None else d.S[n] == one.S
+
+    @pytest.mark.parametrize("f_neg, R_zero, ref_n, error, message", [
+        pytest.param(5, -1, 40, UndefinedEntropy, "resource levels must be positive",
+                     id="R-in-the-tail-after-f-in-the-first-block"),
+        pytest.param(5, None, 40, NegativeInput, "species vector f must be nonnegative",
+                     id="f-in-the-first-block"),
+        pytest.param(-3, None, 40, NegativeInput, "species vector f must be nonnegative",
+                     id="f-in-the-tail"),
+        pytest.param(None, None, 41, DimensionMismatch, "expected shape (40,), got (41,)",
+                     id="reference"),
+    ])
+    def test_stack_raises_as_one_call_on_it(self, example1, f_neg, R_zero, ref_n, error,
+                                            message):
+        params, f, R, _ = self._over_blocks(example1)
+        if f_neg is not None:
+            f[f_neg, 1] = -1.0
+        if R_zero is not None:
+            R[R_zero, 2] = 0.0
+        with pytest.raises(error) as err:
+            compute_diagnostics(params, State(f=f, R=R),
+                                State(f=np.ones(ref_n), R=np.ones(ref_n)))
+        assert str(err.value) == message
+
+    def test_stack_of_another_trait_count_named_whole(self, example1):
+        params, _ = example1
+        stack = State(f=np.ones((2000, 41)), R=np.ones((2000, 41)))
+        with pytest.raises(DimensionMismatch, match=re.escape("for states (2000, 41)")):
+            compute_diagnostics(params, stack)
+
+    def test_stack_diagnostics_hold_blocks_not_copies_of_the_stack(self, example1):
+        params, _ = example1
+        stack = random_stack(np.random.default_rng(3), params, 40_000)
+        ref = State(f=np.ones(params.N), R=np.ones(params.N))
+        peak = traced_peak(lambda: compute_diagnostics(params, stack, ref))
+        assert peak < (stack.f.nbytes + stack.R.nbytes) / 4  # whole-stack temporaries: 1.6x
 
     def test_immutability(self):
         params, state0 = n1_instance()
