@@ -263,7 +263,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    svgplot.check_log_scale(args.kind, args.log)
+    svgplot.check_request(args.kind, args.log)
     try:
         with open(args.csv, encoding="utf-8") as fh:
             table = csvio.read_csv(fh)

@@ -3,7 +3,8 @@
 In memory a table is named float columns, built from a trajectory or a
 stable distribution or parsed from a file; NaN marks a blank cell, such as an
 undefined S. `write_csv` writes every table, each number with 17 significant
-digits so files round-trip losslessly.
+digits so files round-trip losslessly: the bytes of `%.17g`, spelled with array
+arithmetic a block of about 1,024 cells at a time.
 """
 
 from __future__ import annotations
@@ -12,16 +13,24 @@ import math
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .esd import EsdResult
 from .integrator import Trajectory
 
 # rows stacked at a time by write_csv: bounds its copy of the columns
 _BLOCK = 64
+# cells spelled at a time by write_csv: bounds its text arrays
+_CELLS = 1024
+
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63  # a 64-bit significand, as x87's, or more
+_EPS = float(np.finfo(np.longdouble).eps)
+# the tables by exponent keep decimal exponent X in row X + _X0
+_X0 = 330
 
 
 @dataclass(frozen=True)
@@ -29,6 +38,15 @@ class Table:
     """Named float columns of equal length, in file order; NaN marks a blank cell."""
 
     columns: dict[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        if not self.columns:
+            raise ValidationError("columns", "a table needs at least one column")
+        first = next(iter(self.columns))
+        for name, col in self.columns.items():
+            if np.ndim(col) != 1 or len(col) != len(self.columns[first]):
+                raise ValidationError(name, f"got shape {np.shape(col)}; every column must "
+                                            f"be 1-D and as long as '{first}'")
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
@@ -60,18 +78,106 @@ def esd_table(trait: np.ndarray, esd: EsdResult) -> Table:
 
 
 def write_csv(path: Path, table: Table) -> None:
-    """Write a table to path a row at a time: the text of a long run never
-    sits in memory whole, nor does its encoded copy or a stacked copy of its
-    columns."""
+    """Write a table to path, each cell as `%.17g` spells it and NaN as a blank.
+
+    The bytes are those of `(pattern % tuple(row)).replace("nan", "")` for each row,
+    but rows are stacked 64 at a time and spelled about 1,024 cells at a time, so
+    neither the text nor a copy of the columns is ever held whole. A number's 17
+    digits D and exponent e are rint(|x| 10^(16-e)) in extended precision, which is
+    off by at most eps(longdouble) of that product. Where the product lies within
+    that of a midpoint, the exact path reads D and e from `"%.16e" % x`, which rounds
+    as `%.17g` does: about 1 % of a trajectory's cells, and all where longdouble is double.
+    """
     columns = list(table.columns.values())
-    pattern = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(table.columns) + "\n")
-        for start in range(0, len(columns[0]), _BLOCK):
-            block = np.column_stack([col[start:start + _BLOCK] for col in columns])
-            # row by row: converting a block at once would hold each cell as a Python
-            # float; %.17g spells NaN, the blank, "nan", as it spells no number
-            fh.writelines((pattern % tuple(row.tolist())).replace("nan", "") for row in block)
+    rows = max(1, _CELLS // len(columns))
+    stacked = max(rows, _BLOCK)
+    with open(path, "wb") as fh:
+        fh.write((",".join(table.columns) + "\n").encode())
+        for start in range(0, len(columns[0]), stacked):
+            block = np.stack([col[start:start + stacked] for col in columns], axis=1, dtype=float)
+            for sub in range(0, len(block), rows):
+                fh.write(_spell(block[sub:sub + rows].ravel(), len(columns)))
+
+
+@cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The tables of `_digits` and `_spell`, built on first use, not at start-up:
+    10^k for k = -300..349 (parsed from text, so correctly rounded), the text of
+    each 4-digit group and its digits up to the last nonzero one, and by row the
+    exponent's text, the mask of the slots around the digits and the digits before
+    the point (0 for none, as in 0.0001 <= |x| < 1)."""
+    pow10 = np.array([f"1e{k}" for k in range(-300, 350)]).astype(np.longdouble)
+    n4 = np.arange(10000)
+    quad = sum((n4 // 10**(3 - j) % 10 + 48) << 8 * j for j in range(4)).astype(np.int32)
+    sig = np.where(n4 > 0, 4 - sum(n4 % 10**k == 0 for k in (1, 2, 3)), -99).astype(np.int8)
+    x = np.arange(-_X0, _X0 + 1)
+    eform = (x < -4) | (x > 16)  # %g switches to exponent notation
+    tail = (101 << 8 | (43 + 2 * (x < 0)) << 16 | (abs(x) // 100 + 48) << 24  # "e+ddd,"
+            | (abs(x) // 10 % 10 + 48) << 32 | (abs(x) % 10 + 48) << 40 | 44 << 48)
+    # "0." and zeros, or the exponent with its hundreds only if nonzero
+    around = np.where(eform, 0b11011 << 49 | (abs(x) >= 100) << 51,
+                      np.where(x < 0, (2 << np.clip(1 - x, 0, 5)) - 2, 0))
+    point = np.where(eform, 1, np.where(x >= 0, x + 1, 0))
+    # rows 0, 1, 2 (exponents no double has) spell 0, inf and NaN
+    tail[1] = int.from_bytes(b"inf", "little") << 8 | 44 << 48
+    around[:3], point[:3] = [1 << 1, 0b111 << 49, 0], 0
+    return pow10, quad, sig, tail, around, point
+
+
+def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 significant digits D and the decimal exponent e of each number in x,
+    rounded as %.17g rounds them; D is 0 for 0, inf and NaN."""
+    num = np.isfinite(x) & (x != 0)
+    a = np.where(num & _EXTENDED, np.abs(x), 1.0)  # 1.0 stands in for the rest
+    e = np.floor(np.log10(a)).astype(np.int64)
+    a = a.astype(np.longdouble)
+    pow10 = _tables()[0]
+    scaled = a * pow10[16 - e + 300]
+    off = np.flatnonzero((scaled < 1e16) | (scaled >= 1e17))  # log10 misses by one near 10^k
+    e[off] += np.where(scaled[off] < 1e16, -1, 1)
+    scaled[off] = a[off] * pow10[16 - e[off] + 300]
+    rounded = np.rint(scaled)
+    # scaled is off by at most eps of itself, so within that of a midpoint rint may misround
+    near_midpoint = (np.abs((scaled - rounded).astype(float))
+                     >= 0.5 - scaled.astype(float) * _EPS)
+    D = rounded.astype(np.int64) * num
+    carry = D == 10**17  # 17 nines and more round up to one more digit before the point
+    D[carry], e[carry] = 10**16, e[carry] + 1
+    exact = np.flatnonzero(num & (near_midpoint | (not _EXTENDED)))
+    spelt = ["%.16e" % v for v in np.abs(x[exact]).tolist()]
+    D[exact] = [int(t[0] + t[2:18]) for t in spelt]
+    e[exact] = [int(t[19:]) for t in spelt]
+    return D, e
+
+
+def _spell(x: np.ndarray, ncols: int) -> np.ndarray:
+    """The text of whole rows of cells x. A cell fills seven little-endian words,
+    and a bit mask keeps the bytes %.17g writes: "-0.000", 17 digits and a point,
+    the 17 digits again (those after the point), "e", the sign and 3 digits of the
+    exponent (or "inf"), and the separator."""
+    _, quad_text, quad_sig, tail, around, point = _tables()
+    D, e = _digits(x)
+    row = np.where(D > 0, e + _X0, np.isinf(x) + 2 * np.isnan(x))
+    words = np.full((len(x), 7), int.from_bytes(b"-0.000", "little"), "<i8")
+    last = D % 10
+    words[:, 3] = ord(".") << 8 | last + 48
+    words[:, 6] = tail[row] | last + 48
+    sig = np.where(last > 0, 17, 0)  # significant digits: up to the last nonzero one
+    hi, lo = D // 10**9, D // 10 % 10**8
+    quads = words.view("<i4")
+    for k, quad in enumerate((hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4)):
+        quads[:, k + 2] = quads[:, k + 8] = quad_text[quad]
+        sig = np.maximum(sig, quad_sig[quad] + 4 * k)
+    p = point[row]
+    # the sign, "0." or the exponent, p digits of the first copy, the separator, a point
+    # if a digit follows it, and those digits, to the last significant one, of the second
+    mask = (around[row] | np.signbit(x) & ~np.isnan(x) | ((1 << p) - 1) << 8 | 1 << 54
+            | ((0 < p) & (p < sig)) << 25 | ((1 << np.maximum(sig, p)) - (1 << p)) << 32)
+    text = words.view(np.uint8)
+    text[ncols - 1::ncols, 54] = ord("\n")
+    keep = np.unpackbits(mask.astype("<i8").view(np.uint8).reshape(-1, 8)[:, :7], axis=1,
+                         bitorder="little")
+    return text.ravel()[keep.view(bool).ravel()]
 
 
 def read_csv(lines: Iterable[str]) -> Table:

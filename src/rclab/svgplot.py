@@ -196,20 +196,21 @@ def render_waterfall(table: Table) -> str:
     return _document(body)
 
 
-def check_log_scale(kind: str, log_scale: bool) -> None:
-    """Raise RclabError if a log scale is asked of a kind other than entropy."""
+_RENDERERS = {"profile": render_profile, "entropy": render_entropy, "waterfall": render_waterfall}
+
+
+def check_request(kind: str, log_scale: bool) -> None:
+    """Raise UnknownKind for a kind that is not drawn, and RclabError if a log
+    scale is asked of a kind other than entropy."""
+    if kind not in _RENDERERS:
+        raise UnknownKind(f"unknown plot kind '{kind}' (expected {'|'.join(_RENDERERS)})")
     if log_scale and kind != "entropy":
         raise RclabError(f"--log applies to --kind entropy only, not {kind}")
 
 
 def render(table: Table, kind: str, log_scale: bool = False) -> str:
-    """Dispatch on plot kind; raises UnknownKind for anything unrecognized,
-    and RclabError for a log scale on a kind other than entropy."""
-    check_log_scale(kind, log_scale)
-    if kind == "profile":
-        return render_profile(table)
+    """Draw a table as the kind asks, once `check_request` has judged the request."""
+    check_request(kind, log_scale)
     if kind == "entropy":
         return render_entropy(table, log_scale=log_scale)
-    if kind == "waterfall":
-        return render_waterfall(table)
-    raise UnknownKind(f"unknown plot kind '{kind}' (expected profile|entropy|waterfall)")
+    return _RENDERERS[kind](table)

@@ -16,6 +16,7 @@ from rclab import (
     State,
     growth_rate,
 )
+from rclab.csvio import Table
 from rclab.errors import StepRejected
 
 _ROOT_RTOL = 1e-12
@@ -84,6 +85,16 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def oracle_csv(table: Table) -> bytes:
+    """The bytes of a table with each row spelled by the `%` operator, NaN as a
+    blank: the row renderer `write_csv` once was, and the oracle for its speller."""
+    columns = list(table.columns.values())
+    pattern = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = np.column_stack(columns).tolist()
+    return "".join([",".join(table.columns) + "\n",
+                    *((pattern % tuple(row)).replace("nan", "") for row in rows)]).encode()
 
 
 def fd_gradient(params: ModelParams, f: np.ndarray, eps: float = 1e-5) -> np.ndarray:

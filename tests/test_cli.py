@@ -459,6 +459,11 @@ class TestPlot:
         assert run(["plot", "--csv", str(csv), "--kind", "sparkline",
                     "--out-svg", str(tmp_path / "no.svg")]) == 2
 
+    def test_unknown_kind_is_refused_before_the_csv_is_read(self, tmp_path, capsys):
+        assert run(["plot", "--csv", str(tmp_path / "ghost.csv"), "--kind", "sparkline",
+                    "--out-svg", str(tmp_path / "no.svg")]) == 2
+        assert "unknown plot kind 'sparkline'" in capsys.readouterr().err
+
     def test_waterfall_of_esd_csv_rejected(self, tmp_path, capsys):
         # esd.csv has f_tilde but no numbered f_1..f_N columns
         out = tmp_path / "e"

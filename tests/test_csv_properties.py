@@ -1,6 +1,9 @@
 """Properties of the CSV format on random input."""
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,10 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import n1_instance
-from rclab import Diagnostics, ModelParams, ParseError, Scheme, State, StepConfig, simulate
-from rclab.csvio import read_csv, trajectory_table, write_csv
+import rclab
+from helpers import n1_instance, oracle_csv
+from rclab import (Diagnostics, ModelParams, ParseError, Scheme, State, StepConfig,
+                   ValidationError, csvio, simulate)
+from rclab.csvio import Table, read_csv, trajectory_table, write_csv
 from rclab.integrator import Trajectory
 
 PROPERTY = settings(max_examples=40)
@@ -138,3 +144,91 @@ def test_numbers_in_other_spellings_fail_with_their_line(row, col, spelling):
     with pytest.raises(ParseError, match="ASCII") as err:
         read_csv(("\n".join(lines) + "\n").splitlines())
     assert err.value.line == row + 1
+
+
+def _sweep_cells() -> np.ndarray:
+    """About 1.23 M cells that probe every path of the speller, in a fixed order."""
+    rng = np.random.default_rng(20231)
+    bits = rng.integers(0, 2**64, size=700_000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(0, 2**52, size=100_000, dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # each power of ten and its 64 neighbours on either side, ulp by ulp
+    near_powers = (np.maximum(powers.view(np.int64)[:, None] + np.arange(-64, 65), 0)
+                   .view(np.float64).ravel())
+    integers = np.concatenate([np.arange(10**16 - 2**14, 10**16 + 2**14),
+                               np.arange(10**17 - 2**18, 10**17 + 2**18, 16)]).astype(float)
+    # odd multiples of 2^-j with 18 significant digits, the last a 5: exact ties at 17
+    j = rng.integers(3, 18, size=20_000)
+    low = 10.0 ** (17 - j) * 2.0**j
+    ties = (2 * np.floor(rng.uniform(low / 2, 5 * low)) + 1) / 2.0**j
+    special = np.array([0.0, math.inf, math.nan] * 100)
+    unsigned = np.concatenate([subnormal, near_powers, integers, ties, special])
+    cells = np.concatenate([bits, unsigned, -unsigned])
+    return rng.permutation(np.concatenate([cells, np.full(-len(cells) % 100, math.nan)]))
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    cells = _sweep_cells()
+    table = Table({f"c{j}": col for j, col in enumerate(cells.reshape(-1, 100).T)})
+    return table, oracle_csv(table)
+
+
+def test_sweep_is_spelled_as_by_the_percent_operator(sweep, tmp_path):
+    table, expected = sweep
+    assert len(table.columns) * len(table.columns["c0"]) >= 1_000_000
+    write_csv(tmp_path / "sweep.csv", table)
+    assert (tmp_path / "sweep.csv").read_bytes() == expected
+
+
+# a bound of at least 0.5, or a longdouble that is a plain double, sends every number
+# through "%.16e"
+@pytest.mark.parametrize("name, value", [("_EPS", 1.0), ("_EXTENDED", False)])
+def test_sweep_through_the_exact_path_alone(sweep, tmp_path, monkeypatch, name, value):
+    monkeypatch.setattr(csvio, name, value)
+    table, expected = sweep
+    write_csv(tmp_path / "sweep.csv", table)
+    assert (tmp_path / "sweep.csv").read_bytes() == expected
+
+
+@st.composite
+def wide_tables(draw):
+    rows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 700))
+    block = draw(arrays(np.float64, (rows, ncols), elements=cells | st.just(math.nan)))
+    block[:, draw(st.integers(0, ncols - 1))] = math.nan  # a blank S, say
+    return Table({f"c{j}": block[:, j] for j in range(ncols)})
+
+
+def test_tables_of_any_width_are_spelled_as_by_the_percent_operator(tmp_path):
+    @PROPERTY
+    @given(wide_tables())
+    def check(table):
+        write_csv(tmp_path / "table.csv", table)
+        assert (tmp_path / "table.csv").read_bytes() == oracle_csv(table)
+
+    check()
+
+
+@pytest.mark.parametrize("columns, field", [
+    ({"t": np.zeros(3), "f_1": np.zeros(2)}, "f_1"),
+    ({"t": np.zeros((3, 2))}, "t"),
+    ({"t": np.zeros(2), "S": np.float64(1.0)}, "S"),
+    ({}, "columns"),
+])
+def test_a_table_is_checked_when_built(columns, field, tmp_path):
+    with pytest.raises(ValidationError) as err:
+        write_csv(tmp_path / "t.csv", Table(columns))
+    assert err.value.field == field
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_writing_a_csv_does_not_import_numpy_ma(tmp_path):
+    # np.unique, for one, imports numpy.ma on its first call: half a megabyte at start-up
+    code = ("import sys, numpy as np\n"
+            "from rclab.csvio import Table, write_csv\n"
+            "write_csv(sys.argv[1], Table({'t': np.arange(3.0), 'S': np.full(3, np.nan)}))\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = str(Path(rclab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env, check=True)
+    assert (tmp_path / "t.csv").read_text() == "t,S\n0,\n1,\n2,\n"
