@@ -3,7 +3,6 @@
 from .errors import (
     AssumptionViolation,
     DimensionMismatch,
-    DimensionTooLarge,
     FixedPointDiverged,
     Mu0Violation,
     NegativeInput,
@@ -20,8 +19,6 @@ from .errors import (
 from .esd import (
     EsdReport,
     EsdResult,
-    brute_force_esd,
-    kkt_residual,
     solve_esd,
     verify_esd,
 )
@@ -63,17 +60,13 @@ from .scenarios import (
     trait_grid,
 )
 from .steady import (
-    DiracSteadyState,
     Persistence,
     TwoPeakSteadyState,
-    dirac_growth,
-    dirac_steady_state,
     dirac_weights,
     extinction_predicate,
     persistence_sum,
     positive_steady_state_excluded,
     two_peak_steady_state,
-    two_peak_system,
 )
 
 __version__ = "0.1.0"

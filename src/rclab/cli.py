@@ -27,7 +27,7 @@ import numpy as np
 
 from . import csvio, svgplot
 from .errors import NewtonFailed, NotApplicable, RclabError
-from .esd import brute_force_esd, solve_esd, verify_esd
+from .esd import solve_esd, verify_esd
 from .integrator import Scheme, StepConfig, entropy_trace, simulate
 from .model import DerivedConstants, State, validate_params
 from .scenarios import ScenarioSpec, build_params, builtin_presets, load_scenario, trait_grid
@@ -147,8 +147,6 @@ def cmd_esd(args) -> int:
     out = _out_dir(args)
     params, state0 = build_params(spec)
     constants = validate_params(params, state0)
-    if args.cross_check and params.N > 2:  # the N = 3 grid holds 5001^3 points: hours
-        raise RclabError(f"--cross-check needs N <= 2, got N = {params.N}")
     esd = solve_esd(params, tol=_ESD_SOLVER_TOL)
     check = verify_esd(params, esd.f_tilde, esd.R_tilde, tol=10 * _ESD_SOLVER_TOL)
     # restart from min(N, 4) random traits; stdlib random spares numpy.random's 5.8 MB
@@ -164,11 +162,6 @@ def cmd_esd(args) -> int:
             np.max(np.abs(restart.f_tilde - esd.f_tilde)) <= 1e-6
         ),
     }
-    if args.cross_check:
-        ref = brute_force_esd(params, grid_max=5.0, grid_step=1e-3)
-        verdicts["brute_force_agreement"] = bool(
-            np.max(np.abs(ref - esd.f_tilde)) <= 1e-3 + 1e-9
-        )
     csvio.write_csv(out / "esd.csv", csvio.esd_table(trait_grid(spec), esd))
     print(f"kkt residual: {esd.kkt_residual:.3e}")
     print(f"persistence set: {list(esd.persistence_set)}")
@@ -307,8 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("esd", help="compute the stable distribution")
     _add_scenario_args(p)
-    p.add_argument("--cross-check", action="store_true",
-                   help="compare against exhaustive grid search (N <= 2)")
     p.add_argument("--seed", type=int, default=0, help="seed for auxiliary draws")
     p.set_defaults(func=cmd_esd)
 

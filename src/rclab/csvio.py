@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,11 +36,13 @@ _X0 = 330
 
 @dataclass(frozen=True)
 class Table:
-    """Named float columns of equal length, in file order; NaN marks a blank cell."""
+    """Named float columns of equal length, in file order; NaN marks a blank cell.
+    The columns are read-only, a view of a copy of the mapping the table was built from."""
 
-    columns: dict[str, np.ndarray]
+    columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
         if not self.columns:
             raise ValidationError("columns", "a table needs at least one column")
         first = next(iter(self.columns))

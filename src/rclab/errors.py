@@ -52,10 +52,6 @@ class NewtonFailed(RclabError):
     """A projected Newton solve on a fixed support failed to converge."""
 
 
-class DimensionTooLarge(RclabError):
-    """Exhaustive search requested for a dimension it cannot handle."""
-
-
 class ParseError(RclabError):
     """Malformed scenario or CSV text."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NegativeInput, NotConverged, ValidationError
+from .errors import NegativeInput, NotConverged, ValidationError
 from .model import H_gradient, ModelParams, _check_dims, _growth, reconstruct_R
 from .model import restricted_gradient, restricted_H, restricted_hessian_factor
 
@@ -58,12 +58,6 @@ class EsdReport:
 
 def _complementarity(f: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(np.abs(np.minimum(f, g))))
-
-
-def kkt_residual(params: ModelParams, f: np.ndarray) -> float:
-    """Complementarity residual max_i |min(f_i, dH/df_i)|; zero at KKT points."""
-    f = np.asarray(f, dtype=float)
-    return _complementarity(f, H_gradient(params, f))
 
 
 def solve_esd(
@@ -208,27 +202,3 @@ def verify_esd(params: ModelParams, f: np.ndarray, R: np.ndarray, tol: float) ->
         offsupport_growth=offsupport_growth,
         resource_mismatch=resource_mismatch,
     )
-
-
-def brute_force_esd(
-    params: ModelParams, grid_max: float, grid_step: float
-) -> np.ndarray:
-    """Exhaustive minimization of H over the grid {0, step, ...}^N.
-
-    Independent oracle for the optimizer at tiny N; refuses N > 3. The last
-    axis is vectorized and the leading axes are enumerated.
-    """
-    if params.N > 3:
-        raise DimensionTooLarge(f"exhaustive search supports N <= 3, got N = {params.N}")
-    grid = np.linspace(0.0, grid_max, int(round(grid_max / grid_step)) + 1)
-    astar, h, K, m, Rstar = params.a_star, params.h, params.K, params.m, params.Rstar
-    best_val, best = np.inf, grid[:0]
-    for idx in np.ndindex(*(grid.size,) * (params.N - 1)):
-        head = grid[list(idx)]
-        # consumption for each value of the last coordinate, shape (npts, N)
-        b = m + h * (head @ K[:-1]) + h * np.outer(grid, K[-1])
-        vals = -(astar[:-1] @ head + astar[-1] * grid) - np.sum(m * Rstar * np.log(b), axis=1)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val, best = float(vals[j]), np.append(head, grid[j])
-    return best

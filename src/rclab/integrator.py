@@ -65,10 +65,14 @@ class StepConfig:
             raise ValidationError("scheme", f"must be a Scheme, got {self.scheme!r}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValidationError("dt", "must be positive and finite")
-        if not (self.fp_tol > 0):
-            raise ValidationError("fp_tol", "must be positive")
-        if not isinstance(self.fp_maxit, (int, np.integer)) or self.fp_maxit < 1:
+        if not (self.fp_tol > 0 and math.isfinite(self.fp_tol)):
+            raise ValidationError("fp_tol", "must be positive and finite")
+        # bool is a subclass of int, so only the bool check tells True from 1
+        if (isinstance(self.fp_maxit, bool) or not isinstance(self.fp_maxit, (int, np.integer))
+                or self.fp_maxit < 1):
             raise ValidationError("fp_maxit", f"must be an integer >= 1, got {self.fp_maxit!r}")
+        if not isinstance(self.enforce_mu0, bool):
+            raise ValidationError("enforce_mu0", f"must be a bool, got {self.enforce_mu0!r}")
 
 
 @dataclass(frozen=True)

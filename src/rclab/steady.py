@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeInput, NewtonFailed, NotApplicable
+from .errors import NewtonFailed, NotApplicable
 from .esd import EsdResult, newton_on_support
 from .model import ModelParams, reconstruct_R, restricted_gradient, restricted_hessian_factor
 from .model import restricted_uptake
@@ -33,16 +33,6 @@ _BLOCK = 64
 class Persistence(enum.Enum):
     EXTINCTION = "extinction"
     SURVIVAL = "survival"
-
-
-@dataclass(frozen=True)
-class DiracSteadyState:
-    """Steady state concentrated on one trait: f = (rho_bar/h) e_i."""
-
-    trait_index: int
-    rho_bar: float
-    f_tilde: np.ndarray
-    R_tilde: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,22 +61,17 @@ def persistence_sum(esd: EsdResult, params: ModelParams) -> float:
     return float(np.sum(params.a[list(esd.persistence_set)]))
 
 
-def _traits(params: ModelParams, indices) -> np.ndarray:
-    """The trait indices as an array, checked to be a 1-D list of integers in range."""
+def _checked_growing(params: ModelParams, indices) -> np.ndarray:
+    """The trait indices as an array, checked to be a 1-D list of integers in range
+    whose traits each have a single-peak state (a_i > 0)."""
     traits = np.asarray(indices)
     if (traits.ndim != 1 or (traits.size and not np.issubdtype(traits.dtype, np.integer))
             or np.any((traits < 0) | (traits >= params.N))):
         raise NotApplicable(f"trait indices {indices!r} are not 1-D integers in [0, {params.N})")
-    return traits.astype(int)
-
-
-def _checked_growing(params: ModelParams, indices) -> np.ndarray:
-    """The trait indices as an array, each checked to have a single-peak state."""
-    traits = _traits(params, indices)
     for i in traits:
         if not params.a[i] > 0:
             raise NotApplicable(f"trait {i} has a_i = {params.a[i]:.6g} <= 0: no single peak")
-    return traits
+    return traits.astype(int)
 
 
 def _below(params: ModelParams, traits: np.ndarray) -> np.ndarray:
@@ -94,20 +79,6 @@ def _below(params: ModelParams, traits: np.ndarray) -> np.ndarray:
     w = params.K[traits] * params.Rstar
     cbar = np.sum(w * (params.h * params.K[traits] / params.m), axis=1) / np.sum(w, axis=1)
     return params.a[traits] / (-params.a_star[traits] * cbar)
-
-
-def _growth(params: ModelParams, support: np.ndarray, rho) -> np.ndarray:
-    """Net growth -dH/df of the traits `support` when they alone carry the weights rho."""
-    x = np.asarray(rho, dtype=float) / params.h
-    if np.any(x < 0):
-        raise NegativeInput("weights rho must be nonnegative")
-    return -restricted_gradient(params, support, restricted_uptake(params, support, x))
-
-
-def dirac_growth(params: ModelParams, i: int, rho: float) -> float:
-    """g(rho): net growth of trait i when it alone carries weight rho; g(0) = a_i,
-    g(inf) = a*_i < 0, strictly decreasing whenever row i of K has a positive entry."""
-    return float(_growth(params, _traits(params, [i]), [rho])[0])
 
 
 def dirac_weights(params: ModelParams, indices) -> np.ndarray:
@@ -132,26 +103,6 @@ def dirac_weights(params: ModelParams, indices) -> np.ndarray:
     return params.h * x
 
 
-def _carried(params: ModelParams, support, rho) -> tuple[np.ndarray, np.ndarray]:
-    """The state (f, Rhat(f)) whose traits `support` carry the weights rho."""
-    f = np.zeros(params.N)
-    f[support] = np.asarray(rho) / params.h
-    return f, reconstruct_R(params, f)
-
-
-def dirac_steady_state(params: ModelParams, i: int) -> DiracSteadyState:
-    """Unique single-peak steady state on trait i; requires a_i > 0."""
-    rho = float(dirac_weights(params, [i])[0])
-    return DiracSteadyState(i, rho, *_carried(params, [i], rho))
-
-
-def two_peak_system(params: ModelParams, i: int, l: int, rho1: float,
-                    rho2: float) -> tuple[float, float]:
-    """Two-peak residuals (F1, F2): the growth of traits i, l alone at weights rho1, rho2."""
-    F1, F2 = _growth(params, _traits(params, [i, l]), [rho1, rho2])
-    return float(F1), float(F2)
-
-
 def two_peak_steady_state(params: ModelParams, i: int, l: int) -> TwoPeakSteadyState | None:
     """Two-peak steady state on distinct growing traits i, l, or None when
     the minimizer of H on the pair leaves one of them at weight 0."""
@@ -165,4 +116,6 @@ def two_peak_steady_state(params: ModelParams, i: int, l: int) -> TwoPeakSteadyS
     rho1, rho2 = map(float, params.h * x)
     if rho1 <= 0 or rho2 <= 0:
         return None
-    return TwoPeakSteadyState((i, l), rho1, rho2, *_carried(params, [i, l], [rho1, rho2]))
+    f = np.zeros(params.N)
+    f[[i, l]] = np.array([rho1, rho2]) / params.h
+    return TwoPeakSteadyState((i, l), rho1, rho2, f, reconstruct_R(params, f))

@@ -238,3 +238,23 @@ def bb_esd(params: ModelParams, tol: float = 1e-10, maxit: int = 100000) -> np.n
         s_bb = min(max(float(df @ df) / curv if curv > 0 else 1.0, 1e-10), 1e10)
         f, g, h_val = f_new, g_new, h_new
     raise NotConverged(maxit, float(np.max(np.abs(np.minimum(f, g)))))
+
+
+def brute_force_esd(params: ModelParams, grid_max: float, grid_step: float) -> np.ndarray:
+    """Exhaustive minimization of H over the grid {0, step, ...}^N: the oracle for
+    the invasion solver at tiny N; refuses N > 3. The last axis is vectorized and
+    the leading axes are enumerated, with H written out on its own."""
+    if params.N > 3:
+        raise ValueError(f"exhaustive search supports N <= 3, got N = {params.N}")
+    grid = np.linspace(0.0, grid_max, int(round(grid_max / grid_step)) + 1)
+    astar, h, K, m, Rstar = params.a_star, params.h, params.K, params.m, params.Rstar
+    best_val, best = np.inf, grid[:0]
+    for idx in np.ndindex(*(grid.size,) * (params.N - 1)):
+        head = grid[list(idx)]
+        # consumption for each value of the last coordinate, shape (npts, N)
+        b = m + h * (head @ K[:-1]) + h * np.outer(grid, K[-1])
+        vals = -(astar[:-1] @ head + astar[-1] * grid) - np.sum(m * Rstar * np.log(b), axis=1)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val, best = float(vals[j]), np.append(head, grid[j])
+    return best

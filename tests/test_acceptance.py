@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    brute_force_esd,
     fd_gradient,
     fd_hessian,
     n2_decoupled,
@@ -27,15 +28,14 @@ from rclab import (
     Scheme,
     State,
     StepConfig,
-    brute_force_esd,
     build_params,
     builtin_presets,
-    dirac_growth,
-    dirac_steady_state,
+    dirac_weights,
     entropy_trace,
     extinction_predicate,
     persistence_sum,
     positive_steady_state_excluded,
+    reconstruct_R,
     rhs,
     simulate,
     solve_esd,
@@ -172,13 +172,16 @@ def test_criterion_07_closed_form_esd():
 
 def test_criterion_08_dirac_steady_state():
     params, _ = build_params(builtin_presets()["n1-closedform"])
-    d = dirac_steady_state(params, 0)
-    df, dR = rhs(params, State(f=d.f_tilde, R=d.R_tilde))
+    rho = float(dirac_weights(params, [0])[0])
+    f = np.zeros(params.N)
+    f[0] = rho / params.h
+    df, dR = rhs(params, State(f=f, R=reconstruct_R(params, f)))
     residual = max(float(np.max(np.abs(df))), float(np.max(np.abs(dR))))
-    exact_at_zero = dirac_growth(params, 0, 0.0) == params.a[0]
-    ok = abs(d.rho_bar - 1.0) <= 1e-10 and residual <= 1e-10 and exact_at_zero
+    # the growth of trait 0 at weight 0 is -dH/df_0 at f = 0
+    exact_at_zero = -H_gradient(params, np.zeros(params.N))[0] == params.a[0]
+    ok = abs(rho - 1.0) <= 1e-10 and residual <= 1e-10 and exact_at_zero
     _verdict(8, "single-peak steady state", ok,
-             f"|rho-1| {abs(d.rho_bar - 1.0):.3e}, rhs {residual:.3e}, "
+             f"|rho-1| {abs(rho - 1.0):.3e}, rhs {residual:.3e}, "
              f"g(0)==a {exact_at_zero}")
 
 

@@ -278,30 +278,6 @@ class TestEsd:
         assert report["esd.persistence_count"] == 0
         assert report["verdicts.restart_agreement"]
 
-    def test_cross_check_small_instance(self, tmp_path):
-        out = tmp_path / "x"
-        assert run(["esd", "--preset", "n1-closedform", "--cross-check",
-                    "--out", str(out)]) == 0
-        assert read_report(out)["verdicts.brute_force_agreement"]
-
-    def test_cross_check_refused_for_large_N(self, tmp_path):
-        out = tmp_path / "x2"
-        assert run(["esd", "--preset", "example1", "--cross-check",
-                    "--out", str(out)]) == 2
-
-    @pytest.mark.parametrize("N", [40, 3])
-    def test_cross_check_refused_before_solving(self, tmp_path, monkeypatch, capsys, N):
-        # at N = 3 the oracle's grid would take hours
-        path = tmp_path / "s.txt"
-        path.write_text(save_scenario(replace(builtin_presets()["example1"], N=N)),
-                        encoding="utf-8")
-        calls = []
-        monkeypatch.setattr("rclab.cli.solve_esd", lambda *a, **k: calls.append(1))
-        assert run(["esd", "--scenario", str(path), "--cross-check",
-                    "--out", str(tmp_path)]) == 2
-        assert calls == []
-        assert "--cross-check needs N <= 2" in capsys.readouterr().err
-
     def test_example1_dimorphic(self, tmp_path):
         out = tmp_path / "d"
         assert run(["esd", "--preset", "example1", "--out", str(out)]) == 0

@@ -222,6 +222,17 @@ def test_a_table_is_checked_when_built(columns, field, tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_a_table_cannot_change_after_it_is_checked(tmp_path):
+    built = {"t": np.arange(3.0)}
+    table = Table(built)
+    with pytest.raises(TypeError):
+        table.columns["f_1"] = np.zeros(2)
+        write_csv(tmp_path / "t.csv", table)
+    assert not (tmp_path / "t.csv").exists()
+    built["f_1"] = np.zeros(2)  # nor through the mapping it was built from
+    assert list(table.columns) == ["t"]
+
+
 def test_writing_a_csv_does_not_import_numpy_ma(tmp_path):
     # np.unique, for one, imports numpy.ma on its first call: half a megabyte at start-up
     code = ("import sys, numpy as np\n"

@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 
 import rclab.esd
-from helpers import n1_instance, n2_coupled, n2_decoupled
+from helpers import brute_force_esd, n1_instance, n2_coupled, n2_decoupled
 from rclab import (
-    DimensionTooLarge,
+    H_gradient,
     H_value,
     ModelParams,
     NegativeInput,
     NotConverged,
     State,
-    brute_force_esd,
     build_params,
     builtin_presets,
-    kkt_residual,
     reconstruct_R,
     rhs,
     solve_esd,
@@ -61,17 +59,24 @@ class TestReconstructR:
 
 
 class TestKktResidual:
+    """The complementarity residual max_i |min(f_i, dH/df_i)| that solve_esd stops on."""
+
     def test_zero_at_origin_when_rates_nonpositive(self):
-        params = extinction_instance()
-        assert kkt_residual(params, np.zeros(2)) == 0.0
+        # dH/df = -a at f = 0, so the start is already the minimizer
+        esd = solve_esd(extinction_instance())
+        assert esd.kkt_residual == 0.0 and esd.iterations == 0
 
     def test_zero_at_interior_stationary_point(self):
         params, _ = n1_instance()
-        assert kkt_residual(params, np.ones(1)) == pytest.approx(0.0, abs=1e-15)
+        assert H_gradient(params, np.ones(1)) == pytest.approx([0.0], abs=1e-15)
 
     def test_hand_value_off_optimum(self):
+        # dH/df = 1/2 - 1/(1 + f) = 1/6 at f = 2, and min(2, 1/6) = 1/6
         params, _ = n1_instance()
-        assert kkt_residual(params, np.array([2.0])) == pytest.approx(1 / 6, rel=1e-12)
+        assert H_gradient(params, np.array([2.0])) == pytest.approx([1 / 6], rel=1e-12)
+        with pytest.raises(NotConverged) as err:
+            solve_esd(params, f_init=np.array([2.0]), maxit=0)
+        assert err.value.residual == pytest.approx(1 / 6, rel=1e-12)
 
 
 class TestSolveEsd:
@@ -264,7 +269,7 @@ class TestBruteForce:
     def test_dimension_guard(self):
         params = ModelParams(N=4, h=1.0, a=np.full(4, -1.0), K=np.eye(4),
                              m=np.ones(4), Rstar=np.ones(4))
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(ValueError, match="N <= 3"):
             brute_force_esd(params, grid_max=1.0, grid_step=0.5)
 
     def test_agreement_with_solver_on_decoupled_pair(self):

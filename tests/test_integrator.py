@@ -444,6 +444,7 @@ class TestStepConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("scheme", "implicit"), ("dt", math.inf), ("dt", math.nan), ("fp_maxit", 2.5),
+        ("fp_tol", math.inf), ("fp_maxit", True), ("enforce_mu0", "false"),
     ])
     def test_rejects_wrong_kinds_naming_the_field(self, field, value):
         with pytest.raises(ValidationError, match=field) as err:

@@ -16,23 +16,22 @@ from helpers import (
 )
 from rclab import (
     AssumptionViolation,
+    H_gradient,
     ModelParams,
     NegativeInput,
     NewtonFailed,
     NotApplicable,
     Persistence,
     State,
-    dirac_growth,
-    dirac_steady_state,
     dirac_weights,
     extinction_predicate,
     persistence_sum,
     positive_steady_state_excluded,
+    reconstruct_R,
     rhs,
     solve_esd,
     steady,
     two_peak_steady_state,
-    two_peak_system,
 )
 from rclab.esd import newton_on_support
 
@@ -86,42 +85,56 @@ class TestPersistenceSum:
         assert len(example1_esd.persistence_set) < params.N
 
 
+def single_peak(params: ModelParams, i: int, rho: float) -> np.ndarray:
+    """The species vector f = (rho/h) e_i of trait i alone at weight rho."""
+    f = np.zeros(params.N)
+    f[i] = rho / params.h
+    return f
+
+
+def single_peak_growth(params: ModelParams, i: int, rho: float) -> float:
+    """Net growth -dH/df_i of trait i when it alone carries the weight rho."""
+    return float(-H_gradient(params, single_peak(params, i, rho))[i])
+
+
 class TestDiracSteadyState:
     def test_growth_at_zero_weight_equals_intrinsic_rate(self):
         params, _ = n1_instance()
-        assert dirac_growth(params, 0, 0.0) == params.a[0]
+        assert single_peak_growth(params, 0, 0.0) == params.a[0]
 
     def test_growth_strictly_decreasing(self, example1):
         params, _ = example1
         i = int(np.argmax(params.a))
         rhos = np.linspace(0.0, 50.0, 200)
-        vals = [dirac_growth(params, i, r) for r in rhos]
+        vals = [single_peak_growth(params, i, r) for r in rhos]
         assert np.all(np.diff(vals) < 0)
 
     def test_n1_closed_form_root(self):
         params, _ = n1_instance()
-        d = dirac_steady_state(params, 0)
-        assert d.rho_bar == pytest.approx(1.0, abs=1e-10)
-        assert d.f_tilde == pytest.approx([1.0], abs=1e-10)
-        assert d.R_tilde == pytest.approx([0.5], abs=1e-10)
+        rho = dirac_weights(params, [0])[0]
+        f = single_peak(params, 0, rho)
+        assert rho == pytest.approx(1.0, abs=1e-10)
+        assert f == pytest.approx([1.0], abs=1e-10)
+        assert reconstruct_R(params, f) == pytest.approx([0.5], abs=1e-10)
 
     def test_residual_small_for_all_growing_traits(self, example1):
         params, _ = example1
-        for i in np.flatnonzero(params.a > 0):
-            d = dirac_steady_state(params, int(i))
-            df, dR = rhs(params, State(f=d.f_tilde, R=d.R_tilde))
+        growing = np.flatnonzero(params.a > 0)
+        for i, rho in zip(growing, dirac_weights(params, growing)):
+            f = single_peak(params, i, rho)
+            df, dR = rhs(params, State(f=f, R=reconstruct_R(params, f)))
             assert max(np.max(np.abs(df)), np.max(np.abs(dR))) <= 1e-10
 
     def test_not_applicable_for_nonpositive_rate(self):
         params = ModelParams(N=1, h=1.0, a=np.array([-0.1]), K=np.array([[1.0]]),
                              m=np.ones(1), Rstar=np.ones(1))
         with pytest.raises(NotApplicable):
-            dirac_steady_state(params, 0)
+            dirac_weights(params, [0])
 
     def test_index_range_checked(self):
         params, _ = n1_instance()
         with pytest.raises(NotApplicable):
-            dirac_steady_state(params, 5)
+            dirac_weights(params, [5])
 
 
 class TestLockstepBisection:
@@ -138,10 +151,10 @@ class TestLockstepBisection:
             # the size of the resource term, which cancels a_i at the root
             scale = params.a[i] - params.a_star[i]
             for r in (0.0, 0.5 * rho, rho, 3.0 * rho):
-                assert dirac_growth(params, int(i), r) == pytest.approx(
+                assert single_peak_growth(params, i, r) == pytest.approx(
                     dirac_growth_scalar(params, i, r), rel=0, abs=1e-12 * scale)
         for k in (0, -1):  # one trait alone gives the same weight as in the batch
-            assert dirac_steady_state(params, int(growing[k])).rho_bar == weights[k]
+            assert dirac_weights(params, [growing[k]])[0] == weights[k]
 
     def test_example1_weights_equal_scalar_bisection(self, example1):
         params, _ = example1
@@ -172,11 +185,11 @@ class TestTraitIndices:
     @pytest.mark.parametrize("call", [
         lambda p: dirac_weights(p, [1.7]),
         lambda p: dirac_weights(p, np.array([[0, 1]])),
-        lambda p: dirac_steady_state(p, 0.5),
         lambda p: two_peak_steady_state(p, 0.5, 1),
-        lambda p: two_peak_system(p, 0, 1.5, 0.1, 0.1),
-        lambda p: dirac_growth(p, 0.5, 0.1),
-        lambda p: dirac_growth(p, -1, 0.1),
+        lambda p: dirac_weights(p, [-1]),
+        lambda p: two_peak_steady_state(p, 0, 1.5),
+        lambda p: dirac_weights(p, [2]),
+        lambda p: two_peak_steady_state(p, 0, -1),
     ])
     def test_other_indices_rejected(self, call):
         with pytest.raises(NotApplicable, match="trait ind"):
@@ -236,7 +249,7 @@ class TestTwoPeak:
         assert tp.rho2 == pytest.approx(expected, abs=1e-10)
         df, dR = rhs(params, State(f=tp.f_tilde, R=tp.R_tilde))
         assert max(np.max(np.abs(df)), np.max(np.abs(dR))) <= 1e-8
-        f1, f2 = two_peak_system(params, 0, 1, tp.rho1, tp.rho2)
+        f1, f2 = -H_gradient(params, tp.f_tilde)  # the growth of each trait
         assert abs(f1) <= 1e-10 and abs(f2) <= 1e-10
 
     def test_unconverged_pair_is_named(self, monkeypatch):
@@ -296,8 +309,8 @@ class TestTwoPeakAgainstEsd:
                 existing += 1
                 assert [tp.rho1, tp.rho2] == pytest.approx(
                     params.h * esd.f_tilde, rel=0, abs=1e-6)
-                residual = two_peak_system(params, 0, 1, tp.rho1, tp.rho2)
-                assert max(map(abs, residual)) <= 1e-10
+                residual = H_gradient(params, tp.f_tilde)  # minus the growth of each trait
+                assert np.max(np.abs(residual)) <= 1e-10
         assert 10 <= existing <= 90  # both outcomes are exercised
 
 
@@ -321,8 +334,9 @@ class TestTwoPeakAgainstMutualInvasion:
 
 
 def test_negative_weights_rejected():
+    # the growth of a trait at a negative weight, alone or beside another, is refused
     params = n2_coupled()
     with pytest.raises(NegativeInput):
-        dirac_growth(params, 0, -2.0)
+        single_peak_growth(params, 0, -2.0)
     with pytest.raises(NegativeInput):
-        two_peak_system(params, 0, 1, 0.5, -0.1)
+        H_gradient(params, np.array([0.5, -0.1]) / params.h)
