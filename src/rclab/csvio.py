@@ -4,7 +4,8 @@ In memory a table is named float columns, built from a trajectory or a
 stable distribution or parsed from a file; NaN marks a blank cell, such as an
 undefined S. `write_csv` writes every table, each number with 17 significant
 digits so files round-trip losslessly: the bytes of `%.17g`, spelled with array
-arithmetic a block of about 1,024 cells at a time.
+arithmetic a block of about 2,048 cells at a time. `read_csv` parses them back a
+block of lines at a time, a wide table with array arithmetic too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
 
@@ -26,12 +28,24 @@ from .integrator import Trajectory
 # rows stacked at a time by write_csv: bounds its copy of the columns
 _BLOCK = 64
 # cells spelled at a time by write_csv: bounds its text arrays
-_CELLS = 1024
+_CELLS = 2048
+# rows read at a time by read_csv; a table of 64 columns or more is read about
+# 8,192 cells at a time with array arithmetic
+_ROWS = 16
+_WIDE = 64
+_READ_CELLS = 8192
+# by the count c of a word's last bytes that are a number's digits, a mask of
+# their low nibbles, in row c + 16: rows up to 16 keep none, rows from 24 all 8
+_KEEP = np.array([(2**64 - 2**(64 - 8 * min(max(c, 0), 8))) & 0x0F0F0F0F0F0F0F0F
+                  for c in range(-16, 25)], np.uint64)
+# by the count p of digits after a point, 10^(p+1); 2^64 - 1 for none and past 18
+_DIVISOR = np.array([2**64 - 1, *(10**(p + 1) for p in range(1, 19)), 2**64 - 1], np.uint64)
 
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63  # a 64-bit significand, as x87's, or more
 _EPS = float(np.finfo(np.longdouble).eps)
-# the tables by exponent keep decimal exponent X in row X + _X0
+# the tables by exponent keep decimal exponent X in row X + _X0, and 10^k is in row k + _K0
 _X0 = 330
+_K0 = 350
 
 
 @dataclass(frozen=True)
@@ -84,7 +98,7 @@ def write_csv(path: Path, table: Table) -> None:
     """Write a table to path, each cell as `%.17g` spells it and NaN as a blank.
 
     The bytes are those of `(pattern % tuple(row)).replace("nan", "")` for each row,
-    but rows are stacked 64 at a time and spelled about 1,024 cells at a time, so
+    but rows are stacked 64 at a time and spelled about 2,048 cells at a time, so
     neither the text nor a copy of the columns is ever held whole. A number's 17
     digits D and exponent e are rint(|x| 10^(16-e)) in extended precision, which is
     off by at most eps(longdouble) of that product. Where the product lies within
@@ -105,11 +119,11 @@ def write_csv(path: Path, table: Table) -> None:
 @cache
 def _tables() -> tuple[np.ndarray, ...]:
     """The tables of `_digits` and `_spell`, built on first use, not at start-up:
-    10^k for k = -300..349 (parsed from text, so correctly rounded), the text of
+    10^k for k = -350..349 (parsed from text, so correctly rounded), the text of
     each 4-digit group and its digits up to the last nonzero one, and by row the
     exponent's text, the mask of the slots around the digits and the digits before
     the point (0 for none, as in 0.0001 <= |x| < 1)."""
-    pow10 = np.array([f"1e{k}" for k in range(-300, 350)]).astype(np.longdouble)
+    pow10 = np.array([f"1e{k}" for k in range(-_K0, 350)]).astype(np.longdouble)
     n4 = np.arange(10000)
     quad = sum((n4 // 10**(3 - j) % 10 + 48) << 8 * j for j in range(4)).astype(np.int32)
     sig = np.where(n4 > 0, 4 - sum(n4 % 10**k == 0 for k in (1, 2, 3)), -99).astype(np.int8)
@@ -135,10 +149,10 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.floor(np.log10(a)).astype(np.int64)
     a = a.astype(np.longdouble)
     pow10 = _tables()[0]
-    scaled = a * pow10[16 - e + 300]
+    scaled = a * pow10[16 - e + _K0]
     off = np.flatnonzero((scaled < 1e16) | (scaled >= 1e17))  # log10 misses by one near 10^k
     e[off] += np.where(scaled[off] < 1e16, -1, 1)
-    scaled[off] = a[off] * pow10[16 - e[off] + 300]
+    scaled[off] = a[off] * pow10[16 - e[off] + _K0]
     rounded = np.rint(scaled)
     # scaled is off by at most eps of itself, so within that of a midpoint rint may misround
     near_midpoint = (np.abs((scaled - rounded).astype(float))
@@ -184,36 +198,145 @@ def _spell(x: np.ndarray, ncols: int) -> np.ndarray:
 
 
 def read_csv(lines: Iterable[str]) -> Table:
-    """Parse the lines of a CSV produced by this package, such as an open file,
-    one at a time: only the parsed floats are held, 8 bytes a cell."""
-    # blank lines are skipped, but errors name the line of the file
-    numbered = ((n, ln.rstrip("\n")) for n, ln in enumerate(lines, start=1) if ln.strip())
-    header_lineno, header_line = next(numbered, (1, None))
+    """Parse the lines of a CSV produced by this package, such as an open file, a
+    block at a time: only the parsed floats are held, 8 bytes a cell.
+
+    A table of 64 columns or more is read about 8,192 cells at a time by
+    `_read_block`, with array arithmetic, where each cell of the block is blank,
+    inf or `-?D+(.D+)?(e[+-]D{1,3})` in ASCII: the spellings of `%.17g`. The line
+    parser reads every other block, 16 lines at a time for a narrower table, and
+    names the line of the file of the first error.
+    """
+    numbered = enumerate(lines, start=1)
+    header_lineno, header_line = next(((n, ln) for n, ln in numbered if ln.strip()), (1, None))
     if header_line is None:
         raise ParseError("empty CSV", line=1)
-    header = header_line.split(",")
-    if len(header) < 2:
-        raise ParseError("CSV header must name at least two columns", line=header_lineno)
+    header = header_line.rstrip("\n").split(",")
     if len(set(header)) != len(header):
         raise ParseError("duplicate column names", line=header_lineno)
+    fast = _EXTENDED and len(header) >= _WIDE
+    # blank lines are skipped, but errors name the line of the file; in a table of
+    # one column a blank line is a blank cell
+    rows = ((n, ln) for n, ln in numbered if len(header) == 1 or ln.strip())
     cells_read = array("d")
-    for lineno, line in numbered:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ParseError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
-        try:
-            row = [float(cell) if cell else math.nan for cell in cells]
-        except ValueError as err:
-            raise ParseError(f"not a number: {err}", line=lineno) from err
-        # float alone also reads " 2", "+2", "1E5", "nan", "1_0", other Unicode
-        # digits, and "1e400" as inf
-        if _misspelt(line, row):
-            raise ParseError("numbers must be ASCII text as %.17g writes them", line=lineno)
-        cells_read.fromlist(row)
+    while block := list(islice(rows, max(1, _READ_CELLS // len(header)) if fast else _ROWS)):
+        values = _read_block([ln for _, ln in block], len(header)) if fast else None
+        if values is not None:
+            cells_read.frombytes(values.view(np.uint8))
+            continue
+        for lineno, line in block:
+            line = line.rstrip("\n")
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ParseError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
+            try:
+                row = [float(cell) if cell else math.nan for cell in cells]
+            except ValueError as err:
+                raise ParseError(f"not a number: {err}", line=lineno) from err
+            # float alone also reads " 2", "+2", "1E5", "nan", "1_0", other Unicode
+            # digits, and "1e400" as inf
+            if _misspelt(line, row):
+                raise ParseError("numbers must be ASCII text as %.17g writes them", line=lineno)
+            cells_read.fromlist(row)
     if not cells_read:
         raise ParseError("CSV has a header but no data rows", line=header_lineno)
     block = np.frombuffer(cells_read).reshape(-1, len(header))
     return Table({name: block[:, j] for j, name in enumerate(header)})
+
+
+def _read_block(lines: list[str], ncols: int) -> np.ndarray | None:
+    """The cells of lines of ncols cells each, bit for bit as `float` reads them, or
+    None where a line or a cell is not of the form `read_csv` names.
+
+    The bytes that are not digits place each cell's sign, point and exponent. Its
+    digits D, the point read as a 0 that is taken out after, are three 8-byte words
+    ending at the mantissa, each masked to the cell's bytes and read by three
+    multiply-shift-mask steps; so is the exponent E. D 10^E in extended precision
+    is off by at most eps of itself; where the doubles nearest it times 1 - 2 eps
+    and 1 + 2 eps differ, a midpoint may lie between, and `float` reads the cell
+    again.
+    """
+    try:  # a line with a newline within it gives too many rows below
+        data = "".join([ln if ln[-1:] == "\n" else ln + "\n" for ln in lines]).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    buf = np.concatenate((np.zeros(24, np.uint8), np.frombuffer(data, np.uint8)))
+    text = buf[24:]  # the bytes before it are the start of the first words
+    pos = np.flatnonzero(text - 48 > 9)  # the bytes that are not digits, in order
+    b = text[pos]
+    sep = (b == 44) | (b == 10)
+    seps = np.flatnonzero(sep)
+    if (len(seps) != len(lines) * ncols or np.count_nonzero(b == 10) != len(lines)
+            or np.any(b[seps[ncols - 1::ncols]] != 10)):
+        return None
+    gap = np.diff(pos, append=len(text))  # to the next of them
+    after = np.concatenate(([pos[0] == 0], gap[:-1] == 1))  # right after one, or the start
+    prev, nxt = np.concatenate(([10], b[:-1])), np.concatenate((b[1:], [10]))
+    dot = b == 46
+    lead = (b == 45) & after & ((prev == 44) | (prev == 10))
+    opens = np.concatenate(([True], (sep | lead)[:-1]))  # the first in its mantissa
+    before_sep = np.concatenate((sep[1:], [False]))
+    ok = (sep | lead & ((gap > 1) | (nxt == 105)) | dot & ~after & (gap > 1) & opens
+          | (b == 101) & ~after & (gap == 1) & ((nxt == 43) | (nxt == 45))
+          & (opens | np.concatenate(([False], dot[:-1])))
+          # a sign after e, then 1 to 3 digits and the separator
+          | ((b == 43) | (b == 45)) & after & (prev == 101)
+          & before_sep & (gap >= 2) & (gap <= 4)
+          # or inf, all of the cell but its sign
+          | (b == 105) & after & opens & (gap == 1) & (nxt == 110)
+          | (b == 110) & after & (prev == 105) & (gap == 1) & (nxt == 102)
+          | (b == 102) & after & (prev == 110) & (gap == 1) & before_sep)
+    if not ok.all():
+        return None
+    # so a cell is [-]D[.D][e sign D] or [-]inf, and its separator
+    ends = pos[seps]
+    has_e = b.take(seps - 2, mode="wrap") == 101  # b may hold one item
+    exp_neg, inf = b[seps - 1] == 45, b[seps - 1] == 102
+    mant = np.where(has_e, seps - 2, seps)  # what ends the mantissa, and before it
+    mant_end, point, has_point = pos[mant], pos[mant - 1], b[mant - 1] == 46
+    del pos, b, sep, gap, after, prev, nxt, dot, lead, opens, before_sep, ok  # bound the peak
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    neg = text[starts] == 45
+    after_point = np.where(has_point, mant_end - point - 1, 0)
+    length = (mant_end - starts - neg) * ~inf  # inf reads as 0 here
+    if length.max() > 24:
+        return None
+    buf[np.where(has_point, point + 24, 0)] = 48  # a point reads as 0; buf[0] is padding
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # words[i] is buf[i:i+8]
+    w = words[np.stack([mant_end, mant_end, mant_end, ends], axis=1) + [16, 8, 0, 16]]
+    w &= _KEEP[np.stack([length, length, length, (ends - mant_end - 2) * has_e], axis=1)
+               + [16, 8, 0, 16]]
+    w = w * 2561 >> 8 & 0x00FF00FF00FF00FF  # pairs of digits,
+    w = w * 6553601 >> 16 & 0x0000FFFF0000FFFF  # fours,
+    w = w * 42949672960001 >> 32  # eights
+    big = w[:, 2] >= 1000  # D of 10^19 or more: float reads it
+    D = w[:, 0] + w[:, 1] * 10**8 + w[:, 2] * 10**16
+    # D = q 10^(p+1) + 0 10^p + the p digits after the point: take 9 q 10^p out
+    cut = _DIVISOR[np.minimum(after_point, 19)]
+    D -= D // cut * cut // 10 * 9
+    at = np.where(exp_neg, -1, 1) * w[:, 3].astype(np.int64) - after_point + _K0
+    pow10 = _tables()[0]
+    if at.min() < 0 or at.max() >= len(pow10):
+        return None
+    x = D.astype(np.longdouble) * pow10[at]
+    if x.max() >= np.finfo(float).max:  # an overflow, which the line parser reports
+        return None
+    below, above = 1 - 2 * np.longdouble(_EPS), 1 + 2 * np.longdouble(_EPS)
+    # a subnormal double k 2^-1074 has the bits of k, and a cast to one is slow
+    tiny = np.flatnonzero(x < 2.0**-1022)
+    scaled = np.ldexp(x[tiny], 1074)
+    x[tiny] = 1.0
+    lower, r = (x * below).astype(float), (x * above).astype(float)
+    lower[tiny] = np.rint(scaled * below).astype(np.uint64).view(float)
+    r[tiny] = np.rint(scaled * above).astype(np.uint64).view(float)
+    redo = np.flatnonzero(big | (lower != r))
+    again = [float(data[s:t]) for s, t in zip((starts + neg)[redo].tolist(), ends[redo].tolist())]
+    if math.inf in again:
+        return None
+    r[redo] = again
+    r[starts == ends], r[inf] = math.nan, math.inf
+    np.negative(r, out=r, where=neg)
+    return r
 
 
 def _misspelt(line: str, values: list[float]) -> bool:

@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,10 +137,12 @@ def test_errors_name_the_line_of_the_file():
 
 # write_csv spells numbers as %.17g does, in ASCII; float alone would
 # read "٣" as 3.0, "1_0" as 10.0, " 2" as 2.0, "1e400" as inf and "nan" as a blank
+misspellings = st.sampled_from(["٣", "1_0", "1_000.5", "٣.5e1", "0.１", "-1e1_0",
+                                " 2", "+2", "Infinity", "1e400", "nan", "NaN", "1E5"])
+
+
 @PROPERTY
-@given(st.integers(1, len(SMALL_CSV) - 1), st.integers(0, len(HEADER) - 1),
-       st.sampled_from(["٣", "1_0", "1_000.5", "٣.5e1", "0.１", "-1e1_0",
-                        " 2", "+2", "Infinity", "1e400", "nan", "NaN", "1E5"]))
+@given(st.integers(1, len(SMALL_CSV) - 1), st.integers(0, len(HEADER) - 1), misspellings)
 def test_numbers_in_other_spellings_fail_with_their_line(row, col, spelling):
     lines = apply(SMALL_CSV, ("cell", row, col, spelling))
     with pytest.raises(ParseError, match="ASCII") as err:
@@ -191,6 +195,64 @@ def test_sweep_through_the_exact_path_alone(sweep, tmp_path, monkeypatch, name, 
     assert (tmp_path / "sweep.csv").read_bytes() == expected
 
 
+def _read_counting_blocks(lines, monkeypatch):
+    """The table read from lines, and how many blocks the array reader took and
+    how many it gave to the line parser."""
+    counts = {"read": 0, "handed over": 0}
+    read_block = csvio._read_block
+
+    def counted(block, ncols):
+        values = read_block(block, ncols)
+        counts["read" if values is not None else "handed over"] += 1
+        return values
+
+    monkeypatch.setattr(csvio, "_read_block", counted)
+    return read_csv(lines), counts
+
+
+# the array reader takes every block of the sweep (inf and blanks included); with
+# a plain-double longdouble the line parser reads them all
+@pytest.mark.parametrize("extended", [True, False])
+def test_sweep_reads_back_bit_for_bit(sweep, tmp_path, monkeypatch, extended):
+    table, text = sweep
+    (tmp_path / "sweep.csv").write_bytes(text)
+    monkeypatch.setattr(csvio, "_EXTENDED", extended)
+    with open(tmp_path / "sweep.csv", encoding="utf-8") as fh:
+        got, counts = _read_counting_blocks(fh, monkeypatch)
+    if extended:
+        assert counts["read"] > 0 and counts["handed over"] == 0
+    else:
+        assert counts == {"read": 0, "handed over": 0}
+    # %.17g round-trips, so the columns are float of each cell, NaN for a blank
+    for name, col in table.columns.items():
+        nan = np.isnan(col)
+        assert np.array_equal(np.isnan(got.columns[name]), nan)
+        assert np.array_equal(got.columns[name][~nan].view(np.int64), col[~nan].view(np.int64))
+
+
+def test_cells_near_a_midpoint_read_as_float_reads_them(monkeypatch):
+    # spellings of %.17g never come within eps of a midpoint between two doubles;
+    # these do, as do 21 digits, more than the words hold
+    rng = np.random.default_rng(11)
+    bits = np.concatenate([rng.integers(0, 0x7FEF_FFFF_FFFF_FFFF, 1000),
+                           rng.integers(0, 2**52, 300), np.arange(4)]).astype(np.uint64)
+    doubles = bits.view(np.float64)
+    with localcontext() as exact:
+        exact.prec = 800
+        mids = [Decimal(a) + (Decimal(b) - Decimal(a)) / 2
+                for a, b in zip(doubles.tolist(), np.nextafter(doubles, math.inf).tolist())]
+        spelt = [format(m, f".{d}e") for m in mids for d in (15, 16, 18, 20)]
+    spelt += [f"-{c}" for c in spelt[::7]]
+    spelt += ["0"] * (-len(spelt) % 64)
+    rows = [",".join(spelt[i:i + 64]) for i in range(0, len(spelt), 64)]
+    got, counts = _read_counting_blocks([",".join(f"c{j}" for j in range(64)), *rows],
+                                        monkeypatch)
+    assert counts["read"] > 0 and counts["handed over"] == 0
+    want = np.array([float(c) for c in spelt]).reshape(-1, 64)
+    for j, col in enumerate(got.columns.values()):
+        assert np.array_equal(col.view(np.int64), want[:, j].view(np.int64))
+
+
 @st.composite
 def wide_tables(draw):
     rows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 700))
@@ -207,6 +269,75 @@ def test_tables_of_any_width_are_spelled_as_by_the_percent_operator(tmp_path):
         assert (tmp_path / "table.csv").read_bytes() == oracle_csv(table)
 
     check()
+
+
+# with _WIDE at 1 the array reader takes tables of every width, one column included
+@pytest.mark.parametrize("wide", [csvio._WIDE, 1])
+def test_tables_of_any_width_read_back_bit_for_bit(tmp_path, monkeypatch, wide):
+    monkeypatch.setattr(csvio, "_WIDE", wide)
+
+    @PROPERTY
+    @given(wide_tables())
+    def check(table):
+        write_csv(tmp_path / "table.csv", table)
+        with open(tmp_path / "table.csv", encoding="utf-8") as fh:
+            got = read_csv(fh)
+        assert list(got.columns) == list(table.columns)
+        for name, col in table.columns.items():
+            assert np.array_equal(got.columns[name].view(np.int64), col.view(np.int64))
+
+    check()
+
+
+def test_a_table_of_one_column_round_trips(tmp_path):
+    table = Table({"t": np.array([0.0, 1.0, math.nan, 2.5])})
+    write_csv(tmp_path / "t.csv", table)
+    assert (tmp_path / "t.csv").read_text() == "t\n0\n1\n\n2.5\n"
+    with open(tmp_path / "t.csv", encoding="utf-8") as fh:
+        got = read_csv(fh)
+    assert np.array_equal(got.columns["t"], table.columns["t"], equal_nan=True)
+
+
+def _wide_csv_lines():
+    """A CSV of 70 columns and 60 rows of random bits, with a tenth of the cells
+    special (subnormal, signed zero, infinite or blank): wide enough for the array
+    reader."""
+    rng = np.random.default_rng(5)
+    cells = rng.integers(0, 2**64, size=(60, 70), dtype=np.uint64).view(np.float64)
+    special = rng.random(cells.shape) < 0.1
+    cells[special] = rng.choice([*SPECIAL, math.nan], size=np.count_nonzero(special))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wide.csv"
+        write_csv(path, Table({f"c{j}": cells[:, j] for j in range(70)}))
+        return path.read_text(encoding="utf-8").splitlines()
+
+
+WIDE_CSV = _wide_csv_lines()
+
+
+def _read_or_error(lines):
+    try:
+        table = read_csv(lines)
+    except ParseError as err:
+        return str(err), err.line, err.field
+    return [(name, col.view(np.int64).tolist()) for name, col in table.columns.items()]
+
+
+# every block the array reader takes it reads as the line parser would, and any
+# other block the line parser reads: the same bits, or the same error on the same line
+@settings(PROPERTY, max_examples=200)
+@given(st.lists(edits | st.tuples(st.just("cell"), st.integers(0, 60), st.integers(0, 69),
+                                  misspellings | values), min_size=1, max_size=3))
+@example([("cell", 1, 3, "1.7976931348623158e+308")])  # rounds to the largest double
+@example([("cell", 1, 3, "-1.7976931348623159e+308")])  # overflows
+def test_array_reader_agrees_with_the_line_parser(edit_list):
+    lines = WIDE_CSV
+    for edit in edit_list:
+        lines = apply(lines, edit)
+    lines = ("\n".join(lines) + "\n").splitlines()
+    got = _read_or_error(lines)
+    with mock.patch.object(csvio, "_EXTENDED", False):
+        assert got == _read_or_error(lines)
 
 
 @pytest.mark.parametrize("columns, field", [
@@ -231,6 +362,20 @@ def test_a_table_cannot_change_after_it_is_checked(tmp_path):
     assert not (tmp_path / "t.csv").exists()
     built["f_1"] = np.zeros(2)  # nor through the mapping it was built from
     assert list(table.columns) == ["t"]
+
+
+def test_reading_a_csv_does_not_import_numpy_ma(tmp_path):
+    # the array reader too, so the table is wide enough for it and holds a subnormal
+    write_csv(tmp_path / "t.csv", Table({f"c{j}": np.array([j, 5e-324, -0.5, np.nan])
+                                         for j in range(csvio._WIDE)}))
+    code = ("import sys\n"
+            "from rclab.csvio import read_csv\n"
+            "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+            "    assert read_csv(fh).columns['c3'][1] == 5e-324\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = str(Path(rclab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env, check=True)
 
 
 def test_writing_a_csv_does_not_import_numpy_ma(tmp_path):
