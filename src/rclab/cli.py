@@ -25,19 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import csvio, svgplot
 from .errors import NewtonFailed, NotApplicable, RclabError
-from .esd import solve_esd, verify_esd
 from .integrator import Scheme, StepConfig, entropy_trace, simulate
 from .model import DerivedConstants, State, validate_params
 from .scenarios import ScenarioSpec, build_params, builtin_presets, load_scenario, trait_grid
-from .steady import (
-    dirac_weights,
-    extinction_predicate,
-    persistence_sum,
-    positive_steady_state_excluded,
-    two_peak_steady_state,
-)
+
+# the commands import esd, steady, csvio and svgplot where they call them, so a
+# process loads only the code it runs
 
 _ESD_SOLVER_TOL = 1e-10
 
@@ -132,6 +126,8 @@ def _write_report(out: Path, name: str, verdicts: dict[str, bool],
 
 
 def cmd_simulate(args) -> int:
+    from . import csvio
+
     name, spec = _load_spec(args)
     out = _out_dir(args)
     params, state0 = build_params(spec)
@@ -143,6 +139,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_esd(args) -> int:
+    from . import csvio
+    from .esd import solve_esd, verify_esd
+    from .steady import persistence_sum
+
     name, spec = _load_spec(args)
     out = _out_dir(args)
     params, state0 = build_params(spec)
@@ -169,6 +169,10 @@ def cmd_esd(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import csvio, svgplot
+    from .esd import solve_esd
+    from .steady import persistence_sum
+
     name, spec = _load_spec(args)
     out = _out_dir(args)
     params, state0 = build_params(spec)
@@ -220,6 +224,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .steady import (
+        dirac_weights, extinction_predicate, positive_steady_state_excluded, two_peak_steady_state,
+    )
+
     name, spec = _load_spec(args)
     out = _out_dir(args)
     params, _state0 = build_params(spec)
@@ -256,6 +264,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from . import csvio, svgplot
+
     svgplot.check_request(args.kind, args.log)
     try:
         with open(args.csv, encoding="utf-8") as fh:

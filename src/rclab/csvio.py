@@ -11,6 +11,7 @@ block of lines at a time, a wide table with array arithmetic too.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -18,12 +19,15 @@ from functools import cache
 from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .esd import EsdResult
-from .integrator import Trajectory
+
+if TYPE_CHECKING:  # annotations only: plot and simulate need not load the ESD solver
+    from .esd import EsdResult
+    from .integrator import Trajectory
 
 # rows stacked at a time by write_csv: bounds its copy of the columns
 _BLOCK = 64
@@ -43,9 +47,13 @@ _DIVISOR = np.array([2**64 - 1, *(10**(p + 1) for p in range(1, 19)), 2**64 - 1]
 
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63  # a 64-bit significand, as x87's, or more
 _EPS = float(np.finfo(np.longdouble).eps)
+_SUBNORMAL_ULP = np.ldexp(np.longdouble(1), -1074)
 # the tables by exponent keep decimal exponent X in row X + _X0, and 10^k is in row k + _K0
 _X0 = 330
 _K0 = 350
+# a cell is blank, [-]inf or -?D+(.D+)?(e[+-]D{1,3}) in ASCII: the one form both readers read
+_NUMBER = r"(?:-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]{1,3})?|inf))?"
+_LINE = re.compile(rf"{_NUMBER}(?:,{_NUMBER})*")
 
 
 @dataclass(frozen=True)
@@ -147,7 +155,12 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     num = np.isfinite(x) & (x != 0)
     a = np.where(num & _EXTENDED, np.abs(x), 1.0)  # 1.0 stands in for the rest
     e = np.floor(np.log10(a)).astype(np.int64)
+    # a cast of a subnormal is slow: k 2^-1074 has the bits of k, which cast exactly
+    tiny = np.flatnonzero(a < 2.0**-1022)
+    k = a[tiny].view(np.uint64)
+    a[tiny] = 1.0
     a = a.astype(np.longdouble)
+    a[tiny] = k * _SUBNORMAL_ULP
     pow10 = _tables()[0]
     scaled = a * pow10[16 - e + _K0]
     off = np.flatnonzero((scaled < 1e16) | (scaled >= 1e17))  # log10 misses by one near 10^k
@@ -203,9 +216,9 @@ def read_csv(lines: Iterable[str]) -> Table:
 
     A table of 64 columns or more is read about 8,192 cells at a time by
     `_read_block`, with array arithmetic, where each cell of the block is blank,
-    inf or `-?D+(.D+)?(e[+-]D{1,3})` in ASCII: the spellings of `%.17g`. The line
-    parser reads every other block, 16 lines at a time for a narrower table, and
-    names the line of the file of the first error.
+    [-]inf or `-?D+(.D+)?(e[+-]D{1,3})` in ASCII (`_NUMBER`). The line parser reads
+    every other block, 16 lines at a time for a narrower table, in the same form,
+    and names the line of the file of the first error.
     """
     numbered = enumerate(lines, start=1)
     header_lineno, header_line = next(((n, ln) for n, ln in numbered if ln.strip()), (1, None))
@@ -340,9 +353,7 @@ def _read_block(lines: list[str], ncols: int) -> np.ndarray | None:
 
 
 def _misspelt(line: str, values: list[float]) -> bool:
-    """Whether the line of values holds a character that %.17g does not write,
-    a '+' not after 'e', or an infinite value not spelled inf."""
-    rest = line.encode("ascii", "replace").translate(None, b"0123456789.-,einf")
+    """Whether the line of values has a cell not of the form `_read_block` reads,
+    or an infinite value not spelled inf."""
     n_inf = values.count(math.inf) + values.count(-math.inf)
-    return bool(rest.strip(b"+") or (rest and len(rest) > line.count("e+"))
-                or (n_inf and n_inf > line.count("inf")))
+    return not _LINE.fullmatch(line) or n_inf > line.count("inf")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import rclab
 from rclab import (
     FixedPointDiverged,
     H_gradient,
@@ -85,6 +88,14 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment for a child Python that imports this rclab: its source
+    directory first on PYTHONPATH."""
+    src = str(Path(rclab.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def oracle_csv(table: Table) -> bytes:

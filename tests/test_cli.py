@@ -304,7 +304,7 @@ class TestEsd:
         assert shapes == [(2, 40), (2, 40)]
 
     def test_restart_disagreement_fails_its_verdict(self, tmp_path, monkeypatch):
-        solve = rclab.cli.solve_esd
+        solve = rclab.esd.solve_esd
 
         def shifted_restart(params, f_init=None, **kwargs):
             esd = solve(params, f_init=f_init, **kwargs)
@@ -312,20 +312,20 @@ class TestEsd:
                 return esd
             return replace(esd, f_tilde=esd.f_tilde + 1e-3)
 
-        monkeypatch.setattr("rclab.cli.solve_esd", shifted_restart)
+        monkeypatch.setattr("rclab.esd.solve_esd", shifted_restart)
         assert run(["esd", "--preset", "n1-closedform", "--out", str(tmp_path)]) == 1
         assert read_report(tmp_path)["verdicts.restart_agreement"] is False
 
     def test_restart_start_is_sparse_and_seeded(self, tmp_path, monkeypatch):
         starts = []
-        solve = rclab.cli.solve_esd
+        solve = rclab.esd.solve_esd
 
         def recording_solve(params, f_init=None, **kwargs):
             if f_init is not None:
                 starts.append(f_init)
             return solve(params, f_init=f_init, **kwargs)
 
-        monkeypatch.setattr("rclab.cli.solve_esd", recording_solve)
+        monkeypatch.setattr("rclab.esd.solve_esd", recording_solve)
         for seed in ("5", "5", "6"):
             assert run(["esd", "--preset", "example1", "--seed", seed,
                         "--out", str(tmp_path)]) == 0
@@ -363,7 +363,7 @@ class TestAnalyze:
         def fail(params, i, l):
             raise NewtonFailed("no convergence")
 
-        monkeypatch.setattr(rclab.cli, "two_peak_steady_state", fail)
+        monkeypatch.setattr(rclab.steady, "two_peak_steady_state", fail)
         out = tmp_path / "a3"
         assert run(["analyze", "--preset", "example1", "--out", str(out)]) == 0
         assert read_report(out)["analysis.two_peak"] == "failed: no convergence"

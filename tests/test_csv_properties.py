@@ -1,7 +1,6 @@
 """Properties of the CSV format on random input."""
 
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -15,8 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import rclab
-from helpers import n1_instance, oracle_csv
+from helpers import n1_instance, oracle_csv, subprocess_env
 from rclab import (Diagnostics, ModelParams, ParseError, Scheme, State, StepConfig,
                    ValidationError, csvio, simulate)
 from rclab.csvio import Table, read_csv, trajectory_table, write_csv
@@ -138,7 +136,8 @@ def test_errors_name_the_line_of_the_file():
 # write_csv spells numbers as %.17g does, in ASCII; float alone would
 # read "٣" as 3.0, "1_0" as 10.0, " 2" as 2.0, "1e400" as inf and "nan" as a blank
 misspellings = st.sampled_from(["٣", "1_0", "1_000.5", "٣.5e1", "0.１", "-1e1_0",
-                                " 2", "+2", "Infinity", "1e400", "nan", "NaN", "1E5"])
+                                " 2", "+2", "Infinity", "1e400", "nan", "NaN", "1E5",
+                                ".5", "5.", "1e5", "-.5", "1e0001"])
 
 
 @PROPERTY
@@ -373,9 +372,8 @@ def test_reading_a_csv_does_not_import_numpy_ma(tmp_path):
             "with open(sys.argv[1], encoding='utf-8') as fh:\n"
             "    assert read_csv(fh).columns['c3'][1] == 5e-324\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
-    src = str(Path(rclab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=subprocess_env(),
+                   check=True)
 
 
 def test_writing_a_csv_does_not_import_numpy_ma(tmp_path):
@@ -384,7 +382,6 @@ def test_writing_a_csv_does_not_import_numpy_ma(tmp_path):
             "from rclab.csvio import Table, write_csv\n"
             "write_csv(sys.argv[1], Table({'t': np.arange(3.0), 'S': np.full(3, np.nan)}))\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
-    src = str(Path(rclab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=subprocess_env(),
+                   check=True)
     assert (tmp_path / "t.csv").read_text() == "t,S\n0,\n1,\n2,\n"
