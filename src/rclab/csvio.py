@@ -4,14 +4,13 @@ In memory a table is named float columns, built from a trajectory or a
 stable distribution or parsed from a file; NaN marks a blank cell, such as an
 undefined S. `write_csv` writes every table, each number with 17 significant
 digits so files round-trip losslessly: the bytes of `%.17g`, spelled with array
-arithmetic a block of about 2,048 cells at a time. `read_csv` parses them back a
-block of lines at a time, a wide table with array arithmetic too.
+arithmetic a block of about 2,048 cells at a time. `read_csv` parses them back
+with array arithmetic too, a block of lines at a time, into the bits `float` gives.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -33,15 +32,14 @@ if TYPE_CHECKING:  # annotations only: plot and simulate need not load the ESD s
 _BLOCK = 64
 # cells spelled at a time by write_csv: bounds its text arrays
 _CELLS = 2048
-# rows read at a time by read_csv; a table of 64 columns or more is read about
-# 8,192 cells at a time with array arithmetic
-_ROWS = 16
+# lines read at a time by read_csv: about 8,192 cells of 64 columns or more, else 32
 _WIDE = 64
 _READ_CELLS = 8192
+_ROWS = 32
 # by the count c of a word's last bytes that are a number's digits, a mask of
 # their low nibbles, in row c + 16: rows up to 16 keep none, rows from 24 all 8
 _KEEP = np.array([(2**64 - 2**(64 - 8 * min(max(c, 0), 8))) & 0x0F0F0F0F0F0F0F0F
-                  for c in range(-16, 25)], np.uint64)
+                  for c in range(-16, 26)], np.uint64)
 # by the count p of digits after a point, 10^(p+1); 2^64 - 1 for none and past 18
 _DIVISOR = np.array([2**64 - 1, *(10**(p + 1) for p in range(1, 19)), 2**64 - 1], np.uint64)
 
@@ -51,9 +49,7 @@ _SUBNORMAL_ULP = np.ldexp(np.longdouble(1), -1074)
 # the tables by exponent keep decimal exponent X in row X + _X0, and 10^k is in row k + _K0
 _X0 = 330
 _K0 = 350
-# a cell is blank, [-]inf or -?D+(.D+)?(e[+-]D{1,3}) in ASCII: the one form both readers read
-_NUMBER = r"(?:-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]{1,3})?|inf))?"
-_LINE = re.compile(rf"{_NUMBER}(?:,{_NUMBER})*")
+_MISSPELT = "numbers must be ASCII text as %.17g writes them"
 
 
 @dataclass(frozen=True)
@@ -125,13 +121,16 @@ def write_csv(path: Path, table: Table) -> None:
 
 
 @cache
+def _pow10() -> np.ndarray:
+    """10^k for k = -350..349, parsed from text, so correctly rounded, on first use."""
+    return np.array([f"1e{k}" for k in range(-_K0, 350)]).astype(np.longdouble)
+
+
+@cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """The tables of `_digits` and `_spell`, built on first use, not at start-up:
-    10^k for k = -350..349 (parsed from text, so correctly rounded), the text of
-    each 4-digit group and its digits up to the last nonzero one, and by row the
-    exponent's text, the mask of the slots around the digits and the digits before
-    the point (0 for none, as in 0.0001 <= |x| < 1)."""
-    pow10 = np.array([f"1e{k}" for k in range(-_K0, 350)]).astype(np.longdouble)
+    """The tables of `_spell`, built on first use: each 4-digit group's text and its
+    digits to the last nonzero one; by row the exponent's text, the mask of the slots
+    around the digits and the digits before the point (0 for none, as in 0.0001 <= |x| < 1)."""
     n4 = np.arange(10000)
     quad = sum((n4 // 10**(3 - j) % 10 + 48) << 8 * j for j in range(4)).astype(np.int32)
     sig = np.where(n4 > 0, 4 - sum(n4 % 10**k == 0 for k in (1, 2, 3)), -99).astype(np.int8)
@@ -146,7 +145,7 @@ def _tables() -> tuple[np.ndarray, ...]:
     # rows 0, 1, 2 (exponents no double has) spell 0, inf and NaN
     tail[1] = int.from_bytes(b"inf", "little") << 8 | 44 << 48
     around[:3], point[:3] = [1 << 1, 0b111 << 49, 0], 0
-    return pow10, quad, sig, tail, around, point
+    return quad, sig, tail, around, point
 
 
 def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +160,7 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a[tiny] = 1.0
     a = a.astype(np.longdouble)
     a[tiny] = k * _SUBNORMAL_ULP
-    pow10 = _tables()[0]
+    pow10 = _pow10()
     scaled = a * pow10[16 - e + _K0]
     off = np.flatnonzero((scaled < 1e16) | (scaled >= 1e17))  # log10 misses by one near 10^k
     e[off] += np.where(scaled[off] < 1e16, -1, 1)
@@ -185,7 +184,7 @@ def _spell(x: np.ndarray, ncols: int) -> np.ndarray:
     and a bit mask keeps the bytes %.17g writes: "-0.000", 17 digits and a point,
     the 17 digits again (those after the point), "e", the sign and 3 digits of the
     exponent (or "inf"), and the separator."""
-    _, quad_text, quad_sig, tail, around, point = _tables()
+    quad_text, quad_sig, tail, around, point = _tables()
     D, e = _digits(x)
     row = np.where(D > 0, e + _X0, np.isinf(x) + 2 * np.isnan(x))
     words = np.full((len(x), 7), int.from_bytes(b"-0.000", "little"), "<i8")
@@ -212,13 +211,10 @@ def _spell(x: np.ndarray, ncols: int) -> np.ndarray:
 
 def read_csv(lines: Iterable[str]) -> Table:
     """Parse the lines of a CSV produced by this package, such as an open file, a
-    block at a time: only the parsed floats are held, 8 bytes a cell.
-
-    A table of 64 columns or more is read about 8,192 cells at a time by
-    `_read_block`, with array arithmetic, where each cell of the block is blank,
-    [-]inf or `-?D+(.D+)?(e[+-]D{1,3})` in ASCII (`_NUMBER`). The line parser reads
-    every other block, 16 lines at a time for a narrower table, in the same form,
-    and names the line of the file of the first error.
+    block at a time by `_read_block`: about 8,192 cells of a table of 64 columns or
+    more, 32 lines of a narrower one. Only the parsed floats are held, 8 bytes a
+    cell. Each cell is blank, [-]inf or `-?D+(.D+)?(e[+-]D{1,3})` in ASCII; the first
+    line that is not, or has another count of cells, fails naming its file line.
     """
     numbered = enumerate(lines, start=1)
     header_lineno, header_line = next(((n, ln) for n, ln in numbered if ln.strip()), (1, None))
@@ -227,39 +223,24 @@ def read_csv(lines: Iterable[str]) -> Table:
     header = header_line.rstrip("\n").split(",")
     if len(set(header)) != len(header):
         raise ParseError("duplicate column names", line=header_lineno)
-    fast = _EXTENDED and len(header) >= _WIDE
+    ncols = len(header)
     # blank lines are skipped, but errors name the line of the file; in a table of
     # one column a blank line is a blank cell
-    rows = ((n, ln) for n, ln in numbered if len(header) == 1 or ln.strip())
+    rows = ((n, ln) for n, ln in numbered if ncols == 1 or ln.strip())
+    size = max(1, _READ_CELLS // ncols) if ncols >= _WIDE else _ROWS
     cells_read = array("d")
-    while block := list(islice(rows, max(1, _READ_CELLS // len(header)) if fast else _ROWS)):
-        values = _read_block([ln for _, ln in block], len(header)) if fast else None
-        if values is not None:
-            cells_read.frombytes(values.view(np.uint8))
-            continue
-        for lineno, line in block:
-            line = line.rstrip("\n")
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ParseError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
-            try:
-                row = [float(cell) if cell else math.nan for cell in cells]
-            except ValueError as err:
-                raise ParseError(f"not a number: {err}", line=lineno) from err
-            # float alone also reads " 2", "+2", "1E5", "nan", "1_0", other Unicode
-            # digits, and "1e400" as inf
-            if _misspelt(line, row):
-                raise ParseError("numbers must be ASCII text as %.17g writes them", line=lineno)
-            cells_read.fromlist(row)
+    while block := list(islice(rows, size)):
+        cells_read.frombytes(_read_block(block, ncols).view(np.uint8))
     if not cells_read:
         raise ParseError("CSV has a header but no data rows", line=header_lineno)
-    block = np.frombuffer(cells_read).reshape(-1, len(header))
+    block = np.frombuffer(cells_read).reshape(-1, ncols)
     return Table({name: block[:, j] for j, name in enumerate(header)})
 
 
-def _read_block(lines: list[str], ncols: int) -> np.ndarray | None:
-    """The cells of lines of ncols cells each, bit for bit as `float` reads them, or
-    None where a line or a cell is not of the form `read_csv` names.
+def _read_block(block: list[tuple[int, str]], ncols: int) -> np.ndarray:
+    """The cells of a block of numbered lines, bit for bit as `float` reads them;
+    a ParseError names the first line without ncols cells of the form `read_csv`
+    names, or with one that overflows.
 
     The bytes that are not digits place each cell's sign, point and exponent. Its
     digits D, the point read as a 0 that is taken out after, are three 8-byte words
@@ -267,21 +248,17 @@ def _read_block(lines: list[str], ncols: int) -> np.ndarray | None:
     multiply-shift-mask steps; so is the exponent E. D 10^E in extended precision
     is off by at most eps of itself; where the doubles nearest it times 1 - 2 eps
     and 1 + 2 eps differ, a midpoint may lie between, and `float` reads the cell
-    again.
+    again, as it does every cell the arithmetic cannot decide.
     """
-    try:  # a line with a newline within it gives too many rows below
-        data = "".join([ln if ln[-1:] == "\n" else ln + "\n" for ln in lines]).encode("ascii")
-    except UnicodeEncodeError:
-        return None
+    # a character that is not ASCII becomes "?", which no cell holds
+    lines = [ln if ln[-1:] == "\n" else ln + "\n" for _, ln in block]
+    data = "".join(lines).encode("ascii", "replace")
     buf = np.concatenate((np.zeros(24, np.uint8), np.frombuffer(data, np.uint8)))
     text = buf[24:]  # the bytes before it are the start of the first words
     pos = np.flatnonzero(text - 48 > 9)  # the bytes that are not digits, in order
     b = text[pos]
     sep = (b == 44) | (b == 10)
     seps = np.flatnonzero(sep)
-    if (len(seps) != len(lines) * ncols or np.count_nonzero(b == 10) != len(lines)
-            or np.any(b[seps[ncols - 1::ncols]] != 10)):
-        return None
     gap = np.diff(pos, append=len(text))  # to the next of them
     after = np.concatenate(([pos[0] == 0], gap[:-1] == 1))  # right after one, or the start
     prev, nxt = np.concatenate(([10], b[:-1])), np.concatenate((b[1:], [10]))
@@ -299,8 +276,19 @@ def _read_block(lines: list[str], ncols: int) -> np.ndarray | None:
           | (b == 105) & after & opens & (gap == 1) & (nxt == 110)
           | (b == 110) & after & (prev == 105) & (gap == 1) & (nxt == 102)
           | (b == 102) & after & (prev == 110) & (gap == 1) & before_sep)
-    if not ok.all():
-        return None
+    if (len(seps) != len(lines) * ncols or np.count_nonzero(b == 10) != len(lines)
+            or np.any(b[seps[ncols - 1::ncols]] != 10) or not ok.all()):
+        # the line of each byte: a comma parts its cells, a newline only ends it
+        line_end = np.cumsum([len(ln) for ln in lines]) - 1
+        line = np.searchsorted(line_end, pos)
+        cells = np.bincount(line[b == 44], minlength=len(lines)) + 1
+        bad = cells != ncols
+        bad[line[~ok | (b == 10) & (pos != line_end[line])]] = True
+        i = int(np.argmax(bad))
+        if i:  # a cell that overflows before that line fails first
+            _read_block(block[:i], ncols)
+        message = _MISSPELT if cells[i] == ncols else f"expected {ncols} cells, got {cells[i]}"
+        raise ParseError(message, line=block[i][0])
     # so a cell is [-]D[.D][e sign D] or [-]inf, and its separator
     ends = pos[seps]
     has_e = b.take(seps - 2, mode="wrap") == 101  # b may hold one item
@@ -311,9 +299,8 @@ def _read_block(lines: list[str], ncols: int) -> np.ndarray | None:
     starts = np.concatenate(([0], ends[:-1] + 1))
     neg = text[starts] == 45
     after_point = np.where(has_point, mant_end - point - 1, 0)
-    length = (mant_end - starts - neg) * ~inf  # inf reads as 0 here
-    if length.max() > 24:
-        return None
+    # the mantissa's bytes, 25 for more than the words hold; inf and a blank read as 0
+    length = np.minimum(mant_end - starts - neg, 25) * ~inf
     buf[np.where(has_point, point + 24, 0)] = 48  # a point reads as 0; buf[0] is padding
     words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # words[i] is buf[i:i+8]
     w = words[np.stack([mant_end, mant_end, mant_end, ends], axis=1) + [16, 8, 0, 16]]
@@ -322,18 +309,19 @@ def _read_block(lines: list[str], ncols: int) -> np.ndarray | None:
     w = w * 2561 >> 8 & 0x00FF00FF00FF00FF  # pairs of digits,
     w = w * 6553601 >> 16 & 0x0000FFFF0000FFFF  # fours,
     w = w * 42949672960001 >> 32  # eights
-    big = w[:, 2] >= 1000  # D of 10^19 or more: float reads it
     D = w[:, 0] + w[:, 1] * 10**8 + w[:, 2] * 10**16
     # D = q 10^(p+1) + 0 10^p + the p digits after the point: take 9 q 10^p out
     cut = _DIVISOR[np.minimum(after_point, 19)]
     D -= D // cut * cut // 10 * 9
     at = np.where(exp_neg, -1, 1) * w[:, 3].astype(np.int64) - after_point + _K0
-    pow10 = _tables()[0]
-    if at.min() < 0 or at.max() >= len(pow10):
-        return None
-    x = D.astype(np.longdouble) * pow10[at]
-    if x.max() >= np.finfo(float).max:  # an overflow, which the line parser reports
-        return None
+    # float reads 19 digits or more, a mantissa past 24 bytes and every number where
+    # longdouble is double; 10^E past the table reads as 10^-350 or 10^349, so that
+    # D 10^E rounds to 0 below it, as the cell does, and overflows above it
+    redo = (w[:, 2] >= 1000) | (length > 24 * _EXTENDED)
+    x = (D.astype(np.longdouble) * _pow10().take(at, mode="clip") if _EXTENDED
+         else np.zeros(len(D), np.longdouble))
+    huge = x >= np.finfo(float).max  # float reads it, or finds that it overflows
+    x[huge] = 0
     below, above = 1 - 2 * np.longdouble(_EPS), 1 + 2 * np.longdouble(_EPS)
     # a subnormal double k 2^-1074 has the bits of k, and a cast to one is slow
     tiny = np.flatnonzero(x < 2.0**-1022)
@@ -342,18 +330,11 @@ def _read_block(lines: list[str], ncols: int) -> np.ndarray | None:
     lower, r = (x * below).astype(float), (x * above).astype(float)
     lower[tiny] = np.rint(scaled * below).astype(np.uint64).view(float)
     r[tiny] = np.rint(scaled * above).astype(np.uint64).view(float)
-    redo = np.flatnonzero(big | (lower != r))
+    redo = np.flatnonzero(redo | huge | (lower != r))
     again = [float(data[s:t]) for s, t in zip((starts + neg)[redo].tolist(), ends[redo].tolist())]
     if math.inf in again:
-        return None
+        raise ParseError(_MISSPELT, line=block[redo[again.index(math.inf)] // ncols][0])
     r[redo] = again
     r[starts == ends], r[inf] = math.nan, math.inf
     np.negative(r, out=r, where=neg)
     return r
-
-
-def _misspelt(line: str, values: list[float]) -> bool:
-    """Whether the line of values has a cell not of the form `_read_block` reads,
-    or an infinite value not spelled inf."""
-    n_inf = values.count(math.inf) + values.count(-math.inf)
-    return not _LINE.fullmatch(line) or n_inf > line.count("inf")

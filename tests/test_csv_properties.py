@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import n1_instance, oracle_csv, subprocess_env
+from helpers import line_parser_csv, n1_instance, oracle_csv, subprocess_env
 from rclab import (Diagnostics, ModelParams, ParseError, Scheme, State, StepConfig,
                    ValidationError, csvio, simulate)
 from rclab.csvio import Table, read_csv, trajectory_table, write_csv
@@ -140,10 +140,13 @@ misspellings = st.sampled_from(["٣", "1_0", "1_000.5", "٣.5e1", "0.１", "-1e1
                                 ".5", "5.", "1e5", "-.5", "1e0001"])
 
 
+@pytest.mark.parametrize("csv", ["narrow", "wide"])
 @PROPERTY
-@given(st.integers(1, len(SMALL_CSV) - 1), st.integers(0, len(HEADER) - 1), misspellings)
-def test_numbers_in_other_spellings_fail_with_their_line(row, col, spelling):
-    lines = apply(SMALL_CSV, ("cell", row, col, spelling))
+@given(st.integers(0), st.integers(0), misspellings)
+def test_numbers_in_other_spellings_fail_with_their_line(csv, row, col, spelling):
+    lines = SMALL_CSV if csv == "narrow" else WIDE_CSV
+    row = 1 + row % (len(lines) - 1)
+    lines = apply(lines, ("cell", row, col, spelling))
     with pytest.raises(ParseError, match="ASCII") as err:
         read_csv(("\n".join(lines) + "\n").splitlines())
     assert err.value.line == row + 1
@@ -195,22 +198,23 @@ def test_sweep_through_the_exact_path_alone(sweep, tmp_path, monkeypatch, name, 
 
 
 def _read_counting_blocks(lines, monkeypatch):
-    """The table read from lines, and how many blocks the array reader took and
-    how many it gave to the line parser."""
+    """The table read from lines, and how many blocks the array reader read and
+    how many it handed over unread, returning anything but all their cells."""
     counts = {"read": 0, "handed over": 0}
     read_block = csvio._read_block
 
     def counted(block, ncols):
         values = read_block(block, ncols)
-        counts["read" if values is not None else "handed over"] += 1
+        read = isinstance(values, np.ndarray) and values.shape == (len(block) * ncols,)
+        counts["read" if read else "handed over"] += 1
         return values
 
     monkeypatch.setattr(csvio, "_read_block", counted)
     return read_csv(lines), counts
 
 
-# the array reader takes every block of the sweep (inf and blanks included); with
-# a plain-double longdouble the line parser reads them all
+# the array reader reads every block of the sweep (inf and blanks included), and
+# so it does where longdouble is a plain double, with `float` reading every cell
 @pytest.mark.parametrize("extended", [True, False])
 def test_sweep_reads_back_bit_for_bit(sweep, tmp_path, monkeypatch, extended):
     table, text = sweep
@@ -218,10 +222,7 @@ def test_sweep_reads_back_bit_for_bit(sweep, tmp_path, monkeypatch, extended):
     monkeypatch.setattr(csvio, "_EXTENDED", extended)
     with open(tmp_path / "sweep.csv", encoding="utf-8") as fh:
         got, counts = _read_counting_blocks(fh, monkeypatch)
-    if extended:
-        assert counts["read"] > 0 and counts["handed over"] == 0
-    else:
-        assert counts == {"read": 0, "handed over": 0}
+    assert counts["read"] > 0 and counts["handed over"] == 0
     # %.17g round-trips, so the columns are float of each cell, NaN for a blank
     for name, col in table.columns.items():
         nan = np.isnan(col)
@@ -270,7 +271,8 @@ def test_tables_of_any_width_are_spelled_as_by_the_percent_operator(tmp_path):
     check()
 
 
-# with _WIDE at 1 the array reader takes tables of every width, one column included
+# with _WIDE at 1 a table of any width, one column included, is read about 8,192
+# cells a block rather than 32 lines
 @pytest.mark.parametrize("wide", [csvio._WIDE, 1])
 def test_tables_of_any_width_read_back_bit_for_bit(tmp_path, monkeypatch, wide):
     monkeypatch.setattr(csvio, "_WIDE", wide)
@@ -314,29 +316,63 @@ def _wide_csv_lines():
 WIDE_CSV = _wide_csv_lines()
 
 
-def _read_or_error(lines):
+def _read_or_error(read, lines):
     try:
-        table = read_csv(lines)
+        table = read(lines)
     except ParseError as err:
         return str(err), err.line, err.field
     return [(name, col.view(np.int64).tolist()) for name, col in table.columns.items()]
 
 
-# every block the array reader takes it reads as the line parser would, and any
-# other block the line parser reads: the same bits, or the same error on the same line
+# the array reader reads a table as the line parser did: the same bits, or the same
+# error on the same line, also where longdouble is a plain double
 @settings(PROPERTY, max_examples=200)
 @given(st.lists(edits | st.tuples(st.just("cell"), st.integers(0, 60), st.integers(0, 69),
                                   misspellings | values), min_size=1, max_size=3))
 @example([("cell", 1, 3, "1.7976931348623158e+308")])  # rounds to the largest double
 @example([("cell", 1, 3, "-1.7976931348623159e+308")])  # overflows
+@example([("cell", 1, 3, "1.7976931348623157e+308")])  # the largest double
+@example([("cell", 1, 3, "1000000000000000000000000")])  # more bytes than the words hold
+@example([("cell", 1, 3, "1e-999")])  # 10^E below the table
+@example([("cell", 1, 3, "1e+999")])  # above it
+@example([("cell", 1, 3, "0e+999")])
+@example([("cell", 1, 3, "-1e400")])  # no sign after e
+@example([("cell", 5, 3, "-1e+400"), ("cell", 9, 3, "x")])  # an overflow before a misspelling
 def test_array_reader_agrees_with_the_line_parser(edit_list):
     lines = WIDE_CSV
     for edit in edit_list:
         lines = apply(lines, edit)
     lines = ("\n".join(lines) + "\n").splitlines()
-    got = _read_or_error(lines)
+    want = _read_or_error(line_parser_csv, lines)
+    assert _read_or_error(read_csv, lines) == want
     with mock.patch.object(csvio, "_EXTENDED", False):
-        assert got == _read_or_error(lines)
+        assert _read_or_error(read_csv, lines) == want
+
+
+# a wide table is read 14 lines a block here, so rows 29 to 42 are its third block;
+# a line with a wrong count and a misspelling reports the count
+@pytest.mark.parametrize("cells, message", [
+    ("1E5,0", "ASCII"), ("0.٣,0", "ASCII"), ("0", "expected 70 cells, got 69"),
+    ("x,1,2", "expected 70 cells, got 71"),
+])
+def test_errors_of_a_wide_table_name_their_file_line(monkeypatch, cells, message):
+    monkeypatch.setattr(csvio, "_READ_CELLS", 14 * 70)
+    lines = list(WIDE_CSV)
+    row = lines[35].split(",")
+    row[5:7] = cells.split(",")
+    lines[35] = ",".join(row)
+    lines[38] = lines[38].replace(",", ",x", 1)  # a later error does not hide it
+    lines[1:1] = ["", "  "]  # blank lines still count
+    with pytest.raises(ParseError, match=message) as err:
+        read_csv(lines)
+    assert err.value.line == 38
+
+
+def test_a_newline_within_a_line_is_out_of_place():
+    # lines that do not come from a file may hold one; splitting there would shift rows
+    with pytest.raises(ParseError, match="ASCII") as err:
+        read_csv(["a,b", "1,2", "3\n,4", "5,6"])
+    assert err.value.line == 3
 
 
 @pytest.mark.parametrize("columns, field", [
