@@ -22,16 +22,19 @@ import random
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NewtonFailed, NotApplicable, RclabError
-from .integrator import Scheme, StepConfig, entropy_trace, simulate
-from .model import DerivedConstants, State, validate_params
-from .scenarios import ScenarioSpec, build_params, builtin_presets, load_scenario, trait_grid
 
-# the commands import esd, steady, csvio and svgplot where they call them, so a
-# process loads only the code it runs
+if TYPE_CHECKING:
+    from .integrator import StepConfig
+    from .model import DerivedConstants
+    from .scenarios import ScenarioSpec
+
+# the commands import every other module where they call it, so a process loads
+# only the code it runs: plot loads csvio and svgplot, and no model
 
 _ESD_SOLVER_TOL = 1e-10
 
@@ -44,6 +47,8 @@ def _out_dir(args) -> Path:
 
 
 def _load_spec(args) -> tuple[str, ScenarioSpec]:
+    from .scenarios import builtin_presets, load_scenario
+
     if args.preset:
         presets = builtin_presets()
         if args.preset not in presets:
@@ -64,6 +69,8 @@ def _load_spec(args) -> tuple[str, ScenarioSpec]:
 
 
 def _step_config(spec: ScenarioSpec) -> StepConfig:
+    from .integrator import Scheme, StepConfig
+
     return StepConfig(
         dt=spec.dt, scheme=Scheme(spec.scheme), fp_tol=spec.fp_tol, fp_maxit=spec.fp_maxit,
         enforce_mu0=spec.enforce_mu0,
@@ -127,6 +134,9 @@ def _write_report(out: Path, name: str, verdicts: dict[str, bool],
 
 def cmd_simulate(args) -> int:
     from . import csvio
+    from .integrator import simulate
+    from .model import validate_params
+    from .scenarios import build_params
 
     name, spec = _load_spec(args)
     out = _out_dir(args)
@@ -141,6 +151,8 @@ def cmd_simulate(args) -> int:
 def cmd_esd(args) -> int:
     from . import csvio
     from .esd import solve_esd, verify_esd
+    from .model import validate_params
+    from .scenarios import build_params, trait_grid
     from .steady import persistence_sum
 
     name, spec = _load_spec(args)
@@ -171,6 +183,9 @@ def cmd_esd(args) -> int:
 def cmd_verify(args) -> int:
     from . import csvio, svgplot
     from .esd import solve_esd
+    from .integrator import Scheme, entropy_trace, simulate
+    from .model import State, validate_params
+    from .scenarios import build_params, trait_grid
     from .steady import persistence_sum
 
     name, spec = _load_spec(args)
@@ -224,6 +239,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .scenarios import build_params
     from .steady import (
         dirac_weights, extinction_predicate, positive_steady_state_excluded, two_peak_steady_state,
     )
@@ -267,6 +283,11 @@ def cmd_plot(args) -> int:
     from . import csvio, svgplot
 
     svgplot.check_request(args.kind, args.log)
+    # glibc mmaps a 1 MB buffer, and freeing it raises its mmap threshold to 1 MB and
+    # its trim threshold to 2 MB (mallopt(3), M_MMAP_THRESHOLD). A wide block's
+    # temporaries, about 1.7 MB at their peak and none over 250 KB, then stay in
+    # the heap instead of being trimmed and faulted back in block after block.
+    np.empty(1 << 20, np.uint8)
     try:
         with open(args.csv, encoding="utf-8") as fh:
             table = csvio.read_csv(fh)
@@ -293,8 +314,8 @@ def _add_scenario_args(p: argparse.ArgumentParser, with_overrides: bool = True) 
     if with_overrides:
         p.add_argument("--T", type=float, help="override final time")
         p.add_argument("--dt", type=float, help="override time step")
-        p.add_argument("--scheme", choices=[scheme.value for scheme in Scheme],
-                       help="override time-stepping scheme")
+        # no choices: ScenarioSpec refuses another name, naming the schemes
+        p.add_argument("--scheme", help="override time-stepping scheme")
 
 
 def _build_parser() -> argparse.ArgumentParser:

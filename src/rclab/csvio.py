@@ -213,14 +213,17 @@ def read_csv(lines: Iterable[str]) -> Table:
     """Parse the lines of a CSV produced by this package, such as an open file, a
     block at a time by `_read_block`: about 8,192 cells of a table of 64 columns or
     more, 32 lines of a narrower one. Only the parsed floats are held, 8 bytes a
-    cell. Each cell is blank, [-]inf or `-?D+(.D+)?(e[+-]D{1,3})` in ASCII; the first
-    line that is not, or has another count of cells, fails naming its file line.
+    cell. The header names each column once, none blank. Each cell is blank, [-]inf
+    or `-?D+(.D+)?(e[+-]D{1,3})` in ASCII; the first line that is not, or has
+    another count of cells, fails naming its file line.
     """
     numbered = enumerate(lines, start=1)
     header_lineno, header_line = next(((n, ln) for n, ln in numbered if ln.strip()), (1, None))
     if header_line is None:
         raise ParseError("empty CSV", line=1)
     header = header_line.rstrip("\n").split(",")
+    if "" in header:
+        raise ParseError(f"column {header.index('') + 1} has no name", line=header_lineno)
     if len(set(header)) != len(header):
         raise ParseError("duplicate column names", line=header_lineno)
     ncols = len(header)

@@ -125,6 +125,8 @@ def line_parser_csv(lines: Iterable[str]) -> Table:
     if header_line is None:
         raise ParseError("empty CSV", line=1)
     header = header_line.rstrip("\n").split(",")
+    if "" in header:
+        raise ParseError(f"column {header.index('') + 1} has no name", line=header_lineno)
     if len(set(header)) != len(header):
         raise ParseError("duplicate column names", line=header_lineno)
     rows = []

@@ -1,7 +1,9 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
 import json
+import platform
 import re
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -9,10 +11,10 @@ import numpy as np
 import pytest
 
 import rclab.cli
-from helpers import random_stack, traced_peak
+from helpers import random_stack, subprocess_env, traced_peak
 from rclab import builtin_presets, load_scenario, save_scenario
 from rclab.cli import main
-from rclab.csvio import Table, read_csv
+from rclab.csvio import Table, read_csv, write_csv
 from rclab.errors import NewtonFailed, ParseError, RclabError
 from rclab.svgplot import render, render_entropy, render_profile, render_waterfall
 
@@ -33,6 +35,16 @@ def _long_n1_csv(tmp_path):
     return out / "trajectory.csv"
 
 
+# a fresh process's minor page faults in plot, from after its imports
+_PLOT_FAULTS = """
+import resource, sys
+from rclab.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(["plot", "--csv", sys.argv[1], "--kind", "profile", "--out-svg", sys.argv[2]]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
 
@@ -47,6 +59,17 @@ def _n1_scenario(initial_f: str) -> str:
         ln for ln in text.splitlines()
         if not ln.startswith(("initial_f.amp", "initial_f.sigma"))
     ) + "\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_unknown_scheme_is_refused_naming_the_schemes(tmp_path, capsys, command):
+    # the parser leaves --scheme to ScenarioSpec, which holds the schemes' names
+    out = tmp_path / "out"
+    assert run([command, "--preset", "n1-closedform", "--scheme", "bogus",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid value for 'scheme': must be one of ('semi', 'implicit')\n")
+    assert not out.exists()
 
 
 class TestVerify:
@@ -510,6 +533,27 @@ class TestPlot:
                        **{f"R_{j + 1}": stack.R[:, j] for j in traits}})
         peak = traced_peak(lambda: render_kind(table))
         assert peak < (stack.f.nbytes + stack.R.nbytes) / 4  # copied columns: 0.5x to 1.0x
+
+    def test_column_without_a_name_rejected_naming_the_header_line(self, tmp_path, capsys):
+        csv, svg = tmp_path / "unnamed.csv", tmp_path / "no.svg"
+        csv.write_text("\nt,f_1,,R_1\n0,1,2,1\n1,1,2,1\n", encoding="utf-8")
+        assert run(["plot", "--csv", str(csv), "--kind", "profile", "--out-svg", str(svg)]) == 2
+        assert capsys.readouterr().err == "error: column 3 has no name (line 2)\n"
+        assert not svg.exists()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_reading_a_wide_csv_keeps_its_heap(self, tmp_path):
+        # 321 columns by 500 rows, 3.1 MB: where glibc trims each block's temporaries
+        # and faults them back in, plot takes 9,000 to 11,000 minor faults, else about 740
+        rng = np.random.default_rng(8)
+        columns = {"t": np.arange(500.0), **{f"{s}_{j}": rng.uniform(0, 2, 500)
+                                             for s in "fR" for j in range(1, 161)}}
+        csv = tmp_path / "wide.csv"
+        write_csv(csv, Table(columns))
+        argv = [sys.executable, "-c", _PLOT_FAULTS, str(csv), str(tmp_path / "p.svg")]
+        done = subprocess.run(argv, env=subprocess_env(), capture_output=True, text=True,
+                              check=True)
+        assert int(done.stdout.split()[-1]) < 3000
 
     def test_non_utf8_csv_rejected_naming_the_file(self, tmp_path, capsys):
         csv = tmp_path / "latin1.csv"

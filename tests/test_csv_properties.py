@@ -368,6 +368,18 @@ def test_errors_of_a_wide_table_name_their_file_line(monkeypatch, cells, message
     assert err.value.line == 38
 
 
+@pytest.mark.parametrize("csv", ["narrow", "wide"])
+def test_a_column_without_a_name_fails_naming_the_header_line(csv):
+    lines = list(SMALL_CSV if csv == "narrow" else WIDE_CSV)
+    header = lines[0].split(",")
+    header[2] = ""
+    lines[0] = ",".join(header)
+    lines[0:0] = ["", "  "]  # blank lines before the header still count
+    with pytest.raises(ParseError, match="^column 3 has no name") as err:
+        read_csv(lines)
+    assert err.value.line == 3
+
+
 def test_a_newline_within_a_line_is_out_of_place():
     # lines that do not come from a file may hold one; splitting there would shift rows
     with pytest.raises(ParseError, match="ASCII") as err:
