@@ -12,11 +12,11 @@ _NAMES = {
               " NegativeInput NewtonFailed NotApplicable NotConverged ParseError RclabError"
               " StepRejected UndefinedEntropy UnknownKind ValidationError",
     "esd": "EsdReport EsdResult solve_esd verify_esd",
-    "integrator": "EntropyTrace Scheme StepConfig Trajectory entropy_trace simulate"
+    "integrator": "EntropyTrace StepConfig Trajectory entropy_trace simulate"
                   " step_fully_implicit step_semi_implicit",
-    "model": "DerivedConstants Diagnostics H_gradient H_hessian H_value ModelParams State"
-             " compute_diagnostics extinction_F growth_rate lyapunov_S q_value reconstruct_R"
-             " rhs total_mass validate_params",
+    "model": "DerivedConstants Diagnostics H_gradient H_hessian H_value ModelParams Scheme"
+             " State compute_diagnostics extinction_F growth_rate lyapunov_S q_value"
+             " reconstruct_R rhs total_mass validate_params",
     "scenarios": "ScenarioSpec build_params builtin_presets load_scenario parse_scenario"
                  " save_scenario trait_grid",
     "steady": "Persistence TwoPeakSteadyState dirac_weights extinction_predicate"

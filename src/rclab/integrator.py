@@ -19,7 +19,6 @@ the S column of a trajectory recorded against a reference, which it keeps.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,9 +27,10 @@ import numpy as np
 
 from .errors import FixedPointDiverged, Mu0Violation, StepRejected, UndefinedEntropy
 from .errors import ValidationError
-from .model import (
+from .model import (  # Scheme is defined with the model, and re-exported here
     Diagnostics,
     ModelParams,
+    Scheme,
     State,
     _check_dims,
     _check_state,
@@ -39,11 +39,6 @@ from .model import (
     compute_diagnostics,
     validate_params,
 )
-
-
-class Scheme(enum.Enum):
-    SEMI_IMPLICIT = "semi"
-    FULLY_IMPLICIT = "implicit"
 
 
 @dataclass(frozen=True)
@@ -108,6 +103,20 @@ class EntropyTrace:
     flagged_steps: tuple[int, ...]
 
 
+def _step_terms(params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(dt*m*Rstar, 1 + dt*m). For a float dt they are kept on params, one tuple
+    for the last dt, replaced whole; another dt (a 0-d array may change) is not kept."""
+    terms = params._step_terms
+    if not (isinstance(dt, float) and terms is not None and terms[0] == dt):
+        terms = (dt, dt * params.m * params.Rstar, 1.0 + dt * params.m)
+        if isinstance(dt, float):
+            object.__setattr__(params, "_step_terms", terms)
+    return terms[1], terms[2]
+
+
+_max, _min = np.maximum.reduce, np.minimum.reduce  # without ndarray.max's Python wrapper
+
+
 # an overflow or NaN in the sweeps is reported by the state test after them, not as a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep(
@@ -118,26 +127,27 @@ def _sweep(
     if that is not a state: sweeps from R_start (default R) until successive
     resource iterates agree to fp_tol in the max norm."""
     _check_dims(params, f, R)
-    num = R + dt * params.m * params.Rstar
-    den = 1.0 + dt * params.m
+    dt_m_Rstar, den = _step_terms(params, dt)
+    num = R + dt_m_Rstar
+    KT, dt_h = params.K.T, dt * params.h
     R_iter = R if R_start is None else R_start
     for sweep in range(1, max_sweeps + 1):
         dtG = dt * _growth(params, R_iter)
-        if dtG.max() >= 1.0:
+        if _max(dtG) >= 1.0:
             j = int(np.argmax(dtG >= 1.0))
             raise StepRejected(f"nonpositive update denominator for species {j} "
                                f"(dt*G = {dtG[j]:.6g} >= 1); reduce dt")
         f_new = f / (1.0 - dtG)
-        R_new = num / (den + dt * params.h * (params.K.T @ f_new))
-        change = float(np.abs(R_new - R_iter).max())
+        R_new = num / (den + dt_h * (KT @ f_new))
+        change = float(_max(np.abs(R_new - R_iter)))
         if not change > fp_tol:  # a NaN change ends the sweeps too, and fails below
             break
         R_iter = R_new
     else:
         raise FixedPointDiverged("fixed-point iteration did not contract within "
                                  f"{max_sweeps} sweeps (last update {change:.3e})")
-    if not (f_new.min() >= 0 and R_new.min() > 0
-            and f_new.max() < math.inf and R_new.max() < math.inf):
+    if not (_min(f_new) >= 0 and _min(R_new) > 0
+            and _max(f_new) < math.inf and _max(R_new) < math.inf):
         raise StepRejected("invalid state after the step")
     f_new.flags.writeable = R_new.flags.writeable = False  # so State keeps them uncopied
     return f_new, R_new, sweep
@@ -225,6 +235,7 @@ def simulate(
     times = np.empty(len(steps) + 1)
     f = np.empty((len(steps) + 1, params.N))
     R = np.empty((len(steps) + 1, params.N))
+    R_start, half_R = np.empty(params.N), np.empty(params.N)  # the prediction's buffers
     sweep_counts: list[int] = []
     t = 0.0
     state = state0
@@ -232,10 +243,14 @@ def simulate(
     for i, dt in enumerate(steps):
         try:
             if config.scheme is Scheme.FULLY_IMPLICIT:
-                R_start = (None if i < 2 else np.maximum(
-                    3.0 * (R[i] - R[i - 1]) + R[i - 2], 0.5 * R[i]))
+                if i >= 2:  # max(3 (R^n - R^{n-1}) + R^{n-2}, R^n / 2)
+                    np.subtract(R[i], R[i - 1], out=R_start)
+                    np.multiply(3.0, R_start, out=R_start)
+                    np.add(R_start, R[i - 2], out=R_start)
+                    np.maximum(R_start, np.multiply(0.5, R[i], out=half_R), out=R_start)
                 state, sweeps = step_fully_implicit(
-                    params, state, dt, config.fp_tol, config.fp_maxit, R_start
+                    params, state, dt, config.fp_tol, config.fp_maxit,
+                    None if i < 2 else R_start,
                 )
                 sweep_counts.append(sweeps)
             else:

@@ -22,6 +22,7 @@ where S is every trait.
 
 from __future__ import annotations
 
+import enum
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -34,6 +35,14 @@ from .errors import (
     NegativeInput,
     UndefinedEntropy,
 )
+
+
+class Scheme(enum.Enum):
+    """The time-stepping schemes of `rclab.integrator`, defined here so that a
+    scenario names them without loading the integrator."""
+
+    SEMI_IMPLICIT = "semi"
+    FULLY_IMPLICIT = "implicit"
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -58,6 +67,8 @@ class ModelParams:
     m: resource relaxation rates, shape (N,)
     Rstar: resource carrying capacities, shape (N,)
     a_star: net rates a* = a - h * K @ Rstar, derived, read-only, all < 0
+
+    A read-only float K that owns its data is kept, not copied.
     """
 
     N: int
@@ -67,6 +78,8 @@ class ModelParams:
     m: np.ndarray
     Rstar: np.ndarray
     a_star: np.ndarray = field(init=False, repr=False, compare=False)
+    # (dt, dt*m*Rstar, 1 + dt*m) for the last dt the integrator stepped with
+    _step_terms: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for name in ("a", "K", "m", "Rstar"):
@@ -82,11 +95,13 @@ class ModelParams:
             raise AssumptionViolation(f"h must be positive and finite, got {self.h}")
         if not np.all(np.isfinite(self.a)):
             raise AssumptionViolation("growth rates a must be finite")
-        if not np.all(np.isfinite(self.K)):
-            raise AssumptionViolation("consumption matrix K must be finite")
-        if np.any(self.K < 0):
-            j, k = np.argwhere(self.K < 0)[0]
-            raise AssumptionViolation(f"K[{j}][{k}] = {self.K[j, k]} is negative")
+        # two reductions clear a valid K (a NaN fails them); the checks below name the fault
+        K = self.K
+        if not (np.minimum.reduce(K, None) >= 0 and np.maximum.reduce(K, None) < math.inf):
+            if not np.all(np.isfinite(K)):
+                raise AssumptionViolation("consumption matrix K must be finite")
+            j, k = np.argwhere(K < 0)[0]
+            raise AssumptionViolation(f"K[{j}][{k}] = {K[j, k]} is negative")
         if not np.all(np.isfinite(self.m)) or np.any(self.m <= 0):
             raise AssumptionViolation("relaxation rates m must be positive and finite")
         if not np.all(np.isfinite(self.Rstar)) or np.any(self.Rstar <= 0):

@@ -25,8 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .integrator import Scheme
-from .model import ModelParams, State, validate_params
+from .model import ModelParams, Scheme, State, validate_params
 
 # field naming one of a fixed set of choices -> {choice: the optional fields
 # that choice requires and owns}
@@ -82,7 +81,8 @@ def build_params(spec: ScenarioSpec) -> tuple[ModelParams, State]:
     """Instantiate the model and initial state described by `spec`.
 
     Building the model checks the standing assumptions, and `validate_params`
-    the initial state. No SVD of K is taken (`solve_esd` certifies f_unique).
+    the initial state. K is built in one buffer and handed over read-only, so the
+    model keeps it uncopied. No SVD of K is taken (`solve_esd` certifies f_unique).
     """
     x = trait_grid(spec)
     y = x
@@ -90,9 +90,14 @@ def build_params(spec: ScenarioSpec) -> tuple[ModelParams, State]:
     Rstar = np.exp(-(y**2) / (2 * spec.sigma_star**2)) / (
         math.sqrt(2 * math.pi) * spec.sigma_star
     )
-    K = np.exp(-((x[:, None] - y[None, :]) ** 2) / (2 * spec.sigma_K**2)) / (
-        math.sqrt(2 * math.pi) * spec.sigma_K
-    )
+    # exp(-(x_j - y_k)^2 / (2 sigma_K^2)) / (sqrt(2 pi) sigma_K), each step in place
+    K = np.subtract.outer(x, y)
+    np.square(K, out=K)
+    np.negative(K, out=K)
+    np.divide(K, 2 * spec.sigma_K**2, out=K)
+    np.exp(K, out=K)
+    np.divide(K, math.sqrt(2 * math.pi) * spec.sigma_K, out=K)
+    K.flags.writeable = False  # so ModelParams keeps it uncopied
     a = spec.growth_c2 * x**2 + spec.growth_c0
     m = np.full(spec.N, spec.m_const)
     params = ModelParams(N=spec.N, h=h, a=a, K=K, m=m, Rstar=Rstar)

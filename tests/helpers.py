@@ -24,6 +24,7 @@ from rclab import (
 )
 from rclab.csvio import Table
 from rclab.errors import ParseError, StepRejected
+from rclab.integrator import _plan_steps
 
 _ROOT_RTOL = 1e-12
 
@@ -259,6 +260,72 @@ def fully_implicit_step(
             return State(f=f_new, R=R_new), sweep
         R_iter = R_new
     raise FixedPointDiverged(f"no contraction within {fp_maxit} sweeps")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def frozen_sweep(
+    params: ModelParams, f: np.ndarray, R: np.ndarray, dt: float,
+    fp_tol: float, max_sweeps: int, R_start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The sweep kernel's arithmetic and messages, spelled out with every term
+    computed afresh in each sweep: the oracle for the terms the kernel keeps
+    across steps and hoists out of its loop."""
+    num = R + dt * params.m * params.Rstar
+    den = 1.0 + dt * params.m
+    R_iter = R if R_start is None else R_start
+    for sweep in range(1, max_sweeps + 1):
+        dtG = dt * (params.a + params.h * (params.K @ (R_iter - params.Rstar)))
+        if dtG.max() >= 1.0:
+            j = int(np.argmax(dtG >= 1.0))
+            raise StepRejected(f"nonpositive update denominator for species {j} "
+                               f"(dt*G = {dtG[j]:.6g} >= 1); reduce dt")
+        f_new = f / (1.0 - dtG)
+        R_new = num / (den + dt * params.h * (params.K.T @ f_new))
+        change = float(np.abs(R_new - R_iter).max())
+        if not change > fp_tol:
+            break
+        R_iter = R_new
+    else:
+        raise FixedPointDiverged("fixed-point iteration did not contract within "
+                                 f"{max_sweeps} sweeps (last update {change:.3e})")
+    if not (f_new.min() >= 0 and R_new.min() > 0
+            and f_new.max() < math.inf and R_new.max() < math.inf):
+        raise StepRejected("invalid state after the step")
+    return f_new, R_new, sweep
+
+
+def frozen_simulate(
+    params: ModelParams, state0: State, T_final: float, config: rclab.StepConfig
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """simulate's step loop spelled out, without its checks and diagnostics: the
+    rows of f and R and the sweep counts, or the StepRejected of the failing step
+    with its index. Each implicit step from the third starts from a freshly
+    allocated max(3 (R^n - R^{n-1}) + R^{n-2}, R^n / 2), and is retaken from R^n
+    if that start fails."""
+    f_rows, R_rows, counts = [state0.f], [state0.R], []
+    for i, dt in enumerate(_plan_steps(T_final, config.dt)):
+        f, R = f_rows[-1], R_rows[-1]
+        try:
+            if config.scheme is rclab.Scheme.SEMI_IMPLICIT:
+                f, R, _ = frozen_sweep(params, f, R, dt, math.inf, 1)
+            else:
+                swept = None
+                if i >= 2:
+                    R_start = np.maximum(3.0 * (R - R_rows[i - 1]) + R_rows[i - 2], 0.5 * R)
+                    try:
+                        swept = frozen_sweep(params, f, R, dt, config.fp_tol, config.fp_maxit,
+                                             R_start)
+                    except StepRejected:
+                        pass
+                f, R, sweeps = swept or frozen_sweep(params, f, R, dt, config.fp_tol,
+                                                     config.fp_maxit)
+                counts.append(sweeps)
+        except StepRejected as err:
+            err.step_index = i
+            raise
+        f_rows.append(f)
+        R_rows.append(R)
+    return np.array(f_rows), np.array(R_rows), counts
 
 
 def bb_esd(params: ModelParams, tol: float = 1e-10, maxit: int = 100000) -> np.ndarray:

@@ -17,11 +17,12 @@ PUBLIC = {
                "RclabError", "StepRejected", "UndefinedEntropy", "UnknownKind",
                "ValidationError"],
     "esd": ["EsdReport", "EsdResult", "solve_esd", "verify_esd"],
-    "integrator": ["EntropyTrace", "Scheme", "StepConfig", "Trajectory", "entropy_trace",
+    "integrator": ["EntropyTrace", "StepConfig", "Trajectory", "entropy_trace",
                    "simulate", "step_fully_implicit", "step_semi_implicit"],
     "model": ["DerivedConstants", "Diagnostics", "H_gradient", "H_hessian", "H_value",
-              "ModelParams", "State", "compute_diagnostics", "extinction_F", "growth_rate",
-              "lyapunov_S", "q_value", "reconstruct_R", "rhs", "total_mass", "validate_params"],
+              "ModelParams", "Scheme", "State", "compute_diagnostics", "extinction_F",
+              "growth_rate", "lyapunov_S", "q_value", "reconstruct_R", "rhs", "total_mass",
+              "validate_params"],
     "scenarios": ["ScenarioSpec", "build_params", "builtin_presets", "load_scenario",
                   "parse_scenario", "save_scenario", "trait_grid"],
     "steady": ["Persistence", "TwoPeakSteadyState", "dirac_weights", "extinction_predicate",
@@ -50,9 +51,22 @@ def test_importing_the_cli_loads_only_the_cli_and_its_errors():
     assert _loaded("import rclab.cli") == {"cli", "errors"}
 
 
+def test_a_model_build_loads_no_integrator():
+    assert _loaded("from rclab.scenarios import build_params") == {"errors", "model", "scenarios"}
+
+
+def test_the_schemes_have_one_definition():
+    import rclab
+    import rclab.integrator
+    import rclab.model
+
+    assert rclab.Scheme is rclab.integrator.Scheme is rclab.model.Scheme
+
+
 @pytest.mark.parametrize("command, skipped", [
-    (["analyze", "--preset", "n1-closedform"], {"csvio", "svgplot"}),
+    (["analyze", "--preset", "n1-closedform"], {"csvio", "svgplot", "integrator"}),
     (["simulate", "--preset", "n1-closedform", "--T", "1"], {"esd", "steady", "svgplot"}),
+    (["esd", "--preset", "n1-closedform"], {"svgplot", "integrator"}),
 ])
 def test_a_command_does_not_load_what_it_does_not_run(command, skipped, tmp_path):
     loaded = _loaded(_RUN_COMMAND, *command, "--out", str(tmp_path))

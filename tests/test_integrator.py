@@ -473,6 +473,60 @@ class TestStepCallContract:
         assert (calls[own], calls[other]) == (len(traj.times) - 1, 0)
 
 
+def fresh(params: ModelParams) -> ModelParams:
+    """The same model built anew, so nothing kept from earlier steps."""
+    return ModelParams(N=params.N, h=params.h, a=params.a.copy(), K=params.K.copy(),
+                       m=params.m.copy(), Rstar=params.Rstar.copy())
+
+
+def bits(state: State) -> bytes:
+    return state.f.tobytes() + state.R.tobytes()
+
+
+class TestStepTermsAreNeverStale:
+    """The kernel keeps dt*m*Rstar and 1 + dt*m on the model for the last dt:
+    every step still has the bits of the same step on a model built anew."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_stepping_one_model_at_two_dts_in_turn(self, scheme):
+        params = random_instance(np.random.default_rng(3), n_max=6)
+        state = State(f=np.full(params.N, 0.5), R=params.Rstar.copy())
+        step = (step_semi_implicit if scheme is Scheme.SEMI_IMPLICIT
+                else lambda p, s, dt: step_fully_implicit(p, s, dt)[0])
+        for dt in (0.1, 0.07, 0.1, 0.07, 0.07):
+            stepped = step(params, state, dt)
+            assert bits(stepped) == bits(step(fresh(params), state, dt))
+            state = stepped
+
+    def test_a_replaced_model_gets_its_own_terms(self):
+        params = random_instance(np.random.default_rng(4), n_max=6)
+        state = State(f=np.full(params.N, 0.5), R=params.Rstar.copy())
+        before = step_semi_implicit(params, state, 0.1)
+        other = replace(params, m=2.0 * params.m)
+        after = step_semi_implicit(other, state, 0.1)
+        assert bits(after) == bits(step_semi_implicit(fresh(other), state, 0.1))
+        assert bits(after) != bits(before)
+        assert bits(step_semi_implicit(params, state, 0.1)) == bits(before)
+
+    def test_a_retake_after_a_failed_start(self):
+        params, state = n1_instance()
+        # dt*G >= 1 from this start, so the step is retaken from state.R
+        R_start = np.array([1e6])
+        with pytest.raises(StepRejected, match="nonpositive update denominator"):
+            _sweep(params, state.f, state.R, 0.1, 1e-12, 200, R_start)
+        retaken = step_fully_implicit(params, state, 0.1, R_start=R_start)
+        plain = step_fully_implicit(fresh(params), state, 0.1)
+        assert bits(retaken[0]) == bits(plain[0]) and retaken[1] == plain[1]
+
+    def test_a_changed_dt_array_gets_new_terms(self):
+        params, state = n1_instance()
+        dt = np.array(0.1)
+        step_semi_implicit(params, state, dt)
+        dt[()] = 0.2
+        assert bits(step_semi_implicit(params, state, dt)) == bits(
+            step_semi_implicit(fresh(params), state, 0.2))
+
+
 class TestStepErrors:
     def test_divergence_reports_the_last_update(self):
         params, _ = n1_instance()

@@ -170,6 +170,12 @@ def _corrupted(rng: np.random.Generator, params: ModelParams, kind: str):
     return {name: values}, AssumptionViolation, messages[name]
 
 
+def _three() -> ModelParams:
+    """A valid model of three traits with every net rate negative."""
+    return ModelParams(N=3, h=0.5, a=np.full(3, -1.0), K=np.full((3, 3), 0.5),
+                       m=np.ones(3), Rstar=np.ones(3))
+
+
 _KINDS = ["N", "h", "shape", "net rate", "negative K", "nonpositive m", "nonpositive Rstar",
           "nonfinite a", "nonfinite K", "nonfinite m", "nonfinite Rstar"]
 
@@ -204,6 +210,48 @@ class TestBuiltModelIsChecked:
         with pytest.raises(AssumptionViolation):
             replace(params, **change)
         assert time.perf_counter() - start < 0.5
+
+    def test_a_read_only_K_that_owns_its_data_is_kept(self):
+        params = random_instance(np.random.default_rng(5))
+        K = params.K.copy()
+        K.flags.writeable = False
+        assert replace(params, K=K).K is K
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_any_other_K_is_copied(self, read_only_view):
+        params = random_instance(np.random.default_rng(5))
+        K = params.K.copy()
+        if read_only_view:
+            K = K[:, :]
+            K.flags.writeable = False
+        built = replace(params, K=K)
+        assert built.K is not K and not built.K.flags.writeable
+        assert np.array_equal(built.K, K)
+
+    @pytest.mark.parametrize("negative", [0.5, -0.25])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_nonfinite_K_entry_is_named_before_a_negative_one(self, bad, negative):
+        params = _three()
+        K = params.K.copy()
+        K[0, 1], K[1, 2] = negative, bad
+        with pytest.raises(AssumptionViolation, match="^consumption matrix K must be finite$"):
+            replace(params, K=K)
+
+    def test_the_first_negative_K_entry_is_named(self):
+        params = _three()
+        K = params.K.copy()
+        K[1, 2], K[2, 0] = -0.5, -0.25
+        with pytest.raises(AssumptionViolation, match=r"^K\[1\]\[2\] = -0.5 is negative$"):
+            replace(params, K=K)
+
+    def test_K_is_checked_after_a_and_before_m(self):
+        params = _three()
+        K = params.K.copy()
+        K[1, 2] = -0.5
+        with pytest.raises(AssumptionViolation, match="^growth rates a must be finite$"):
+            replace(params, a=np.array([math.nan, -1.0, -1.0]), K=K)
+        with pytest.raises(AssumptionViolation, match=r"^K\[1\]\[2\] = -0.5 is negative$"):
+            replace(params, K=K, m=np.zeros(3))
 
     def test_a_star_is_derived_not_given(self):
         params, _ = n1_instance()

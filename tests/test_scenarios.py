@@ -1,10 +1,13 @@
 """Scenario construction, presets, and the text format round trip."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclab import (
     AssumptionViolation,
@@ -243,6 +246,26 @@ class TestBuilder:
 
         monkeypatch.setattr(np, "isfinite", vector_isfinite)
         assert validate_params(params, state0).gamma > 0
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 700), st.floats(0.01, 10.0), st.floats(-3.0, 3.0),
+           st.floats(0.01, 5.0))
+    def test_K_has_the_bits_of_its_one_expression(self, N, L, center, sigma_K):
+        # a = -1 keeps every net rate negative, and a wide supply keeps Rstar > 0
+        spec = replace(builtin_presets()["example1"], N=N, L=L, center=center,
+                       sigma_K=sigma_K, sigma_star=5.0, growth_c2=0.0, growth_c0=-1.0)
+        params, _ = build_params(spec)
+        x = trait_grid(spec)
+        K = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2 * sigma_K**2)) / (
+            math.sqrt(2 * math.pi) * sigma_K)
+        assert np.array_equal(params.K.view(np.uint64), K.view(np.uint64))
+        assert params.K.flags.owndata and not params.K.flags.writeable
+
+    def test_an_unknown_scheme_is_refused_naming_the_schemes(self):
+        with pytest.raises(ValidationError,
+                           match=re.escape("must be one of ('semi', 'implicit')")) as err:
+            replace(builtin_presets()["example1"], scheme="leapfrog")
+        assert err.value.field == "scheme"
 
     def test_zero_initial_species(self):
         spec = replace(

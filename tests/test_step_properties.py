@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import fully_implicit_step, semi_implicit_step
+from helpers import (
+    frozen_simulate,
+    fully_implicit_step,
+    random_instance,
+    random_state,
+    semi_implicit_step,
+)
 from rclab import (
     FixedPointDiverged,
     ModelParams,
@@ -24,6 +30,7 @@ from rclab import (
     validate_params,
 )
 from rclab.errors import StepRejected
+from rclab.integrator import Trajectory
 
 PROPERTY = settings(max_examples=30)
 STEPS = 6
@@ -144,3 +151,34 @@ def test_implicit_steps_obey_the_entropy_bound_below_mu0(instance, dt_factor):
     traj = simulate(params, state0, STEPS * dt, config,
                     reference=State(f=esd.f_tilde, R=esd.R_tilde))
     assert entropy_trace(traj).flagged_steps == ()
+
+
+def run(call, *args):
+    """The call's result, or the type, message and step index of its StepRejected."""
+    try:
+        return call(*args)
+    except StepRejected as err:
+        return type(err), str(err), err.step_index
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Scheme)), st.floats(0.05, 50.0),
+       st.sampled_from([(1e-12, 200), (1e-15, 3)]))
+def test_simulate_equals_the_frozen_step_loop_bit_for_bit(seed, scheme, dt_factor, fp):
+    """Below and beyond mu0, over a last step shorter than dt: the same rows and
+    sweep counts, or the same rejection at the same step."""
+    rng = np.random.default_rng(seed)
+    params = random_instance(rng, n_max=8)
+    state0 = random_state(rng, params)
+    dt = dt_factor * min(validate_params(params, state0).mu0, 1.0)
+    config = StepConfig(dt=dt, scheme=scheme, fp_tol=fp[0], fp_maxit=fp[1])
+    got = run(simulate, params, state0, 9.5 * dt, config)
+    expected = run(frozen_simulate, params, state0, 9.5 * dt, config)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+    else:
+        f, R, counts = expected
+        assert isinstance(got, Trajectory)
+        assert np.array_equal(got.f.view(np.uint64), f.view(np.uint64))
+        assert np.array_equal(got.R.view(np.uint64), R.view(np.uint64))
+        assert got.fp_iteration_counts == counts
