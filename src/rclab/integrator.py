@@ -104,11 +104,13 @@ class EntropyTrace:
 
 
 def _step_terms(params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(dt*m*Rstar, 1 + dt*m). For a float dt they are kept on params, one tuple
-    for the last dt, replaced whole; another dt (a 0-d array may change) is not kept."""
+    """(dt*m*Rstar, 1 + dt*m), read-only. For a float dt they are kept on params,
+    one tuple for the last dt, replaced whole; another dt (an array may change)
+    is not kept."""
     terms = params._step_terms
     if not (isinstance(dt, float) and terms is not None and terms[0] == dt):
         terms = (dt, dt * params.m * params.Rstar, 1.0 + dt * params.m)
+        terms[1].flags.writeable = terms[2].flags.writeable = False
         if isinstance(dt, float):
             object.__setattr__(params, "_step_terms", terms)
     return terms[1], terms[2]
@@ -235,7 +237,6 @@ def simulate(
     times = np.empty(len(steps) + 1)
     f = np.empty((len(steps) + 1, params.N))
     R = np.empty((len(steps) + 1, params.N))
-    R_start, half_R = np.empty(params.N), np.empty(params.N)  # the prediction's buffers
     sweep_counts: list[int] = []
     t = 0.0
     state = state0
@@ -243,14 +244,10 @@ def simulate(
     for i, dt in enumerate(steps):
         try:
             if config.scheme is Scheme.FULLY_IMPLICIT:
-                if i >= 2:  # max(3 (R^n - R^{n-1}) + R^{n-2}, R^n / 2)
-                    np.subtract(R[i], R[i - 1], out=R_start)
-                    np.multiply(3.0, R_start, out=R_start)
-                    np.add(R_start, R[i - 2], out=R_start)
-                    np.maximum(R_start, np.multiply(0.5, R[i], out=half_R), out=R_start)
+                R_start = (None if i < 2 else np.maximum(
+                    3.0 * (R[i] - R[i - 1]) + R[i - 2], 0.5 * R[i]))
                 state, sweeps = step_fully_implicit(
-                    params, state, dt, config.fp_tol, config.fp_maxit,
-                    None if i < 2 else R_start,
+                    params, state, dt, config.fp_tol, config.fp_maxit, R_start
                 )
                 sweep_counts.append(sweeps)
             else:

@@ -299,8 +299,8 @@ def frozen_simulate(
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """simulate's step loop spelled out, without its checks and diagnostics: the
     rows of f and R and the sweep counts, or the StepRejected of the failing step
-    with its index. Each implicit step from the third starts from a freshly
-    allocated max(3 (R^n - R^{n-1}) + R^{n-2}, R^n / 2), and is retaken from R^n
+    with its index. Each implicit step from the third starts from
+    max(3 (R^n - R^{n-1}) + R^{n-2}, R^n / 2), and is retaken from R^n
     if that start fails."""
     f_rows, R_rows, counts = [state0.f], [state0.R], []
     for i, dt in enumerate(_plan_steps(T_final, config.dt)):

@@ -518,6 +518,12 @@ class TestStepTermsAreNeverStale:
         plain = step_fully_implicit(fresh(params), state, 0.1)
         assert bits(retaken[0]) == bits(plain[0]) and retaken[1] == plain[1]
 
+    def test_the_kept_terms_are_read_only(self):
+        params, state = n1_instance()
+        step_semi_implicit(params, state, 0.1)
+        dt, dt_m_Rstar, den = params._step_terms
+        assert dt == 0.1 and not dt_m_Rstar.flags.writeable and not den.flags.writeable
+
     def test_a_changed_dt_array_gets_new_terms(self):
         params, state = n1_instance()
         dt = np.array(0.1)
