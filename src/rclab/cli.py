@@ -290,7 +290,8 @@ def cmd_plot(args) -> int:
     np.empty(1 << 20, np.uint8)
     try:
         with open(args.csv, encoding="utf-8") as fh:
-            table = csvio.read_csv(fh)
+            # every line is checked, but only the cells the kind draws are converted
+            table = csvio.read_csv(fh, lambda header: svgplot.drawn(args.kind, header))
     except (OSError, UnicodeDecodeError) as err:
         raise RclabError(f"cannot read {args.csv}: {err}") from err
     svg = svgplot.render(table, args.kind, log_scale=args.log)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Collection, Iterable, Mapping
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
 from pathlib import Path
@@ -55,12 +55,16 @@ _MISSPELT = "numbers must be ASCII text as %.17g writes them"
 @dataclass(frozen=True)
 class Table:
     """Named float columns of equal length, in file order; NaN marks a blank cell.
-    The columns are read-only, a view of a copy of the mapping the table was built from."""
+    The columns are read-only, a view of a copy of the mapping the table was built from.
+    A column read at some rows of a file only (see `read_csv`) has in `unread` a value
+    for the rows it does not hold: NaN if one is blank, else inf if one is infinite."""
 
     columns: Mapping[str, np.ndarray]
+    unread: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
+        object.__setattr__(self, "unread", MappingProxyType(dict(self.unread)))
         if not self.columns:
             raise ValidationError("columns", "a table needs at least one column")
         first = next(iter(self.columns))
@@ -75,10 +79,12 @@ class Table:
         return self.columns[name]
 
     def numeric(self, name: str) -> np.ndarray:
-        """The column, which must hold a finite number in every cell."""
+        """The column, which must hold a finite number in every cell, also in its unread rows."""
         col = self.column(name)
-        if not np.all(np.isfinite(col)):
-            what = "blank cells" if np.any(np.isnan(col)) else "infinite values"
+        rest = self.unread.get(name, 0.0)
+        if not (np.all(np.isfinite(col)) and math.isfinite(rest)):
+            blank = math.isnan(rest) or np.any(np.isnan(col))
+            what = "blank cells" if blank else "infinite values"
             raise ParseError(f"column '{name}' has {what}", field=name)
         return col
 
@@ -209,13 +215,20 @@ def _spell(x: np.ndarray, ncols: int) -> np.ndarray:
     return text.ravel()[keep.view(bool).ravel()]
 
 
-def read_csv(lines: Iterable[str]) -> Table:
+def read_csv(lines: Iterable[str],
+             select: Callable[[list[str]], tuple[Collection[str], bool]] | None = None) -> Table:
     """Parse the lines of a CSV produced by this package, such as an open file, a
     block at a time by `_read_block`: about 8,192 cells of a table of 64 columns or
     more, 32 lines of a narrower one. Only the parsed floats are held, 8 bytes a
     cell. The header names each column once, none blank. Each cell is blank, [-]inf
     or `-?D+(.D+)?(e[+-]D{1,3})` in ASCII; the first line that is not, or has
     another count of cells, fails naming its file line.
+
+    `select`, given the header, names the columns to keep and whether to keep only
+    the first and last data rows; it keeps every column when it names none in the
+    header. Every line is checked all the same, and every number that may overflow
+    is read, but only the kept cells are held. A table of the end rows notes in
+    `Table.unread` the blank and infinite cells of its columns in the other rows.
     """
     numbered = enumerate(lines, start=1)
     header_lineno, header_line = next(((n, ln) for n, ln in numbered if ln.strip()), (1, None))
@@ -231,19 +244,44 @@ def read_csv(lines: Iterable[str]) -> Table:
     # one column a blank line is a blank cell
     rows = ((n, ln) for n, ln in numbered if ncols == 1 or ln.strip())
     size = max(1, _READ_CELLS // ncols) if ncols >= _WIDE else _ROWS
-    cells_read = array("d")
+    names, end_rows = select(header) if select is not None else (header, False)
+    names = set(names)
+    keep = np.array([name in names for name in header])
+    if not keep.any():  # every cell, for the caller to name the columns it misses
+        keep[:], end_rows = True, False
+    kept = [name for name, k in zip(header, keep) if k]
+    cols = np.flatnonzero(keep)
+    held, unread, last = array("d"), np.zeros(len(kept)), None
+    # of the end rows, the first is read alone, the others only checked and noted,
+    # and the last read again once no line is left
+    if end_rows and (first := next(rows, None)):
+        held.frombytes(_read_block([first], ncols, keep)[cols].view(np.uint8))
     while block := list(islice(rows, size)):
-        cells_read.frombytes(_read_block(block, ncols).view(np.uint8))
-    if not cells_read:
+        if end_rows:
+            cells = _read_block(block, ncols, False).reshape(-1, ncols)[:, cols]
+            unread, last = np.maximum(unread, np.max(np.abs(cells), axis=0)), block[-1]
+        elif keep.all():
+            held.frombytes(_read_block(block, ncols).view(np.uint8))
+        else:
+            cells = _read_block(block, ncols, np.tile(keep, len(block))).reshape(-1, ncols)
+            held.frombytes(cells[:, cols].ravel().view(np.uint8))
+    if last:
+        held.frombytes(_read_block([last], ncols, keep)[cols].view(np.uint8))
+    if not held:
         raise ParseError("CSV has a header but no data rows", line=header_lineno)
-    block = np.frombuffer(cells_read).reshape(-1, ncols)
-    return Table({name: block[:, j] for j, name in enumerate(header)})
+    block = np.frombuffer(held).reshape(-1, len(kept))
+    return Table({name: block[:, j] for j, name in enumerate(kept)},
+                 dict(zip(kept, unread.tolist())) if end_rows else {})
 
 
-def _read_block(block: list[tuple[int, str]], ncols: int) -> np.ndarray:
+def _read_block(block: list[tuple[int, str]], ncols: int,
+                keep: np.ndarray | bool | None = None) -> np.ndarray:
     """The cells of a block of numbered lines, bit for bit as `float` reads them;
     a ParseError names the first line without ncols cells of the form `read_csv`
-    names, or with one that overflows.
+    names, or with one that overflows. Given a mask keep of the cells in file order,
+    it converts only the kept cells and those that may overflow (more than 24 bytes,
+    or an exponent of +DDD); each other cell reads as NaN if blank, inf if infinite,
+    else 0.
 
     The bytes that are not digits place each cell's sign, point and exponent. Its
     digits D, the point read as a 0 that is taken out after, are three 8-byte words
@@ -294,12 +332,21 @@ def _read_block(block: list[tuple[int, str]], ncols: int) -> np.ndarray:
         raise ParseError(message, line=block[i][0])
     # so a cell is [-]D[.D][e sign D] or [-]inf, and its separator
     ends = pos[seps]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if keep is not None:
+        skipped = np.zeros(len(seps))
+        skipped[starts == ends], skipped[b[seps - 1] == 102] = math.nan, math.inf
+        # a number may overflow only past 24 bytes or with an exponent of +DDD, whose
+        # "+" is 4 bytes before the separator (buf holds the text 24 bytes on)
+        keep = np.flatnonzero(keep | (ends - starts > 24) | (buf[ends + 20] == 43))
+        if not keep.size:
+            return skipped
+        seps, ends, starts = seps[keep], ends[keep], starts[keep]
     has_e = b.take(seps - 2, mode="wrap") == 101  # b may hold one item
     exp_neg, inf = b[seps - 1] == 45, b[seps - 1] == 102
     mant = np.where(has_e, seps - 2, seps)  # what ends the mantissa, and before it
     mant_end, point, has_point = pos[mant], pos[mant - 1], b[mant - 1] == 46
     del pos, b, sep, gap, after, prev, nxt, dot, lead, opens, before_sep, ok  # bound the peak
-    starts = np.concatenate(([0], ends[:-1] + 1))
     neg = text[starts] == 45
     after_point = np.where(has_point, mant_end - point - 1, 0)
     # the mantissa's bytes, 25 for more than the words hold; inf and a blank read as 0
@@ -336,8 +383,12 @@ def _read_block(block: list[tuple[int, str]], ncols: int) -> np.ndarray:
     redo = np.flatnonzero(redo | huge | (lower != r))
     again = [float(data[s:t]) for s, t in zip((starts + neg)[redo].tolist(), ends[redo].tolist())]
     if math.inf in again:
-        raise ParseError(_MISSPELT, line=block[redo[again.index(math.inf)] // ncols][0])
+        cell = redo[again.index(math.inf)]
+        raise ParseError(_MISSPELT, line=block[(cell if keep is None else keep[cell]) // ncols][0])
     r[redo] = again
     r[starts == ends], r[inf] = math.nan, math.inf
     np.negative(r, out=r, where=neg)
-    return r
+    if keep is None:
+        return r
+    skipped[keep] = r
+    return skipped

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeInput, NotConverged, ValidationError
-from .model import H_gradient, ModelParams, _check_dims, _growth, reconstruct_R
+from .model import H_gradient, ModelParams, _check_dims, _growth, _resources, reconstruct_R
 from .model import restricted_gradient, restricted_H, restricted_hessian_factor
 
 SUPPORT_EPS = 1e-8
@@ -115,7 +115,7 @@ def solve_esd(
         iterations += 1 + steps
         f[support] = x
 
-    h_val, b = restricted_H(params, slice(None), f)  # H_value's bits, and b at f_tilde
+    h_val, b = restricted_H(params, slice(None), f)  # H_value's bits, and b at f_tilde for R_tilde
     # degenerate traits (g_j <= tol off the support) go into Z, never out of it
     Z = np.flatnonzero((f > 0) | (g <= tol))
     s = np.linalg.svd(restricted_hessian_factor(params, Z, b), compute_uv=False)
@@ -126,7 +126,7 @@ def solve_esd(
                       f"(condition estimate {cond:.3e}); the minimizer of H may be "
                       "non-unique (the reconstructed resources are still unique)", stacklevel=2)
     return EsdResult(
-        f_tilde=f, R_tilde=reconstruct_R(params, f), H_at_min=h_val,
+        f_tilde=f, R_tilde=_resources(params, b), H_at_min=h_val,
         kkt_residual=residual, iterations=iterations, f_unique=f_unique,
         persistence_set=tuple(int(j) for j in np.flatnonzero(f > SUPPORT_EPS)),
     )

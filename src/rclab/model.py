@@ -78,6 +78,7 @@ class ModelParams:
     m: np.ndarray
     Rstar: np.ndarray
     a_star: np.ndarray = field(init=False, repr=False, compare=False)
+    _K_max: float = field(init=False, repr=False, compare=False)  # max K, for validate_params
     # (dt, dt*m*Rstar, 1 + dt*m) for the last dt the integrator stepped with
     _step_terms: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
@@ -97,7 +98,8 @@ class ModelParams:
             raise AssumptionViolation("growth rates a must be finite")
         # two reductions clear a valid K (a NaN fails them); the checks below name the fault
         K = self.K
-        if not (np.minimum.reduce(K, None) >= 0 and np.maximum.reduce(K, None) < math.inf):
+        object.__setattr__(self, "_K_max", float(np.maximum.reduce(K, None)))
+        if not (np.minimum.reduce(K, None) >= 0 and self._K_max < math.inf):
             if not np.all(np.isfinite(K)):
                 raise AssumptionViolation("consumption matrix K must be finite")
             j, k = np.argwhere(K < 0)[0]
@@ -191,7 +193,7 @@ def validate_params(params: ModelParams, initial: State) -> DerivedConstants:
     the failing condition of the state, or DimensionMismatch for its shapes."""
     _check_state(params, initial, "initial")
     gamma = float(-np.max(params.a_star))
-    K_M = float(np.max(params.K))
+    K_M = params._K_max
     m_lower = float(np.min(params.m))
     m_upper = float(np.max(params.m))
     beta = min(gamma, m_lower)

@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .model import ModelParams, Scheme, State, validate_params
+from .model import ModelParams, Scheme, State, _check_state
 
 # field naming one of a fixed set of choices -> {choice: the optional fields
 # that choice requires and owns}
@@ -80,9 +80,10 @@ def trait_grid(spec: ScenarioSpec) -> np.ndarray:
 def build_params(spec: ScenarioSpec) -> tuple[ModelParams, State]:
     """Instantiate the model and initial state described by `spec`.
 
-    Building the model checks the standing assumptions, and `validate_params`
-    the initial state. K is built in one buffer and handed over read-only, so the
-    model keeps it uncopied. No SVD of K is taken (`solve_esd` certifies f_unique).
+    Building the model checks the standing assumptions, and the state check of
+    `validate_params` the initial state, without its constants. K is built in one
+    buffer and handed over read-only, so the model keeps it uncopied. No SVD of K is
+    taken (`solve_esd` certifies f_unique).
     """
     x = trait_grid(spec)
     y = x
@@ -114,7 +115,7 @@ def build_params(spec: ScenarioSpec) -> tuple[ModelParams, State]:
         R0 = np.full(spec.N, spec.initial_R_value)
     state0 = State(f=f0, R=R0)
 
-    validate_params(params, state0)
+    _check_state(params, state0, "initial")
     return params, state0
 
 

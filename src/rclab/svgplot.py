@@ -9,6 +9,8 @@ species profiles over time).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .csvio import Table
@@ -93,10 +95,9 @@ def _document(body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def _series_names(table: Table, prefix: str) -> list[str]:
+def _series_names(columns: Iterable[str], prefix: str) -> list[str]:
     """The numbered columns prefix1..prefixN in trait order (f_tilde is not one)."""
-    names = [c for c in table.columns
-             if c.startswith(prefix) and c[len(prefix):].isdecimal()]
+    names = [c for c in columns if c.startswith(prefix) and c[len(prefix):].isdecimal()]
     return sorted(names, key=lambda c: int(c[len(prefix):]))
 
 
@@ -124,8 +125,8 @@ def render_profile(table: Table) -> str:
         series_R = [("R", table.numeric("R_tilde"))]
         xlabel = "trait"
     else:
-        names_f = _series_names(table, "f_")
-        names_R = _series_names(table, "R_")
+        names_f = _series_names(table.columns, "f_")
+        names_R = _series_names(table.columns, "R_")
         missing = [p + "*" for p, names in (("f_", names_f), ("R_", names_R)) if not names]
         if missing:
             raise ParseError(f"a trajectory profile needs {' and '.join(missing)} columns")
@@ -176,7 +177,7 @@ def render_entropy(table: Table, log_scale: bool = False) -> str:
 
 def render_waterfall(table: Table) -> str:
     """Layered species profiles at evenly spaced times, early at the bottom."""
-    names_f = _series_names(table, "f_")
+    names_f = _series_names(table.columns, "f_")
     if not names_f:
         raise ParseError("waterfall needs a trajectory CSV with f_* columns")
     columns = [table.numeric(c) for c in names_f]
@@ -197,6 +198,20 @@ def render_waterfall(table: Table) -> str:
 
 
 _RENDERERS = {"profile": render_profile, "entropy": render_entropy, "waterfall": render_waterfall}
+
+
+def drawn(kind: str, header: list[str]) -> tuple[list[str], bool]:
+    """The columns of a CSV with this header that a kind draws, and whether it draws
+    only their first and last rows: a trajectory profile f_* and R_* at the ends, a
+    stable distribution's profile trait, f_tilde and R_tilde, waterfall f_* and
+    entropy t, S and Q, each in every row. A `read_csv` selection."""
+    if kind == "entropy":
+        return ["t", "S", "Q"], False
+    if kind == "waterfall":
+        return _series_names(header, "f_"), False
+    if "trait" in header:
+        return ["trait", "f_tilde", "R_tilde"], False
+    return _series_names(header, "f_") + _series_names(header, "R_"), True
 
 
 def check_request(kind: str, log_scale: bool) -> None:

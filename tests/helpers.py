@@ -22,9 +22,10 @@ from rclab import (
     State,
     growth_rate,
 )
-from rclab.csvio import Table
-from rclab.errors import ParseError, StepRejected
+from rclab.csvio import Table, read_csv
+from rclab.errors import ParseError, RclabError, StepRejected
 from rclab.integrator import _plan_steps
+from rclab.svgplot import drawn, render
 
 _ROOT_RTOL = 1e-12
 
@@ -148,6 +149,20 @@ def line_parser_csv(lines: Iterable[str]) -> Table:
     if not rows:
         raise ParseError("CSV has a header but no data rows", line=header_lineno)
     return Table(dict(zip(header, np.array(rows).T)))
+
+
+def render_read_both_ways(lines: list[str], kind: str, log_scale: bool = False) -> list:
+    """What `plot` makes of a CSV's lines, read whole and read as the kind selects
+    (`svgplot.drawn`): for each, the SVG, or the type, message and line of the error."""
+    outcomes = []
+    for select in (None, lambda header: drawn(kind, header)):
+        try:
+            outcomes.append(render(read_csv(lines, select), kind, log_scale))
+        # huge or equal values can fail the drawing arithmetic too (an overflow warns,
+        # which tests make an error)
+        except (RclabError, ArithmeticError, RuntimeWarning) as err:
+            outcomes.append((type(err), str(err), getattr(err, "line", None)))
+    return outcomes
 
 
 def fd_gradient(params: ModelParams, f: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import rclab.cli
-from helpers import random_stack, subprocess_env, traced_peak
-from rclab import builtin_presets, load_scenario, save_scenario
+from helpers import random_stack, render_read_both_ways, subprocess_env, traced_peak
+from rclab import builtin_presets, load_scenario, save_scenario, trait_grid
 from rclab.cli import main
-from rclab.csvio import Table, read_csv, write_csv
+from rclab.csvio import Table, esd_table, read_csv, trajectory_table, write_csv
 from rclab.errors import NewtonFailed, ParseError, RclabError
 from rclab.svgplot import render, render_entropy, render_profile, render_waterfall
 
@@ -399,7 +399,34 @@ class TestAnalyze:
             assert not [k for k in read_report(out) if k.startswith("verdicts.")]
 
 
+@pytest.fixture(scope="module")
+def plot_csvs(tmp_path_factory, example1_traj_implicit, example1_esd):
+    """The CSVs plot draws: simulate-plot-wide's 14 MB trajectory (N = 320, T = 400,
+    semi-implicit), the flagship's 7,501 rows, an n1-closedform run's and example1's ESD."""
+    out = tmp_path_factory.mktemp("plot")
+    example1 = builtin_presets()["example1"]
+    (out / "wide.rc").write_text(save_scenario(replace(example1, N=320, T_final=400.0,
+                                                       scheme="semi")), encoding="utf-8")
+    assert run(["simulate", "--scenario", str(out / "wide.rc"), "--out", str(out / "wide")]) == 0
+    assert run(["simulate", "--preset", "n1-closedform", "--out", str(out / "n1")]) == 0
+    write_csv(out / "flagship.csv", trajectory_table(example1_traj_implicit))
+    write_csv(out / "esd.csv", esd_table(trait_grid(example1), example1_esd))
+    return {"wide": out / "wide" / "trajectory.csv", "flagship": out / "flagship.csv",
+            "n1": out / "n1" / "trajectory.csv", "esd": out / "esd.csv"}
+
+
 class TestPlot:
+    # every kind draws the same bytes from the cells it draws as from the whole table
+    # (an ESD fails alike for waterfall and entropy)
+    @pytest.mark.parametrize("csv", ["wide", "flagship", "n1", "esd"])
+    def test_svgs_drawn_from_the_drawn_cells_are_byte_identical(self, plot_csvs, csv):
+        lines = plot_csvs[csv].read_text(encoding="utf-8").splitlines(keepends=True)
+        for kind, log in [("profile", False), ("waterfall", False), ("entropy", False),
+                          ("entropy", True)]:
+            whole, selected = render_read_both_ways(lines, kind, log)
+            assert isinstance(whole, str) == (csv != "esd" or kind == "profile")
+            assert selected == whole
+
     def _trajectory(self, tmp_path):
         out = tmp_path / "t"
         run(["simulate", "--preset", "n1-closedform", "--T", "5", "--out", str(out)])

@@ -1,5 +1,6 @@
 """Properties of the CSV format on random input."""
 
+import functools
 import math
 import subprocess
 import sys
@@ -14,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import line_parser_csv, n1_instance, oracle_csv, subprocess_env
+from helpers import (line_parser_csv, n1_instance, oracle_csv, render_read_both_ways,
+                     subprocess_env)
 from rclab import (Diagnostics, ModelParams, ParseError, Scheme, State, StepConfig,
-                   ValidationError, csvio, simulate)
+                   ValidationError, csvio, simulate, svgplot)
 from rclab.csvio import Table, read_csv, trajectory_table, write_csv
 from rclab.integrator import Trajectory
 
@@ -366,6 +368,106 @@ def test_errors_of_a_wide_table_name_their_file_line(monkeypatch, cells, message
     with pytest.raises(ParseError, match=message) as err:
         read_csv(lines)
     assert err.value.line == 38
+
+
+def _trajectory_header(n):
+    traits = range(1, n + 1)
+    return ["t", *(f"f_{j}" for j in traits), *(f"R_{j}" for j in traits),
+            "mass", "S", "Q", "F", "H"]
+
+
+# the tables plot draws: a stable distribution, and trajectories of 8 to 12 columns
+# and of 64 to 74, in any cells %.17g writes and in spellings it never writes
+@st.composite
+def plotted_csvs(draw):
+    shape = draw(st.sampled_from(["esd", "narrow", "wide"]))
+    if shape == "esd":
+        header = ["trait", "f_tilde", "R_tilde"]
+    else:
+        header = _trajectory_header(draw(st.integers(1, 3) if shape == "narrow"
+                                         else st.integers(29, 34)))
+    rows = draw(st.integers(1, 6))
+    finite = (st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL[:5])
+              | st.floats(1e307, 1.7976931348623157e308) | st.floats(-1.0, 1.0))
+    block = draw(arrays(np.float64, (rows, len(header)), elements=finite))
+    for row, col, value in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, 99),
+                                                   st.sampled_from([math.nan, math.inf,
+                                                                    -math.inf])), max_size=3)):
+        block[row, col % len(header)] = value
+    lines = oracle_csv(Table(dict(zip(header, block.T)))).decode().splitlines()
+    spellings = st.sampled_from([
+        "1e+999", "1" + "0" * 400, "-1e+400", "1.7976931348623159e+308", "1e999",
+        "1.7976931348623157e+308", "0e+999", "1e-999", "1" + "0" * 29, "1." + "0" * 30, "x",
+        "", "inf"])
+    spelt = st.tuples(st.just("cell"), st.integers(1, 7), st.integers(0, 99), spellings)
+    for edit in draw(st.lists(spelt, max_size=3)) + draw(st.lists(edits, max_size=1)):
+        lines = apply(lines, edit)
+    return lines
+
+
+def _kept_or_error(lines, kind, select):
+    """The bits of the cells a kind draws, and what `numeric` makes of each of
+    their columns; or the type, message and line of the read's error."""
+    try:
+        table = read_csv(lines, select)
+    except ParseError as err:
+        return type(err), str(err), err.line
+    header = next(line for line in lines if line.strip()).split(",")
+    names, ends = svgplot.drawn(kind, header)
+    kept = []
+    for name in (name for name in names if name in table.columns):
+        col = table.column(name)[[0, -1]] if ends else table.column(name)
+        try:
+            table.numeric(name)
+        except ParseError as err:
+            kept.append((name, col.view(np.int64).tolist(), str(err), err.field))
+        else:
+            kept.append((name, col.view(np.int64).tolist()))
+    return kept
+
+
+def _plotted(n, *cells):
+    """The lines of a 5-row trajectory CSV of n traits, with cells (line, column, text)
+    spelt anew."""
+    header = _trajectory_header(n)
+    rng = np.random.default_rng(n)
+    lines = oracle_csv(Table({name: rng.uniform(0.1, 2.0, 5) for name in header}))
+    lines = lines.decode().splitlines()
+    for line, col, text in cells:
+        lines = apply(lines, ("cell", line, col, text))
+    return lines
+
+
+LONG = "1" + "0" * 400  # overflows, past 24 bytes
+
+
+# the read of what a kind draws converts fewer cells, but it holds their bits, checks
+# every line and fails as the whole read with `numeric` does, naming the same line;
+# each draw reads 1 to 3 lines a block, so an end row may lie in a block of its own
+@pytest.mark.parametrize("kind, log", [("profile", False), ("waterfall", False),
+                                       ("entropy", False), ("entropy", True)])
+def test_a_read_of_what_a_kind_draws_agrees_with_the_whole_read(kind, log):
+    select = functools.partial(svgplot.drawn, kind)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(plotted_csvs(), st.integers(1, 3))
+    @example(_plotted(2, (3, 1, "")), 2)  # a blank f_1 between the end rows
+    @example(_plotted(2, (3, 4, "-inf")), 2)  # an infinite R_2 there
+    @example(_plotted(2, (3, 5, LONG)), 3)  # an overflow in mass, not drawn
+    @example(_plotted(2, (3, 1, LONG)), 1)  # in f_1 between the end rows
+    @example(_plotted(30, (3, 62, "1e+999")), 2)  # in a wide table
+    @example(_plotted(30, (3, 1, "inf"), (4, 3, "")), 2)
+    @example(_plotted(2, (2, 5, "-1e+400"), (4, 1, "x")), 3)  # the overflow fails first
+    def check(lines, per_block):
+        lines = ("\n".join(lines) + "\n").splitlines()
+        ncols = len(lines[0].split(",")) if lines else 1
+        with mock.patch.object(csvio, "_ROWS", per_block), \
+                mock.patch.object(csvio, "_READ_CELLS", per_block * ncols):
+            assert _kept_or_error(lines, kind, select) == _kept_or_error(lines, kind, None)
+            whole, selected = render_read_both_ways(lines, kind, log)
+            assert selected == whole
+
+    check()
 
 
 @pytest.mark.parametrize("csv", ["narrow", "wide"])

@@ -95,6 +95,14 @@ class TestSolveEsd:
         assert np.array_equal(esd.R_tilde, params.Rstar)
         assert esd.persistence_set == ()
 
+    @pytest.mark.parametrize("name", ["example1", "example2", "n1-closedform"])
+    def test_R_tilde_has_the_bits_of_reconstruct_R(self, name):
+        # R_tilde comes from the uptake b that H_at_min was computed with
+        params, _ = build_params(builtin_presets()[name])
+        esd = solve_esd(params)
+        R = reconstruct_R(params, esd.f_tilde)
+        assert np.array_equal(esd.R_tilde.view(np.int64), R.view(np.int64))
+
     def test_not_converged_raises(self):
         params, _ = n1_instance()
         with pytest.raises(NotConverged):

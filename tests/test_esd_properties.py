@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import rclab.esd
 from helpers import bb_esd, random_instance
-from rclab import H_value, ModelParams, solve_esd, verify_esd
+from rclab import H_value, ModelParams, reconstruct_R, solve_esd, verify_esd
 
 PROPERTY = settings(max_examples=40)
 
@@ -31,6 +31,14 @@ def test_solution_is_certified_and_matches_the_oracle(params):
     assert np.max(np.abs(esd.f_tilde - oracle)) <= 1e-6
     h_oracle = H_value(params, oracle)
     assert esd.H_at_min <= h_oracle + 1e-12 * (1.0 + abs(h_oracle))
+
+
+@PROPERTY
+@given(instances)
+def test_R_tilde_has_the_bits_of_reconstruct_R(params):
+    esd = solve_esd(params)
+    R = reconstruct_R(params, esd.f_tilde)
+    assert np.array_equal(esd.R_tilde.view(np.int64), R.view(np.int64))
 
 
 @PROPERTY

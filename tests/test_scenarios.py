@@ -236,16 +236,26 @@ class TestBuilder:
         assert solve_esd(params).f_unique
 
     def test_validate_params_does_not_scan_K(self, monkeypatch):
-        # the model checked K when it was built; the initial state is what is left
+        # the model checked K, and took its maximum, when it was built; the initial
+        # state is what is left
         params, state0 = build_without_warning(replace(builtin_presets()["example1"], N=640))
-        isfinite = np.isfinite
 
-        def vector_isfinite(x, *args, **kwargs):
-            assert np.ndim(x) < 2, f"validate_params scanned a {np.shape(x)} array"
-            return isfinite(x, *args, **kwargs)
+        def vector_only(scan):
+            def scan_a_vector(x, *args, **kwargs):
+                assert np.ndim(x) < 2, f"validate_params scanned a {np.shape(x)} array"
+                return scan(x, *args, **kwargs)
+            return scan_a_vector
 
-        monkeypatch.setattr(np, "isfinite", vector_isfinite)
-        assert validate_params(params, state0).gamma > 0
+        class Maximum:  # np.maximum, whose reduce takes no matrix
+            __call__ = staticmethod(np.maximum)
+            reduce = staticmethod(vector_only(np.maximum.reduce))
+
+        for name in ("isfinite", "max", "amax"):
+            monkeypatch.setattr(np, name, vector_only(getattr(np, name)))
+        monkeypatch.setattr(np, "maximum", Maximum())
+        constants = validate_params(params, state0)
+        assert constants.gamma > 0
+        assert constants.K_M == float(np.asarray(params.K).max())
 
     @settings(max_examples=40)
     @given(st.integers(1, 700), st.floats(0.01, 10.0), st.floats(-3.0, 3.0),
