@@ -56,8 +56,8 @@ _MISSPELT = "numbers must be ASCII text as %.17g writes them"
 class Table:
     """Named float columns of equal length, in file order; NaN marks a blank cell.
     The columns are read-only, a view of a copy of the mapping the table was built from.
-    A column read at some rows of a file only (see `read_csv`) has in `unread` a value
-    for the rows it does not hold: NaN if one is blank, else inf if one is infinite."""
+    A column read at its end rows only (see `read_csv`) has in `unread` a value over
+    all its rows: NaN if one is blank, else inf if one is infinite."""
 
     columns: Mapping[str, np.ndarray]
     unread: Mapping[str, float] = field(default_factory=dict)
@@ -225,10 +225,11 @@ def read_csv(lines: Iterable[str],
     another count of cells, fails naming its file line.
 
     `select`, given the header, names the columns to keep and whether to keep only
-    the first and last data rows; it keeps every column when it names none in the
-    header. Every line is checked all the same, and every number that may overflow
-    is read, but only the kept cells are held. A table of the end rows notes in
-    `Table.unread` the blank and infinite cells of its columns in the other rows.
+    the first and last data rows; with none, or none of the header's names, every
+    cell is kept. Each block is read through one mask of the cells to convert, so
+    every line is checked all the same, and every number that may overflow is read,
+    but only the kept cells are held. A table of the end rows notes in
+    `Table.unread` the blank and infinite cells of its columns in any row.
     """
     numbered = enumerate(lines, start=1)
     header_lineno, header_line = next(((n, ln) for n, ln in numbered if ln.strip()), (1, None))
@@ -252,20 +253,17 @@ def read_csv(lines: Iterable[str],
     kept = [name for name, k in zip(header, keep) if k]
     cols = np.flatnonzero(keep)
     held, unread, last = array("d"), np.zeros(len(kept)), None
-    # of the end rows, the first is read alone, the others only checked and noted,
-    # and the last read again once no line is left
-    if end_rows and (first := next(rows, None)):
-        held.frombytes(_read_block([first], ncols, keep)[cols].view(np.uint8))
     while block := list(islice(rows, size)):
+        mask = np.tile(keep, len(block))
+        if end_rows:  # of the end rows the first is converted and the others only noted
+            mask[ncols * (not held):] = False
+        cells = _read_block(block, ncols, mask).reshape(-1, ncols)[:, cols]
         if end_rows:
-            cells = _read_block(block, ncols, False).reshape(-1, ncols)[:, cols]
-            unread, last = np.maximum(unread, np.max(np.abs(cells), axis=0)), block[-1]
-        elif keep.all():
-            held.frombytes(_read_block(block, ncols).view(np.uint8))
-        else:
-            cells = _read_block(block, ncols, np.tile(keep, len(block))).reshape(-1, ncols)
-            held.frombytes(cells[:, cols].ravel().view(np.uint8))
-    if last:
+            unread = np.maximum(unread, np.max(np.abs(cells), axis=0))
+            last = block[-1] if held or len(block) > 1 else None
+            cells = cells[:not held]
+        held.frombytes(cells.ravel().view(np.uint8))
+    if last:  # the last end row, read again once no line is left
         held.frombytes(_read_block([last], ncols, keep)[cols].view(np.uint8))
     if not held:
         raise ParseError("CSV has a header but no data rows", line=header_lineno)
@@ -274,14 +272,12 @@ def read_csv(lines: Iterable[str],
                  dict(zip(kept, unread.tolist())) if end_rows else {})
 
 
-def _read_block(block: list[tuple[int, str]], ncols: int,
-                keep: np.ndarray | bool | None = None) -> np.ndarray:
-    """The cells of a block of numbered lines, bit for bit as `float` reads them;
-    a ParseError names the first line without ncols cells of the form `read_csv`
-    names, or with one that overflows. Given a mask keep of the cells in file order,
-    it converts only the kept cells and those that may overflow (more than 24 bytes,
-    or an exponent of +DDD); each other cell reads as NaN if blank, inf if infinite,
-    else 0.
+def _read_block(block: list[tuple[int, str]], ncols: int, mask: np.ndarray) -> np.ndarray:
+    """The cells of a block of numbered lines in file order; a ParseError names the
+    first line without ncols cells of the form `read_csv` names, or with one that
+    overflows. The cells the mask marks, and those that may overflow (more than 24
+    bytes, or an exponent of +DDD), read bit for bit as `float` reads them; each
+    other cell reads as NaN if blank, inf if infinite, else 0.
 
     The bytes that are not digits place each cell's sign, point and exponent. Its
     digits D, the point read as a 0 that is taken out after, are three 8-byte words
@@ -327,21 +323,18 @@ def _read_block(block: list[tuple[int, str]], ncols: int,
         bad[line[~ok | (b == 10) & (pos != line_end[line])]] = True
         i = int(np.argmax(bad))
         if i:  # a cell that overflows before that line fails first
-            _read_block(block[:i], ncols)
+            _read_block(block[:i], ncols, mask[:i * ncols])
         message = _MISSPELT if cells[i] == ncols else f"expected {ncols} cells, got {cells[i]}"
         raise ParseError(message, line=block[i][0])
     # so a cell is [-]D[.D][e sign D] or [-]inf, and its separator
     ends = pos[seps]
     starts = np.concatenate(([0], ends[:-1] + 1))
-    if keep is not None:
-        skipped = np.zeros(len(seps))
-        skipped[starts == ends], skipped[b[seps - 1] == 102] = math.nan, math.inf
-        # a number may overflow only past 24 bytes or with an exponent of +DDD, whose
-        # "+" is 4 bytes before the separator (buf holds the text 24 bytes on)
-        keep = np.flatnonzero(keep | (ends - starts > 24) | (buf[ends + 20] == 43))
-        if not keep.size:
-            return skipped
-        seps, ends, starts = seps[keep], ends[keep], starts[keep]
+    values = np.zeros(len(seps))
+    values[starts == ends], values[b[seps - 1] == 102] = math.nan, math.inf
+    # a number may overflow only past 24 bytes or with an exponent of +DDD, whose
+    # "+" is 4 bytes before the separator (buf holds the text 24 bytes on)
+    convert = np.flatnonzero(mask | (ends - starts > 24) | (buf[ends + 20] == 43))
+    seps, ends, starts = seps[convert], ends[convert], starts[convert]
     has_e = b.take(seps - 2, mode="wrap") == 101  # b may hold one item
     exp_neg, inf = b[seps - 1] == 45, b[seps - 1] == 102
     mant = np.where(has_e, seps - 2, seps)  # what ends the mantissa, and before it
@@ -383,12 +376,9 @@ def _read_block(block: list[tuple[int, str]], ncols: int,
     redo = np.flatnonzero(redo | huge | (lower != r))
     again = [float(data[s:t]) for s, t in zip((starts + neg)[redo].tolist(), ends[redo].tolist())]
     if math.inf in again:
-        cell = redo[again.index(math.inf)]
-        raise ParseError(_MISSPELT, line=block[(cell if keep is None else keep[cell]) // ncols][0])
+        raise ParseError(_MISSPELT, line=block[convert[redo[again.index(math.inf)]] // ncols][0])
     r[redo] = again
     r[starts == ends], r[inf] = math.nan, math.inf
     np.negative(r, out=r, where=neg)
-    if keep is None:
-        return r
-    skipped[keep] = r
-    return skipped
+    values[convert] = r
+    return values

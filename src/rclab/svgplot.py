@@ -37,16 +37,21 @@ def _line(x1: float, y1: float, x2: float, y2: float) -> str:
             'stroke="#404040" stroke-width="1"/>')
 
 
+def _axis(lo: float, hi: float) -> tuple[float, float]:
+    """An axis from lo to hi, widened to lo + 1 if empty; its width must be finite and > 0."""
+    if hi <= lo:
+        hi = lo + 1.0
+    if not 0.0 < hi - lo < np.inf:
+        raise RclabError(f"an axis from {lo!r} to {hi!r} has no finite positive width")
+    return lo, hi
+
+
 class _Panel:
     """One plot area with linear axes mapped into a viewport rectangle."""
 
     def __init__(self, x0, y0, w, h, xmin, xmax, ymin, ymax):
-        if xmax <= xmin:
-            xmax = xmin + 1.0
-        if ymax <= ymin:
-            ymax = ymin + 1.0
         self.x0, self.y0, self.w, self.h = x0, y0, w, h
-        self.xmin, self.xmax, self.ymin, self.ymax = xmin, xmax, ymin, ymax
+        (self.xmin, self.xmax), (self.ymin, self.ymax) = _axis(xmin, xmax), _axis(ymin, ymax)
 
     def px(self, x: float) -> float:
         return self.x0 + (x - self.xmin) / (self.xmax - self.xmin) * self.w
@@ -66,8 +71,9 @@ class _Panel:
         out.append(_text(self.x0 - 52, mid_y, "middle", 11, ylabel,
                          f' transform="rotate(-90 {_fnum(self.x0 - 52)} {_fnum(mid_y)})"'))
         for i in range(5):
-            xv = self.xmin + (self.xmax - self.xmin) * i / 4
-            yv = self.ymin + (self.ymax - self.ymin) * i / 4
+            # the bits of * i / 4, as a division by 4 is exact, but no overflow
+            xv = self.xmin + (self.xmax - self.xmin) / 4 * i
+            yv = self.ymin + (self.ymax - self.ymin) / 4 * i
             xp, yp = self.px(xv), self.py(yv)
             out.append(_line(xp, bottom, xp, bottom + 4))
             out.append(_text(xp, bottom + 16, "middle", 10, f"{xv:.3g}"))
@@ -77,7 +83,10 @@ class _Panel:
     def polyline(self, out: list[str], xs, ys, color: str, label: str | None = None,
                  slot: int = 0) -> None:
         # px, py map arrays with the bits of their scalar calls, and %.2f spells as _fnum does
-        pts = " ".join(["%.2f,%.2f" % p for p in zip(self.px(xs).tolist(), self.py(ys).tolist())])
+        xs, ys = self.px(xs), self.py(ys)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise RclabError("a point lies too far off the axes to be drawn")
+        pts = " ".join(["%.2f,%.2f" % p for p in zip(xs.tolist(), ys.tolist())])
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>'
         )
@@ -102,10 +111,7 @@ def _series_names(columns: Iterable[str], prefix: str) -> list[str]:
 
 
 def _bounds(arrays) -> tuple[float, float]:
-    lo = min(float(np.min(a)) for a in arrays)
-    hi = max(float(np.max(a)) for a in arrays)
-    if hi == lo:
-        hi = lo + 1.0
+    lo, hi = _axis(min(float(np.min(a)) for a in arrays), max(float(np.max(a)) for a in arrays))
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
 
@@ -197,7 +203,7 @@ def render_waterfall(table: Table) -> str:
     return _document(body)
 
 
-_RENDERERS = {"profile": render_profile, "entropy": render_entropy, "waterfall": render_waterfall}
+_KINDS = ("profile", "entropy", "waterfall")
 
 
 def drawn(kind: str, header: list[str]) -> tuple[list[str], bool]:
@@ -217,15 +223,17 @@ def drawn(kind: str, header: list[str]) -> tuple[list[str], bool]:
 def check_request(kind: str, log_scale: bool) -> None:
     """Raise UnknownKind for a kind that is not drawn, and RclabError if a log
     scale is asked of a kind other than entropy."""
-    if kind not in _RENDERERS:
-        raise UnknownKind(f"unknown plot kind '{kind}' (expected {'|'.join(_RENDERERS)})")
+    if kind not in _KINDS:
+        raise UnknownKind(f"unknown plot kind '{kind}' (expected {'|'.join(_KINDS)})")
     if log_scale and kind != "entropy":
         raise RclabError(f"--log applies to --kind entropy only, not {kind}")
 
 
+@np.errstate(over="ignore")  # a point that overflows is refused as off the axes
 def render(table: Table, kind: str, log_scale: bool = False) -> str:
-    """Draw a table as the kind asks, once `check_request` has judged the request."""
+    """Draw a table as the kind asks, once `check_request` has judged the request,
+    by the renderer of that name as the module holds it when called."""
     check_request(kind, log_scale)
     if kind == "entropy":
         return render_entropy(table, log_scale=log_scale)
-    return _RENDERERS[kind](table)
+    return (render_waterfall if kind == "waterfall" else render_profile)(table)

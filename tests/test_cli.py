@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rclab.cli
 from helpers import random_stack, render_read_both_ways, subprocess_env, traced_peak
@@ -43,6 +45,26 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 assert main(["plot", "--csv", sys.argv[1], "--kind", "profile", "--out-svg", sys.argv[2]]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+# finite numbers of every magnitude: subnormals, 2^53, the largest double
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 2.0**53, 1e308,
+             -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def drawable_tables(draw):
+    """A stable distribution or a trajectory of 1 to 3 traits, 1 to 5 rows, its
+    columns finite or constant numbers of any magnitude."""
+    if draw(st.booleans()):
+        header = ["trait", "f_tilde", "R_tilde"]
+    else:
+        traits = range(1, draw(st.integers(1, 3)) + 1)
+        header = ["t", *(f"f_{j}" for j in traits), *(f"R_{j}" for j in traits), "S", "Q"]
+    rows = draw(st.integers(1, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EXTREMES)
+    cells = st.lists(finite, min_size=rows, max_size=rows) | finite.map(lambda x: [x] * rows)
+    return Table({name: np.array(draw(cells)) for name in header})
 
 
 def read_report(out_dir):
@@ -545,6 +567,47 @@ class TestPlot:
         assert "log10" in render(table, "entropy", log_scale=True)
         with pytest.raises(RclabError, match=f"entropy only, not {kind}$"):
             render(table, kind, log_scale=True)
+
+    # one t at 2^53, where t + 1 == t, and an S axis whose width overflows
+    @pytest.mark.parametrize("text", ["t,S,Q\n9007199254740992,1,1\n",
+                                      "t,S,Q\n0,-1e+308,1\n1,1e+308,1\n"])
+    def test_an_axis_without_a_finite_positive_width_is_refused(self, tmp_path, capsys, text):
+        csv, svg = tmp_path / "axis.csv", tmp_path / "no.svg"
+        csv.write_text(text, encoding="utf-8")
+        assert run(["plot", "--csv", str(csv), "--kind", "entropy", "--out-svg", str(svg)]) == 2
+        assert re.fullmatch(r"error: an axis from \S+ to \S+ has no finite positive width\n",
+                            capsys.readouterr().err)
+        assert not svg.exists()
+
+    # plot draws a table of finite drawn values, whatever their magnitude, with finite
+    # numbers only, or refuses it with a message; it never fails otherwise, nor warns
+    def test_finite_values_of_any_magnitude_are_drawn_finite_or_refused(self, tmp_path):
+        csv, svg = tmp_path / "table.csv", tmp_path / "plot.svg"
+
+        @settings(max_examples=80)
+        @given(drawable_tables(), st.sampled_from(["profile", "waterfall", "entropy",
+                                                   "entropy --log"]))
+        @example(Table({"t": np.array([2.0**53]), "S": np.ones(1), "Q": np.ones(1)}), "entropy")
+        @example(Table({"t": np.arange(2.0), "S": np.array([-1e308, 1e308]), "Q": np.ones(2)}),
+                 "entropy")
+        def check(table, kind):
+            write_csv(csv, table)
+            svg.unlink(missing_ok=True)
+            status = run(["plot", "--csv", str(csv), "--kind", *kind.split(),
+                          "--out-svg", str(svg)])
+            assert status in (0, 2)
+            assert svg.exists() == (status == 0)
+            if status == 0:
+                assert not re.search(r"\b(nan|inf)\b", svg.read_text(encoding="utf-8"))
+
+        check()
+
+    # so a wrapper put in a renderer's place, as a timing harness does, runs
+    @pytest.mark.parametrize("kind", ["profile", "entropy", "waterfall"])
+    def test_render_calls_the_renderer_the_module_holds(self, monkeypatch, kind):
+        table = read_csv("t,f_1,R_1,S,Q\n0,1,1,1,1\n1,2,1,0.5,0.5\n".splitlines())
+        monkeypatch.setattr(f"rclab.svgplot.render_{kind}", lambda table, **options: kind)
+        assert render(table, kind) == kind
 
     def test_waterfall_without_f_columns_is_a_parse_error(self):
         with pytest.raises(ParseError, match="waterfall needs a trajectory CSV"):

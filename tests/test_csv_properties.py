@@ -200,15 +200,16 @@ def test_sweep_through_the_exact_path_alone(sweep, tmp_path, monkeypatch, name, 
 
 
 def _read_counting_blocks(lines, monkeypatch):
-    """The table read from lines, and how many blocks the array reader read and
-    how many it handed over unread, returning anything but all their cells."""
-    counts = {"read": 0, "handed over": 0}
+    """The table read from lines, and how many blocks the array reader read whole,
+    asked to convert every cell and returning all of them, and how many it read
+    otherwise."""
+    counts = {"whole": 0, "masked": 0}
     read_block = csvio._read_block
 
-    def counted(block, ncols):
-        values = read_block(block, ncols)
-        read = isinstance(values, np.ndarray) and values.shape == (len(block) * ncols,)
-        counts["read" if read else "handed over"] += 1
+    def counted(block, ncols, mask):
+        values = read_block(block, ncols, mask)
+        whole = mask.all() and values.shape == (len(block) * ncols,)
+        counts["whole" if whole else "masked"] += 1
         return values
 
     monkeypatch.setattr(csvio, "_read_block", counted)
@@ -224,7 +225,7 @@ def test_sweep_reads_back_bit_for_bit(sweep, tmp_path, monkeypatch, extended):
     monkeypatch.setattr(csvio, "_EXTENDED", extended)
     with open(tmp_path / "sweep.csv", encoding="utf-8") as fh:
         got, counts = _read_counting_blocks(fh, monkeypatch)
-    assert counts["read"] > 0 and counts["handed over"] == 0
+    assert counts["whole"] > 0 and counts["masked"] == 0
     # %.17g round-trips, so the columns are float of each cell, NaN for a blank
     for name, col in table.columns.items():
         nan = np.isnan(col)
@@ -249,7 +250,7 @@ def test_cells_near_a_midpoint_read_as_float_reads_them(monkeypatch):
     rows = [",".join(spelt[i:i + 64]) for i in range(0, len(spelt), 64)]
     got, counts = _read_counting_blocks([",".join(f"c{j}" for j in range(64)), *rows],
                                         monkeypatch)
-    assert counts["read"] > 0 and counts["handed over"] == 0
+    assert counts["whole"] > 0 and counts["masked"] == 0
     want = np.array([float(c) for c in spelt]).reshape(-1, 64)
     for j, col in enumerate(got.columns.values()):
         assert np.array_equal(col.view(np.int64), want[:, j].view(np.int64))
@@ -405,18 +406,20 @@ def plotted_csvs(draw):
     return lines
 
 
-def _kept_or_error(lines, kind, select):
-    """The bits of the cells a kind draws, and what `numeric` makes of each of
-    their columns; or the type, message and line of the read's error."""
+def _kept_or_error(lines, chosen, select):
+    """The bits of the cells a selection chooses from a read with select (a one-row
+    table's end row once), and what `numeric` makes of each of their columns; or
+    the type, message and line of the read's error."""
     try:
         table = read_csv(lines, select)
     except ParseError as err:
         return type(err), str(err), err.line
     header = next(line for line in lines if line.strip()).split(",")
-    names, ends = svgplot.drawn(kind, header)
+    names, ends = chosen(header)
     kept = []
     for name in (name for name in names if name in table.columns):
-        col = table.column(name)[[0, -1]] if ends else table.column(name)
+        col = table.column(name)
+        col = col[[0, -1]][:len(col)] if ends else col
         try:
             table.numeric(name)
         except ParseError as err:
@@ -449,21 +452,26 @@ LONG = "1" + "0" * 400  # overflows, past 24 bytes
 def test_a_read_of_what_a_kind_draws_agrees_with_the_whole_read(kind, log):
     select = functools.partial(svgplot.drawn, kind)
 
+    def every_column(header):
+        return header, False
+
     @settings(PROPERTY, max_examples=100)
-    @given(plotted_csvs(), st.integers(1, 3))
-    @example(_plotted(2, (3, 1, "")), 2)  # a blank f_1 between the end rows
-    @example(_plotted(2, (3, 4, "-inf")), 2)  # an infinite R_2 there
-    @example(_plotted(2, (3, 5, LONG)), 3)  # an overflow in mass, not drawn
-    @example(_plotted(2, (3, 1, LONG)), 1)  # in f_1 between the end rows
-    @example(_plotted(30, (3, 62, "1e+999")), 2)  # in a wide table
-    @example(_plotted(30, (3, 1, "inf"), (4, 3, "")), 2)
-    @example(_plotted(2, (2, 5, "-1e+400"), (4, 1, "x")), 3)  # the overflow fails first
-    def check(lines, per_block):
+    @given(plotted_csvs(), st.integers(1, 3), st.just(select))
+    @example(_plotted(2, (3, 1, "")), 2, select)  # a blank f_1 between the end rows
+    @example(_plotted(2, (3, 4, "-inf")), 2, select)  # an infinite R_2 there
+    @example(_plotted(2, (3, 5, LONG)), 3, select)  # an overflow in mass, not drawn
+    @example(_plotted(2, (3, 1, LONG)), 1, select)  # in f_1 between the end rows
+    @example(_plotted(30, (3, 62, "1e+999")), 2, select)  # in a wide table
+    @example(_plotted(30, (3, 1, "inf"), (4, 3, "")), 2, select)
+    @example(_plotted(2, (2, 5, "-1e+400"), (4, 1, "x")), 3, select)  # the overflow fails first
+    @example(_plotted(2)[:2], 1, select)  # one data row, the first end row and the last
+    @example(_plotted(30, (3, 1, "inf"), (4, 3, "")), 2, every_column)  # the whole read's bits
+    def check(lines, per_block, chosen):
         lines = ("\n".join(lines) + "\n").splitlines()
         ncols = len(lines[0].split(",")) if lines else 1
         with mock.patch.object(csvio, "_ROWS", per_block), \
                 mock.patch.object(csvio, "_READ_CELLS", per_block * ncols):
-            assert _kept_or_error(lines, kind, select) == _kept_or_error(lines, kind, None)
+            assert _kept_or_error(lines, chosen, chosen) == _kept_or_error(lines, chosen, None)
             whole, selected = render_read_both_ways(lines, kind, log)
             assert selected == whole
 
