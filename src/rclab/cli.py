@@ -92,9 +92,9 @@ def _trajectory_summary(traj) -> dict[str, float]:
     return summary
 
 
-def _trajectory_verdicts(traj, constants) -> dict[str, bool]:
+def _trajectory_verdicts(traj) -> dict[str, bool]:
     # no positivity verdict: the sweep kernel rejects every step that would lose it
-    return {"mass_bound": bool(np.all(traj.diagnostics.mass <= constants.M_tilde + 1e-9))}
+    return {"mass_bound": bool(np.all(traj.diagnostics.mass <= traj.constants.M_tilde + 1e-9))}
 
 
 def _esd_summary(esd) -> dict[str, float]:
@@ -135,16 +135,14 @@ def _write_report(out: Path, name: str, verdicts: dict[str, bool],
 def cmd_simulate(args) -> int:
     from . import csvio
     from .integrator import simulate
-    from .model import validate_params
     from .scenarios import build_params
 
     name, spec = _load_spec(args)
     out = _out_dir(args)
     params, state0 = build_params(spec)
-    constants = validate_params(params, state0)
     traj = simulate(params, state0, spec.T_final, _step_config(spec))
     csvio.write_csv(out / "trajectory.csv", csvio.trajectory_table(traj))
-    return _write_report(out, name, _trajectory_verdicts(traj, constants), constants,
+    return _write_report(out, name, _trajectory_verdicts(traj), traj.constants,
                          trajectory=_trajectory_summary(traj))
 
 
@@ -184,14 +182,13 @@ def cmd_verify(args) -> int:
     from . import csvio, svgplot
     from .esd import solve_esd
     from .integrator import Scheme, entropy_trace, simulate
-    from .model import State, validate_params
+    from .model import State
     from .scenarios import build_params, trait_grid
     from .steady import persistence_sum
 
     name, spec = _load_spec(args)
     out = _out_dir(args)
     params, state0 = build_params(spec)
-    constants = validate_params(params, state0)
 
     esd = solve_esd(params, tol=_ESD_SOLVER_TOL)
     reference = State(f=esd.f_tilde, R=esd.R_tilde)
@@ -208,7 +205,7 @@ def cmd_verify(args) -> int:
     linf_r = float(np.max(np.abs(final.R - esd.R_tilde)))
 
     verdicts = {
-        **_trajectory_verdicts(traj, constants),
+        **_trajectory_verdicts(traj),
         "esd_convergence": l1_f <= args.tol and linf_r <= args.tol,
         "persistence_sum": persistence_sum(esd, params) >= -1e-8,
     }
@@ -229,10 +226,10 @@ def cmd_verify(args) -> int:
     table = csvio.trajectory_table(traj)
     csvio.write_csv(out / "trajectory.csv", table)
     csvio.write_csv(out / "esd.csv", csvio.esd_table(trait_grid(spec), esd))
-    (out / "profile.svg").write_text(svgplot.render_profile(table), encoding="utf-8")
-    (out / "entropy.svg").write_text(svgplot.render_entropy(table), encoding="utf-8")
+    (out / "profile.svg").write_text(svgplot.render(table, "profile"), encoding="utf-8")
+    (out / "entropy.svg").write_text(svgplot.render(table, "entropy"), encoding="utf-8")
     return _write_report(
-        out, name, verdicts, constants,
+        out, name, verdicts, traj.constants,
         trajectory={**summary, "max_entropy_violation": max_violation},
         esd=_esd_summary(esd), comparison={"L1_distance_f": l1_f, "Linf_distance_R": linf_r},
     )

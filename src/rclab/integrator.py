@@ -19,6 +19,7 @@ the S column of a trajectory recorded against a reference, which it keeps.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import FixedPointDiverged, Mu0Violation, StepRejected, UndefinedEntropy
 from .errors import ValidationError
 from .model import (  # Scheme is defined with the model, and re-exported here
+    DerivedConstants,
     Diagnostics,
     ModelParams,
     Scheme,
@@ -74,7 +76,8 @@ class StepConfig:
 class Trajectory:
     """Recorded time series in columns: row n of f and R is the state at
     times[n], t = 0 first; diagnostics has one column per functional, with S
-    measured against reference (all NaN when there is none)."""
+    measured against reference (all NaN when there is none). constants are
+    those the run was checked against, `validate_params` of its first state."""
 
     params: ModelParams
     config: StepConfig
@@ -83,6 +86,7 @@ class Trajectory:
     R: np.ndarray
     diagnostics: Diagnostics
     fp_iteration_counts: list[int]
+    constants: DerivedConstants
     reference: State | None = None
 
     @property
@@ -103,17 +107,12 @@ class EntropyTrace:
     flagged_steps: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=1)  # a model hashes by identity, so the key is that model
 def _step_terms(params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(dt*m*Rstar, 1 + dt*m), read-only. For a float dt they are kept on params,
-    one tuple for the last dt, replaced whole; another dt (an array may change)
-    is not kept."""
-    terms = params._step_terms
-    if not (isinstance(dt, float) and terms is not None and terms[0] == dt):
-        terms = (dt, dt * params.m * params.Rstar, 1.0 + dt * params.m)
-        terms[1].flags.writeable = terms[2].flags.writeable = False
-        if isinstance(dt, float):
-            object.__setattr__(params, "_step_terms", terms)
-    return terms[1], terms[2]
+    """(dt*m*Rstar, 1 + dt*m), read-only, kept for the last model and float dt."""
+    dt_m_Rstar, den = dt * params.m * params.Rstar, 1.0 + dt * params.m
+    dt_m_Rstar.flags.writeable = den.flags.writeable = False
+    return dt_m_Rstar, den
 
 
 _max, _min = np.maximum.reduce, np.minimum.reduce  # without ndarray.max's Python wrapper
@@ -125,10 +124,11 @@ def _sweep(
     params: ModelParams, f: np.ndarray, R: np.ndarray, dt: float,
     fp_tol: float, max_sweeps: int, R_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(f, R, sweeps) one step of dt later, as read-only arrays, or StepRejected
-    if that is not a state: sweeps from R_start (default R) until successive
-    resource iterates agree to fp_tol in the max norm."""
+    """(f, R, sweeps) one step of dt, taken as a float, later, as read-only arrays,
+    or StepRejected if that is not a state: sweeps from R_start (default R) until
+    successive resource iterates agree to fp_tol in the max norm."""
     _check_dims(params, f, R)
+    dt = float(dt)
     dt_m_Rstar, den = _step_terms(params, dt)
     num = R + dt_m_Rstar
     KT, dt_h = params.K.T, dt * params.h
@@ -262,7 +262,7 @@ def simulate(
     return Trajectory(
         params=params, config=config, times=times, f=f, R=R,
         diagnostics=compute_diagnostics(params, State(f=f, R=R), reference),
-        fp_iteration_counts=sweep_counts, reference=reference,
+        fp_iteration_counts=sweep_counts, constants=constants, reference=reference,
     )
 
 

@@ -53,11 +53,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """One instance of the competition system. Building one (also by
-    `dataclasses.replace`) checks the standing assumptions, and raises
-    AssumptionViolation naming the one that fails, or DimensionMismatch.
+    """One instance of the competition system, compared and hashed by identity.
+    Building one (also by `dataclasses.replace`) checks the standing assumptions,
+    and raises AssumptionViolation naming the one that fails, or DimensionMismatch.
 
     N: number of traits (species and resources share the grid size)
     h: trait-cell width / resource weight
@@ -77,10 +77,8 @@ class ModelParams:
     K: np.ndarray
     m: np.ndarray
     Rstar: np.ndarray
-    a_star: np.ndarray = field(init=False, repr=False, compare=False)
-    _K_max: float = field(init=False, repr=False, compare=False)  # max K, for validate_params
-    # (dt, dt*m*Rstar, 1 + dt*m) for the last dt the integrator stepped with
-    _step_terms: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    a_star: np.ndarray = field(init=False, repr=False)
+    _K_max: float = field(init=False, repr=False)  # max K, for validate_params
 
     def __post_init__(self):
         for name in ("a", "K", "m", "Rstar"):

@@ -144,10 +144,10 @@ def render_profile(table: Table) -> str:
         xlabel = "trait index"
     ymin_f, ymax_f = _bounds([s for _, s in series_f])
     ymin_R, ymax_R = _bounds([s for _, s in series_R])
-    p1 = _Panel(_ML, _MT, half_w, _H - _MT - _MB, float(x[0]), float(x[-1]),
-                min(ymin_f, 0.0), ymax_f)
+    xmin, xmax = float(np.min(x)), float(np.max(x))
+    p1 = _Panel(_ML, _MT, half_w, _H - _MT - _MB, xmin, xmax, min(ymin_f, 0.0), ymax_f)
     p2 = _Panel(_ML + half_w + 40, _MT, half_w, _H - _MT - _MB,
-                float(x[0]), float(x[-1]), min(ymin_R, 0.0), ymax_R)
+                xmin, xmax, min(ymin_R, 0.0), ymax_R)
     p1.frame(body, "species", xlabel, "f")
     p2.frame(body, "resources", xlabel, "R")
     for idx, (label, s) in enumerate(series_f):
@@ -174,7 +174,7 @@ def render_entropy(table: Table, log_scale: bool = False) -> str:
     ymin, ymax = _bounds([vals for _, _, vals in series])
     body: list[str] = []
     panel = _Panel(_ML, _MT, _W - _ML - _MR, _H - _MT - _MB,
-                   float(t[0]), float(t[-1]), ymin, ymax)
+                   float(np.min(t)), float(np.max(t)), ymin, ymax)
     panel.frame(body, "diagnostics", "t", "value")
     for idx, (name, ts, vals) in enumerate(series):
         panel.polyline(body, ts, vals, _COLORS[idx % len(_COLORS)], name, idx)
@@ -191,15 +191,15 @@ def render_waterfall(table: Table) -> str:
     layers = min(_WATERFALL_LAYERS, n_times)
     picks = sorted({int(round(i)) for i in np.linspace(0, n_times - 1, layers)})
     fmax = max(float(np.max(c)) for c in columns) or 1.0
-    fmat = np.array([c[picks] for c in columns]).T  # rows = picked times
+    # one row of heights per picked time: layer + 1.5 * f / fmax
+    ys = np.arange(len(picks))[:, None] + 1.5 * np.array([c[picks] for c in columns]).T / fmax
     body: list[str] = []
-    panel = _Panel(_ML, _MT, _W - _ML - _MR, _H - _MT - _MB,
-                   1.0, float(len(columns)), 0.0, float(len(picks)) + 1.5)
+    panel = _Panel(_ML, _MT, _W - _ML - _MR, _H - _MT - _MB, 1.0, float(len(columns)),
+                   min(0.0, float(np.min(ys))), max(len(picks) + 1.5, float(np.max(ys))))
     panel.frame(body, "species over time", "trait index", "time (layers)")
     x = np.arange(1, len(columns) + 1, dtype=float)
-    for layer, row in enumerate(fmat):
-        ys = layer + 1.5 * row / fmax
-        panel.polyline(body, x, ys, _COLORS[layer % len(_COLORS)])
+    for layer, row in enumerate(ys):
+        panel.polyline(body, x, row, _COLORS[layer % len(_COLORS)])
     return _document(body)
 
 

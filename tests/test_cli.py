@@ -67,6 +67,22 @@ def drawable_tables(draw):
     return Table({name: np.array(draw(cells)) for name in header})
 
 
+_FRAME = re.compile(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+)" fill="none"')
+
+
+def assert_points_in_their_frames(svg):
+    """Every polyline point lies inside its panel's frame, to the 0.01 the SVG spells:
+    the polylines fall evenly to the frames in order (a profile draws f, then R)."""
+    frames = [[float(v) for v in frame] for frame in _FRAME.findall(svg)]
+    lines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert frames and len(lines) % len(frames) == 0
+    for i, points in enumerate(lines):
+        x, y, w, h = frames[i // (len(lines) // len(frames))]
+        for point in points.split():
+            px, py = (float(v) for v in point.split(","))
+            assert x - 0.01 <= px <= x + w + 0.01 and y - 0.01 <= py <= y + h + 0.01, point
+
+
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
 
@@ -92,6 +108,25 @@ def test_unknown_scheme_is_refused_naming_the_schemes(tmp_path, capsys, command)
     assert capsys.readouterr().err == (
         "error: invalid value for 'scheme': must be one of ('semi', 'implicit')\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_run_derives_its_constants_once(tmp_path, monkeypatch, command):
+    # at every binding of validate_params: simulate returns the constants it derived
+    import rclab.model
+
+    calls = []
+    original = rclab.model.validate_params
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "rclab"]:
+        if getattr(module, "validate_params", None) is original:
+            monkeypatch.setattr(module, "validate_params", counted)
+    assert run([command, "--preset", "n1-closedform", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 class TestVerify:
@@ -186,6 +221,21 @@ class TestVerify:
                     "--out", str(tmp_path)]) == 0
         assert read_report(tmp_path)["verdicts.entropy_monotone"] is True
         assert len(calls) == 1
+
+    def test_each_svg_is_drawn_through_render(self, tmp_path, monkeypatch):
+        # so verify's SVGs pass the request check and overflow guard that plot's do
+        from rclab import svgplot
+
+        kinds = []
+        original = svgplot.render
+
+        def recording(table, kind, **options):
+            kinds.append(kind)
+            return original(table, kind, **options)
+
+        monkeypatch.setattr(svgplot, "render", recording)
+        assert run(["verify", "--preset", "n1-closedform", "--out", str(tmp_path)]) == 0
+        assert kinds == ["profile", "entropy"]
 
     def test_semi_implicit_report_has_no_entropy_verdict(self, tmp_path):
         path = tmp_path / "zero.rc"
@@ -590,6 +640,14 @@ class TestPlot:
         @example(Table({"t": np.array([2.0**53]), "S": np.ones(1), "Q": np.ones(1)}), "entropy")
         @example(Table({"t": np.arange(2.0), "S": np.array([-1e308, 1e308]), "Q": np.ones(2)}),
                  "entropy")
+        # a t and a trait that do not increase, and a negative f: each was once drawn off its
+        # frame, and off the canvas
+        @example(Table({"t": np.array([0.0, 5.0, 1.0]), "S": np.arange(1.0, 4.0),
+                        "Q": np.arange(1.0, 4.0)}), "entropy")
+        @example(Table({"trait": np.array([0.5, -0.5, 0.0]), "f_tilde": np.arange(1.0, 4.0),
+                        "R_tilde": np.arange(1.0, 4.0)}), "profile")
+        @example(Table({"t": np.zeros(1), "f_1": np.array([1.4]), "f_2": np.array([-5.0])}),
+                 "waterfall")
         def check(table, kind):
             write_csv(csv, table)
             svg.unlink(missing_ok=True)
@@ -598,7 +656,9 @@ class TestPlot:
             assert status in (0, 2)
             assert svg.exists() == (status == 0)
             if status == 0:
-                assert not re.search(r"\b(nan|inf)\b", svg.read_text(encoding="utf-8"))
+                text = svg.read_text(encoding="utf-8")
+                assert not re.search(r"\b(nan|inf)\b", text)
+                assert_points_in_their_frames(text)
 
         check()
 

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import (line_parser_csv, n1_instance, oracle_csv, render_read_both_ways,
                      subprocess_env)
 from rclab import (Diagnostics, ModelParams, ParseError, Scheme, State, StepConfig,
-                   ValidationError, csvio, simulate, svgplot)
+                   ValidationError, csvio, simulate, svgplot, validate_params)
 from rclab.csvio import Table, read_csv, trajectory_table, write_csv
 from rclab.integrator import Trajectory
 
@@ -45,6 +45,7 @@ def trajectories(draw):
         diagnostics=Diagnostics(mass=column(), S=column(blank_allowed=True), Q=column(),
                                 F=column(), H=column()),
         fp_iteration_counts=[],
+        constants=validate_params(params, State(f=np.zeros(n), R=np.ones(n))),
     )
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import n1_instance, random_instance, random_stack, traced_peak
+from helpers import n1_instance, n2_coupled, random_instance, random_stack, traced_peak
 from rclab import (
     EsdResult,
     FixedPointDiverged,
@@ -31,7 +31,7 @@ from rclab.errors import (
     UndefinedEntropy,
     ValidationError,
 )
-from rclab.integrator import Trajectory, _plan_steps, _sweep
+from rclab.integrator import Trajectory, _plan_steps, _step_terms, _sweep
 from rclab.model import Diagnostics
 
 
@@ -351,7 +351,7 @@ class TestEntropyTrace:
             times=0.4 * np.arange(rows), f=stack.f, R=stack.R,
             diagnostics=Diagnostics(mass=zeros, S=-1e6 * np.arange(rows), Q=zeros, F=zeros,
                                     H=zeros),  # S falls by far more than any bound
-            fp_iteration_counts=[], reference=ref)
+            fp_iteration_counts=[], constants=validate_params(params, ref), reference=ref)
         traces = []
         peak = traced_peak(lambda: traces.append(entropy_trace(traj)))
         assert peak < (stack.f.nbytes + stack.R.nbytes) / 4  # whole-stack temporaries: 1.0x
@@ -484,7 +484,7 @@ def bits(state: State) -> bytes:
 
 
 class TestStepTermsAreNeverStale:
-    """The kernel keeps dt*m*Rstar and 1 + dt*m on the model for the last dt:
+    """The kernel keeps dt*m*Rstar and 1 + dt*m for the last model and dt:
     every step still has the bits of the same step on a model built anew."""
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -521,8 +521,10 @@ class TestStepTermsAreNeverStale:
     def test_the_kept_terms_are_read_only(self):
         params, state = n1_instance()
         step_semi_implicit(params, state, 0.1)
-        dt, dt_m_Rstar, den = params._step_terms
-        assert dt == 0.1 and not dt_m_Rstar.flags.writeable and not den.flags.writeable
+        hits = _step_terms.cache_info().hits
+        dt_m_Rstar, den = _step_terms(params, 0.1)
+        assert _step_terms.cache_info().hits == hits + 1  # the terms the step kept
+        assert not dt_m_Rstar.flags.writeable and not den.flags.writeable
 
     def test_a_changed_dt_array_gets_new_terms(self):
         params, state = n1_instance()
@@ -531,6 +533,49 @@ class TestStepTermsAreNeverStale:
         dt[()] = 0.2
         assert bits(step_semi_implicit(params, state, dt)) == bits(
             step_semi_implicit(fresh(params), state, 0.2))
+
+
+class TestDerivedValuesHaveOneOwner:
+    """The integrator keeps its step terms to itself, a model is compared by identity,
+    and a trajectory carries the constants its run was checked against."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_stepping_writes_nothing_into_the_model(self, scheme):
+        params = random_instance(np.random.default_rng(5), n_max=6)
+        state = State(f=np.full(params.N, 0.5), R=params.Rstar.copy())
+        before = dict(vars(params))
+        unchanged = lambda: (vars(params).keys() == before.keys()
+                             and all(vars(params)[k] is v for k, v in before.items()))
+        simulate(params, state, 0.5, StepConfig(dt=0.1, scheme=scheme))
+        assert unchanged()
+        step_semi_implicit(params, state, 0.07)
+        assert unchanged()
+        step_fully_implicit(params, state, 0.05)
+        assert unchanged()
+
+    def test_a_model_is_a_set_member_that_equals_only_itself(self):
+        params = n2_coupled()
+        twin = fresh(params)  # the same numbers, another model
+        assert params == params and params != twin
+        assert {params, twin, params} == {params, twin} and len({params, twin}) == 2
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_the_trajectory_carries_the_constants_of_its_run(self, scheme):
+        params = random_instance(np.random.default_rng(6), n_max=6)
+        state0 = State(f=np.full(params.N, 0.5), R=params.Rstar.copy())
+        traj = simulate(params, state0, 0.5, StepConfig(dt=0.1, scheme=scheme))
+        assert traj.constants == validate_params(params, state0)
+
+    # float32 and longdouble once mixed precisions within a step; now every kind steps in double
+    @pytest.mark.parametrize("dt", [1, np.float64(0.1), np.array(0.1), np.float32(0.1),
+                                    np.longdouble(0.1)], ids=lambda dt: type(dt).__name__)
+    def test_a_step_length_is_taken_as_a_float(self, dt):
+        params = random_instance(np.random.default_rng(7), n_max=6)  # h = 0.907: dt*h rounds
+        state = State(f=np.full(params.N, 0.5), R=0.1 * params.Rstar)
+        assert bits(step_semi_implicit(params, state, dt)) == bits(
+            step_semi_implicit(params, state, float(dt)))
+        assert bits(step_fully_implicit(params, state, dt)[0]) == bits(
+            step_fully_implicit(params, state, float(dt))[0])
 
 
 class TestStepErrors:
