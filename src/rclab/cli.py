@@ -20,6 +20,7 @@ import math
 import os
 import random
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -354,7 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # a shown warning is one line, without its source
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return args.func(args)
     except (RclabError, OSError) as err:  # an OSError names its path
         step = getattr(err, "step_index", None)
         print(f"error: {'' if step is None else f'step {step}: '}{err}", file=sys.stderr)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeInput, NotConverged, ValidationError
-from .model import H_gradient, ModelParams, _check_dims, _growth, _resources, reconstruct_R
-from .model import restricted_gradient, restricted_H, restricted_hessian_factor
+from .model import H_gradient, ModelParams, _check_dims, _growth, _resources, _setting
+from .model import reconstruct_R, restricted_gradient, restricted_H, restricted_hessian_factor
 
 SUPPORT_EPS = 1e-8
 
@@ -85,8 +85,8 @@ def solve_esd(
     f_unique tests the singular values of the Hessian factor on Z, in
     O(|Z|^2 N), and a warning gives their condition estimate when it fails.
     """
-    if not (tol > 0 and np.isfinite(tol)):
-        raise ValidationError("tol", f"must be positive and finite, got {tol}")
+    _setting("tol", tol, "float", positive=True)
+    _setting("maxit", maxit, "int")
     f = np.zeros(params.N) if f_init is None else np.array(f_init, dtype=float, copy=True)
     if np.any(f < 0):
         raise NegativeInput("f_init must be nonnegative")
@@ -180,6 +180,7 @@ def verify_esd(params: ModelParams, f: np.ndarray, R: np.ndarray, tol: float) ->
     support, (c) R matches the reconstructed equilibrium resources. A
     steady state needs (a), (c) and f_j * G_j ~ 0; an ESD needs all three.
     """
+    _setting("tol", tol, "float", positive=True)
     f = np.asarray(f, dtype=float)
     R = np.asarray(R, dtype=float)
     _check_dims(params, f, R)

@@ -22,12 +22,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import FixedPointDiverged, Mu0Violation, StepRejected, UndefinedEntropy
-from .errors import ValidationError
 from .model import (  # Scheme is defined with the model, and re-exported here
     DerivedConstants,
     Diagnostics,
@@ -38,6 +37,7 @@ from .model import (  # Scheme is defined with the model, and re-exported here
     _check_state,
     _growth,
     _row_blocks,
+    _setting,
     compute_diagnostics,
     validate_params,
 )
@@ -58,18 +58,9 @@ class StepConfig:
     enforce_mu0: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.scheme, Scheme):
-            raise ValidationError("scheme", f"must be a Scheme, got {self.scheme!r}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValidationError("dt", "must be positive and finite")
-        if not (self.fp_tol > 0 and math.isfinite(self.fp_tol)):
-            raise ValidationError("fp_tol", "must be positive and finite")
-        # bool is a subclass of int, so only the bool check tells True from 1
-        if (isinstance(self.fp_maxit, bool) or not isinstance(self.fp_maxit, (int, np.integer))
-                or self.fp_maxit < 1):
-            raise ValidationError("fp_maxit", f"must be an integer >= 1, got {self.fp_maxit!r}")
-        if not isinstance(self.enforce_mu0, bool):
-            raise ValidationError("enforce_mu0", f"must be a bool, got {self.enforce_mu0!r}")
+        for field in fields(self):  # each number of a step's setting is positive
+            _setting(field.name, getattr(self, field.name), field.type,
+                     positive=field.type in ("int", "float"))
 
 
 @dataclass(frozen=True)
@@ -174,6 +165,8 @@ def step_fully_implicit(
     rejects a step that state.R accepts. (The converse is not checked: beyond
     mu0, a good start can carry a step whose sweeps from state.R reject it.)
     """
+    if fp_maxit < 1:  # no sweep would run; a step pays one comparison, not the rule
+        _setting("fp_maxit", fp_maxit, "int", positive=True)
     if R_start is not None:
         _check_dims(params, R_start)
         try:
@@ -218,8 +211,7 @@ def simulate(
     R > 0, all finite, N traits) fails before the first step. A step the
     kernel rejects or cannot converge aborts the run with its index.
     """
-    if not (T_final > 0 and math.isfinite(T_final)):
-        raise ValidationError("T_final", "must be positive and finite")
+    _setting("T_final", T_final, "float", positive=True)
     constants = validate_params(params, state0)
     if reference is not None:
         _check_state(params, reference, "reference")

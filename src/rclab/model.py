@@ -26,15 +26,12 @@ import enum
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolation,
-    DimensionMismatch,
-    NegativeInput,
-    UndefinedEntropy,
-)
+from .errors import AssumptionViolation, DimensionMismatch, NegativeInput, UndefinedEntropy
+from .errors import ValidationError
 
 
 class Scheme(enum.Enum):
@@ -43,6 +40,27 @@ class Scheme(enum.Enum):
 
     SEMI_IMPLICIT = "semi"
     FULLY_IMPLICIT = "implicit"
+
+
+# a setting's annotated kind (annotations are postponed, so text) -> the values it admits
+_KINDS = {"int": Integral, "float": Real, "str": str, "bool": bool, "Scheme": Scheme}
+
+
+def _setting(key: str, value: object, kind: str, positive: bool = False) -> None:
+    """The one rule for a scalar setting: raises ValidationError naming `key`
+    unless `value` is of its annotated `kind`, a bool only for a bool, finite
+    for a float, and > 0 where `positive`."""
+    # bool is a subclass of int, so only the bool check tells True from 1
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _KINDS[kind]):
+        raise ValidationError(key, f"must be {kind}, not {type(value).__name__}")
+    try:  # not a comparison with the largest float, which a float32 would overflow
+        finite = kind != "float" or math.isfinite(value)
+    except OverflowError:  # an int or a fraction too large to be a float
+        finite = False
+    if not finite:
+        raise ValidationError(key, "must be finite")
+    if positive and not value > 0:
+        raise ValidationError(key, "must be positive" + (" and finite" if kind == "float" else ""))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -90,8 +108,10 @@ class ModelParams:
             raise DimensionMismatch(f"coefficient vectors must have shape ({n},)")
         if self.K.shape != (n, n):
             raise DimensionMismatch(f"K must have shape ({n}, {n}), got {self.K.shape}")
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise AssumptionViolation(f"h must be positive and finite, got {self.h}")
+        try:
+            _setting("h", self.h, "float", positive=True)
+        except ValidationError:  # the model names its assumption in its own error
+            raise AssumptionViolation(f"h must be positive and finite, got {self.h}") from None
         if not np.all(np.isfinite(self.a)):
             raise AssumptionViolation("growth rates a must be finite")
         # two reductions clear a valid K (a NaN fails them); the checks below name the fault

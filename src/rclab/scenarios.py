@@ -15,17 +15,15 @@ through a flat `key = value` text format.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import re
-import sys
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .model import ModelParams, Scheme, State, _check_state
+from .model import ModelParams, Scheme, State, _check_state, _setting
 
 # field naming one of a fixed set of choices -> {choice: the optional fields
 # that choice requires and owns}
@@ -172,19 +170,18 @@ def _key(name: str) -> str:
 
 
 # annotation text (annotations are postponed here) -> (the spelling the text
-# format accepts, its conversion, the message for other text, the types a
-# ScenarioSpec value may have). Digits are ASCII only: int and float alone would
-# also read other Unicode digits and underscores.
+# format accepts, its conversion, the message for other text). Digits are ASCII
+# only: int and float alone would also read other Unicode digits and underscores.
 _TYPES = {
-    "int": (r"[+-]?[0-9]+", int, "not an integer: {!r}", numbers.Integral),
-    "float": (r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", float,
-              "not a number: {!r}", numbers.Real),
-    "str": (r".*", str, "", str),
-    "bool": (r"true|false", "true".__eq__, "expected true/false, got {!r}", bool),
+    "int": (r"[+-]?[0-9]+", int, "not an integer: {!r}"),
+    "float": (r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", float, "not a number: {!r}"),
+    "str": (r".*", str, ""),
+    "bool": (r"true|false", "true".__eq__, "expected true/false, got {!r}"),
 }
 _FIELDS = {_key(field.name): field for field in fields(ScenarioSpec)}
 _OPTIONAL = {name for choices in _CHOICES.values()
              for name in chain.from_iterable(choices.values())}
+_POSITIVE = {"N", "L", "sigma_star", "sigma_K", "m_const", "dt", "T_final", "fp_tol", "fp_maxit"}
 
 
 def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
@@ -224,7 +221,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     values: dict[str, object] = dict.fromkeys(_OPTIONAL)
     for key, value in raw.items():
         field = _FIELDS[key]
-        pattern, convert, message, _ = _TYPES[field.type.removesuffix(" | None")]
+        pattern, convert, message = _TYPES[field.type.removesuffix(" | None")]
         if not re.fullmatch(pattern, value):
             raise ParseError(message.format(value), field=key)
         values[field.name] = convert(value)
@@ -235,24 +232,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
 def _validate_spec(spec: ScenarioSpec) -> None:
     for key, field in _FIELDS.items():
         value = getattr(spec, field.name)
-        kind = field.type.removesuffix(" | None")
-        if value is None and kind != field.type:
-            continue  # optional: _CHOICES decides whether it may be unset
-        # bool is a subclass of int, so only the bool check tells True from 1
-        allowed = _TYPES[kind][3]
-        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, allowed):
-            raise ValidationError(key, f"must be {kind}, not {type(value).__name__}")
-        # false also for NaN, and for an int too large to be a float
-        if kind == "float" and not abs(value) <= sys.float_info.max:
-            raise ValidationError(key, "must be finite")
-    if spec.N < 1:
-        raise ValidationError("N", "must be a positive integer")
-    for name in ("L", "sigma_star", "sigma_K", "m_const", "dt", "T_final", "fp_tol"):
-        value = getattr(spec, name)
-        if value <= 0:
-            raise ValidationError(name, "must be positive and finite")
-    if spec.fp_maxit < 1:
-        raise ValidationError("fp_maxit", "must be at least 1")
+        if not (value is None and field.name in _OPTIONAL):  # _CHOICES judges an unset one
+            _setting(key, value, field.type.removesuffix(" | None"), field.name in _POSITIVE)
     for name, choices in _CHOICES.items():
         choice = getattr(spec, name)
         if choice not in tuple(choices):  # by ==, so an unhashable value is reported too

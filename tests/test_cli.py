@@ -361,6 +361,15 @@ class TestSimulate:
         assert np.array_equal(f, np.zeros_like(f))
         assert abs(table.numeric("R_1")[-1] - 1.0) < 1e-3  # relaxes to Rstar
 
+    def test_a_warning_is_one_line_without_its_source(self, tmp_path):
+        # so stderr does not change with the checkout's path or the warning's source line
+        argv = [sys.executable, "-m", "rclab.cli", "simulate", "--preset", "example1",
+                "--T", "4", "--out", str(tmp_path)]
+        done = subprocess.run(argv, env=subprocess_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, (
+            "warning: dt = 0.4 exceeds the guaranteed-stable bound mu0 = 0.00215159; "
+            "proceeding (the bound is sufficient, not necessary)\n"))
+
 
 class TestEsd:
     def test_extinction_preset(self, tmp_path):

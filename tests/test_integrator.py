@@ -155,7 +155,7 @@ class TestSimulate:
         assert gap[-1] < 1e-4
         assert np.all(np.diff(gap) <= 0)
 
-    @pytest.mark.parametrize("T_final", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("T_final", [-1.0, 0.0, math.nan, math.inf, "1", True])
     def test_T_final_must_be_positive_and_finite(self, T_final):
         params, state0 = n1_instance()
         with pytest.raises(ValidationError) as err:
@@ -445,6 +445,7 @@ class TestStepConfig:
     @pytest.mark.parametrize("field, value", [
         ("scheme", "implicit"), ("dt", math.inf), ("dt", math.nan), ("fp_maxit", 2.5),
         ("fp_tol", math.inf), ("fp_maxit", True), ("enforce_mu0", "false"),
+        ("dt", True), ("dt", "0.1"), ("dt", None), ("fp_tol", True),
     ])
     def test_rejects_wrong_kinds_naming_the_field(self, field, value):
         with pytest.raises(ValidationError, match=field) as err:
@@ -592,6 +593,12 @@ class TestStepErrors:
         with pytest.raises(StepRejected, match="did not contract") as err:
             simulate(params, state0, 1.0, config)
         assert isinstance(err.value, FixedPointDiverged) and err.value.step_index == 0
+
+    def test_a_zero_sweep_budget_is_refused_naming_fp_maxit(self):
+        params, state0 = n1_instance()
+        with pytest.raises(ValidationError) as err:
+            step_fully_implicit(params, state0, 0.1, fp_maxit=0)
+        assert err.value.field == "fp_maxit"
 
     @pytest.mark.parametrize("f, R", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0])])
     def test_state_shapes_are_checked(self, f, R):

@@ -110,9 +110,10 @@ class TestValidateParams:
         with pytest.raises(AssumptionViolation, match="finite"):
             validate_params(params, State(f=np.array([np.nan]), R=np.ones(1)))
 
-    def test_nonpositive_h_rejected(self):
-        with pytest.raises(AssumptionViolation):
-            ModelParams(N=1, h=0.0, a=np.array([-1.0]), K=np.array([[1.0]]),
+    @pytest.mark.parametrize("h", [0.0, "1", True])
+    def test_nonpositive_h_rejected(self, h):
+        with pytest.raises(AssumptionViolation, match=f"^h must be positive and finite, got {h}$"):
+            ModelParams(N=1, h=h, a=np.array([-1.0]), K=np.array([[1.0]]),
                         m=np.ones(1), Rstar=np.ones(1))
 
     def test_mu0_unbounded_iff_no_positive_part(self):
@@ -139,8 +140,8 @@ def _corrupted(rng: np.random.Generator, params: ModelParams, kind: str):
     if kind == "N":  # too small, or not an integer
         N = int(rng.integers(-2, 1)) if rng.random() < 0.5 else float(n)
         return {"N": N}, AssumptionViolation, f"N must be a positive integer, got {N}"
-    if kind == "h":
-        h = float(rng.choice([0.0, -rng.uniform(0.0, 2.0), np.inf, np.nan]))
+    if kind == "h":  # nonpositive, not finite, or not a float
+        h = [0.0, -rng.uniform(0.0, 2.0), np.inf, np.nan, "1", True][int(rng.integers(6))]
         return {"h": h}, AssumptionViolation, f"h must be positive and finite, got {h}"
     if kind == "shape":
         name = str(rng.choice(["a", "K", "m", "Rstar"]))

@@ -3,8 +3,11 @@
 import math
 import re
 from dataclasses import asdict, replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from rclab import (
     parse_scenario,
     save_scenario,
 )
+from rclab.integrator import StepConfig
 from rclab.scenarios import ScenarioSpec
 
 PROPERTY = settings(max_examples=25)
@@ -93,6 +97,27 @@ def test_spec_field_types_are_checked(change):
     assert err.value.field == next(iter(change))
 
 
+def _refusal(build) -> str | None:
+    """The message of the ValidationError that build raises, or None if it succeeds."""
+    try:
+        build()
+    except ValidationError as err:
+        return str(err)  # names the field
+    return None
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["dt", "fp_tol", "fp_maxit", "enforce_mu0"]),
+       st.one_of(st.booleans(), st.text(max_size=3), st.none(), st.floats(), st.integers(),
+                 st.sampled_from([math.inf, -math.inf, math.nan, 0, -1, 10**400, Decimal("0.1"),
+                                  Fraction(1, 10), np.float32(0.1), np.float32("inf"),
+                                  np.int64(3)])))
+def test_a_spec_and_a_step_config_judge_a_setting_alike(name, value):
+    example1 = builtin_presets()["example1"]
+    assert (_refusal(lambda: replace(example1, **{name: value}))
+            == _refusal(lambda: StepConfig(**{"dt": 0.1, name: value})))
+
+
 @pytest.mark.parametrize("change, field", [
     ({"center": float("inf")}, "center"),
     ({"fp_maxit": 0}, "fp_maxit"),
@@ -106,7 +131,7 @@ def test_spec_values_are_range_checked(change, field):
     assert err.value.field == field
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400, np.float32("inf")])
 @pytest.mark.parametrize("name, key, preset", [
     ("growth_c2", "growth.c2", "example1"),
     ("growth_c0", "growth.c0", "example1"),
