@@ -6,8 +6,8 @@
     rclab analyze   --preset n1-closedform
     rclab plot      --csv results/trajectory.csv --kind profile --out-svg p.svg
 
-Every data-producing subcommand writes report.json (plus CSVs and SVGs for
-simulate/verify) into --out, $RCLAB_OUT, or the working directory. Exit
+Every data-producing subcommand writes report.json (plus its CSVs, and SVGs for
+verify) into --out, $RCLAB_OUT, or the working directory. Exit
 status is 0 only when all requested verdicts pass; 1 on verdict failure;
 2 on operational errors.
 """
@@ -30,32 +30,29 @@ import numpy as np
 from .errors import NewtonFailed, NotApplicable, RclabError
 
 if TYPE_CHECKING:
-    from .integrator import StepConfig
-    from .model import DerivedConstants
+    from collections.abc import Callable
+
+    from .csvio import Table
+    from .esd import EsdResult
+    from .integrator import Trajectory
+    from .model import DerivedConstants, ModelParams, State
     from .scenarios import ScenarioSpec
 
 # the commands import every other module where they call it, so a process loads
 # only the code it runs: plot loads csvio and svgplot, and no model
 
-_ESD_SOLVER_TOL = 1e-10
 
-
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("RCLAB_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _load_spec(args) -> tuple[str, ScenarioSpec]:
-    from .scenarios import builtin_presets, load_scenario
+def _scenario(args) -> tuple[str, ScenarioSpec, Path, ModelParams, State]:
+    """The prologue of every scenario command: the scenario's name, its spec with the
+    command's overrides, the output directory (made once they are judged), the model and
+    its initial state."""
+    from .scenarios import build_params, builtin_presets, load_scenario
 
     if args.preset:
         presets = builtin_presets()
         if args.preset not in presets:
-            raise RclabError(
-                f"unknown preset '{args.preset}' (have: {', '.join(sorted(presets))})"
-            )
+            raise RclabError(f"unknown preset '{args.preset}' "
+                             f"(have: {', '.join(sorted(presets))})")
         name, spec = args.preset, presets[args.preset]
     else:
         spec = load_scenario(args.scenario)
@@ -66,16 +63,9 @@ def _load_spec(args) -> tuple[str, ScenarioSpec]:
         spec = replace(spec, dt=args.dt)
     if getattr(args, "scheme", None):
         spec = replace(spec, scheme=args.scheme)
-    return name, spec
-
-
-def _step_config(spec: ScenarioSpec) -> StepConfig:
-    from .integrator import Scheme, StepConfig
-
-    return StepConfig(
-        dt=spec.dt, scheme=Scheme(spec.scheme), fp_tol=spec.fp_tol, fp_maxit=spec.fp_maxit,
-        enforce_mu0=spec.enforce_mu0,
-    )
+    out = Path(args.out or os.environ.get("RCLAB_OUT") or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    return name, spec, out, *build_params(spec)
 
 
 def _trajectory_summary(traj) -> dict[str, float]:
@@ -93,19 +83,37 @@ def _trajectory_summary(traj) -> dict[str, float]:
     return summary
 
 
-def _trajectory_verdicts(traj) -> dict[str, bool]:
+def _trajectory(spec: ScenarioSpec, params: ModelParams, state0: State,
+                reference: State | None = None) -> tuple[Trajectory, Table, dict, dict, Callable]:
+    """The trajectory body of simulate and verify: the run of the spec's scheme, its table,
+    its block, its mass verdict and the write of trajectory.csv, which the command makes
+    once nothing else can fail, so that a failed command writes no file."""
+    from . import csvio
+    from .integrator import Scheme, StepConfig, simulate
+
+    config = StepConfig(dt=spec.dt, scheme=Scheme(spec.scheme), fp_tol=spec.fp_tol,
+                        fp_maxit=spec.fp_maxit, enforce_mu0=spec.enforce_mu0)
+    traj = simulate(params, state0, spec.T_final, config, reference=reference)
+    table = csvio.trajectory_table(traj)
     # no positivity verdict: the sweep kernel rejects every step that would lose it
-    return {"mass_bound": bool(np.all(traj.diagnostics.mass <= traj.constants.M_tilde + 1e-9))}
+    verdicts = {"mass_bound": bool(np.all(traj.diagnostics.mass <= traj.constants.M_tilde + 1e-9))}
+    return (traj, table, _trajectory_summary(traj), verdicts,
+            lambda out: csvio.write_csv(out / "trajectory.csv", table))
 
 
-def _esd_summary(esd) -> dict[str, float]:
-    return {
-        "kkt_residual": esd.kkt_residual,
-        "persistence_count": len(esd.persistence_set),
-        "H_at_min": esd.H_at_min,
-        "iterations": esd.iterations,
-        "f_unique": esd.f_unique,
-    }
+def _esd(spec: ScenarioSpec, params: ModelParams) -> tuple[EsdResult, dict, dict, Callable]:
+    """The ESD body of esd and verify: the solve at its default tolerance, its block, its
+    persistence verdict and the write of esd.csv, made as trajectory.csv's is."""
+    from . import csvio
+    from .esd import solve_esd
+    from .scenarios import trait_grid
+    from .steady import persistence_sum
+
+    esd = solve_esd(params)
+    block = {"kkt_residual": esd.kkt_residual, "persistence_count": len(esd.persistence_set),
+             "H_at_min": esd.H_at_min, "iterations": esd.iterations, "f_unique": esd.f_unique}
+    return (esd, block, {"persistence_sum": persistence_sum(esd, params) >= -1e-8},
+            lambda out: csvio.write_csv(out / "esd.csv", csvio.esd_table(trait_grid(spec), esd)))
 
 
 def _write_report(out: Path, name: str, verdicts: dict[str, bool],
@@ -134,85 +142,54 @@ def _write_report(out: Path, name: str, verdicts: dict[str, bool],
 
 
 def cmd_simulate(args) -> int:
-    from . import csvio
-    from .integrator import simulate
-    from .scenarios import build_params
-
-    name, spec = _load_spec(args)
-    out = _out_dir(args)
-    params, state0 = build_params(spec)
-    traj = simulate(params, state0, spec.T_final, _step_config(spec))
-    csvio.write_csv(out / "trajectory.csv", csvio.trajectory_table(traj))
-    return _write_report(out, name, _trajectory_verdicts(traj), traj.constants,
-                         trajectory=_trajectory_summary(traj))
+    name, spec, out, params, state0 = _scenario(args)
+    traj, _table, summary, verdicts, write_trajectory = _trajectory(spec, params, state0)
+    write_trajectory(out)
+    return _write_report(out, name, verdicts, traj.constants, trajectory=summary)
 
 
 def cmd_esd(args) -> int:
-    from . import csvio
     from .esd import solve_esd, verify_esd
     from .model import validate_params
-    from .scenarios import build_params, trait_grid
-    from .steady import persistence_sum
 
-    name, spec = _load_spec(args)
-    out = _out_dir(args)
-    params, state0 = build_params(spec)
+    name, spec, out, params, state0 = _scenario(args)
     constants = validate_params(params, state0)
-    esd = solve_esd(params, tol=_ESD_SOLVER_TOL)
-    check = verify_esd(params, esd.f_tilde, esd.R_tilde, tol=10 * _ESD_SOLVER_TOL)
+    esd, block, verdicts, write_esd = _esd(spec, params)
+    check = verify_esd(params, esd.f_tilde, esd.R_tilde, tol=1e-9)  # 10x the solve's tol
     # restart from min(N, 4) random traits; stdlib random spares numpy.random's 5.8 MB
     rng = random.Random(args.seed)
     f_init = np.zeros(params.N)
     for j in rng.sample(range(params.N), min(params.N, 4)):
         f_init[j] = rng.uniform(0.0, 2.0 / params.h)
-    restart = solve_esd(params, f_init=f_init, tol=_ESD_SOLVER_TOL)
-    verdicts = {
-        "esd_certified": check.is_esd,
-        "persistence_sum": persistence_sum(esd, params) >= -1e-8,
-        "restart_agreement": bool(
-            np.max(np.abs(restart.f_tilde - esd.f_tilde)) <= 1e-6
-        ),
-    }
-    csvio.write_csv(out / "esd.csv", csvio.esd_table(trait_grid(spec), esd))
+    restart = solve_esd(params, f_init=f_init)
+    verdicts = {"esd_certified": check.is_esd, **verdicts,
+                "restart_agreement": bool(np.max(np.abs(restart.f_tilde - esd.f_tilde)) <= 1e-6)}
+    write_esd(out)
     print(f"kkt residual: {esd.kkt_residual:.3e}")
     print(f"persistence set: {list(esd.persistence_set)}")
-    return _write_report(out, name, verdicts, constants, esd=_esd_summary(esd))
+    return _write_report(out, name, verdicts, constants, esd=block)
 
 
 def cmd_verify(args) -> int:
-    from . import csvio, svgplot
-    from .esd import solve_esd
-    from .integrator import Scheme, entropy_trace, simulate
-    from .model import State
-    from .scenarios import build_params, trait_grid
-    from .steady import persistence_sum
+    from . import svgplot
+    from .integrator import Scheme, entropy_trace
+    from .model import State, _setting
 
-    name, spec = _load_spec(args)
-    out = _out_dir(args)
-    params, state0 = build_params(spec)
+    _setting("tol", args.tol, "float", positive=True)
+    name, spec, out, params, state0 = _scenario(args)
+    esd, esd_block, esd_verdicts, write_esd = _esd(spec, params)
+    traj, table, summary, verdicts, write_trajectory = _trajectory(
+        spec, params, state0, reference=State(f=esd.f_tilde, R=esd.R_tilde))
 
-    esd = solve_esd(params, tol=_ESD_SOLVER_TOL)
-    reference = State(f=esd.f_tilde, R=esd.R_tilde)
-    config = _step_config(spec)
-    traj = simulate(params, state0, spec.T_final, config, reference=reference)
-
-    final = traj.final_state
     # relative to the stable distribution's mass; for an extinction scenario
     # (zero mass) fall back to the initial mass
-    f_scale = float(np.sum(np.abs(esd.f_tilde)))
-    if f_scale == 0.0:
-        f_scale = max(float(np.sum(np.abs(state0.f))), 1e-300)
-    l1_f = float(np.sum(np.abs(final.f - esd.f_tilde))) / f_scale
-    linf_r = float(np.max(np.abs(final.R - esd.R_tilde)))
+    f_scale = float(np.sum(np.abs(esd.f_tilde))) or max(float(np.sum(np.abs(state0.f))), 1e-300)
+    l1_f = float(np.sum(np.abs(traj.f[-1] - esd.f_tilde))) / f_scale
+    linf_r = float(np.max(np.abs(traj.R[-1] - esd.R_tilde)))
 
-    verdicts = {
-        **_trajectory_verdicts(traj),
-        "esd_convergence": l1_f <= args.tol and linf_r <= args.tol,
-        "persistence_sum": persistence_sum(esd, params) >= -1e-8,
-    }
-    summary = _trajectory_summary(traj)
-    max_violation = 0.0
-    if config.scheme is Scheme.FULLY_IMPLICIT:
+    verdicts.update(esd_convergence=l1_f <= args.tol and linf_r <= args.tol, **esd_verdicts)
+    summary["max_entropy_violation"] = 0.0
+    if traj.config.scheme is Scheme.FULLY_IMPLICIT:
         undefined = np.flatnonzero(np.isnan(traj.diagnostics.S))
         if undefined.size:
             # extinct where the stable distribution lives: dissipation is unchecked
@@ -221,30 +198,23 @@ def cmd_verify(args) -> int:
         else:
             trace = entropy_trace(traj)
             excess = np.diff(traj.diagnostics.S) - trace.bounds
-            max_violation = float(np.max(excess, initial=-np.inf))
+            summary["max_entropy_violation"] = float(np.max(excess, initial=-np.inf))
             verdicts["entropy_monotone"] = len(trace.flagged_steps) == 0
 
-    table = csvio.trajectory_table(traj)
-    csvio.write_csv(out / "trajectory.csv", table)
-    csvio.write_csv(out / "esd.csv", csvio.esd_table(trait_grid(spec), esd))
-    (out / "profile.svg").write_text(svgplot.render(table, "profile"), encoding="utf-8")
-    (out / "entropy.svg").write_text(svgplot.render(table, "entropy"), encoding="utf-8")
-    return _write_report(
-        out, name, verdicts, traj.constants,
-        trajectory={**summary, "max_entropy_violation": max_violation},
-        esd=_esd_summary(esd), comparison={"L1_distance_f": l1_f, "Linf_distance_R": linf_r},
-    )
+    write_trajectory(out)
+    write_esd(out)
+    for kind in ("profile", "entropy"):
+        (out / f"{kind}.svg").write_text(svgplot.render(table, kind), encoding="utf-8")
+    return _write_report(out, name, verdicts, traj.constants, trajectory=summary, esd=esd_block,
+                         comparison={"L1_distance_f": l1_f, "Linf_distance_R": linf_r})
 
 
 def cmd_analyze(args) -> int:
-    from .scenarios import build_params
     from .steady import (
         dirac_weights, extinction_predicate, positive_steady_state_excluded, two_peak_steady_state,
     )
 
-    name, spec = _load_spec(args)
-    out = _out_dir(args)
-    params, _state0 = build_params(spec)
+    name, _spec, out, params, _state0 = _scenario(args)
 
     predicate = extinction_predicate(params)
     excluded = positive_steady_state_excluded(params)
@@ -298,13 +268,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and np.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
-
-
 def _add_scenario_args(p: argparse.ArgumentParser, with_overrides: bool = True) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", help="name of a built-in scenario")
@@ -335,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="simulate, solve, and check all properties")
     _add_scenario_args(p)
-    p.add_argument("--tol", type=_positive_float, default=1e-3,
+    p.add_argument("--tol", type=float, default=1e-3,
                    help="convergence tolerance for the final-state comparison")
     p.set_defaults(func=cmd_verify)
 

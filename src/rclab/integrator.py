@@ -117,9 +117,16 @@ def _sweep(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(f, R, sweeps) one step of dt, taken as a float, later, as read-only arrays,
     or StepRejected if that is not a state: sweeps from R_start (default R) until
-    successive resource iterates agree to fp_tol in the max norm."""
+    successive resource iterates agree to fp_tol in the max norm. A setting out of range
+    fails one comparison, then `_setting` words its ValidationError (fp_maxit: max_sweeps)."""
     _check_dims(params, f, R)
     dt = float(dt)
+    if not 0.0 < dt < math.inf:
+        _setting("dt", dt, "float", positive=True)
+    if not fp_tol > 0:  # math.inf is a tolerance: the semi-implicit step's one sweep
+        _setting("fp_tol", fp_tol, "float", positive=True)
+    if not (type(max_sweeps) is int and max_sweeps >= 1):
+        _setting("fp_maxit", max_sweeps, "int", positive=True)
     dt_m_Rstar, den = _step_terms(params, dt)
     num = R + dt_m_Rstar
     KT, dt_h = params.K.T, dt * params.h
@@ -165,8 +172,6 @@ def step_fully_implicit(
     rejects a step that state.R accepts. (The converse is not checked: beyond
     mu0, a good start can carry a step whose sweeps from state.R reject it.)
     """
-    if fp_maxit < 1:  # no sweep would run; a step pays one comparison, not the rule
-        _setting("fp_maxit", fp_maxit, "int", positive=True)
     if R_start is not None:
         _check_dims(params, R_start)
         try:

@@ -102,15 +102,17 @@ class ModelParams:
         for name in ("a", "K", "m", "Rstar"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         n = self.N
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise AssumptionViolation(f"N must be a positive integer, got {n}")
+        try:  # the model names its assumption in its own error, for N as for h
+            _setting("N", n, "int", positive=True)
+        except ValidationError:
+            raise AssumptionViolation(f"N must be a positive integer, got {n}") from None
         if self.a.shape != (n,) or self.m.shape != (n,) or self.Rstar.shape != (n,):
             raise DimensionMismatch(f"coefficient vectors must have shape ({n},)")
         if self.K.shape != (n, n):
             raise DimensionMismatch(f"K must have shape ({n}, {n}), got {self.K.shape}")
         try:
             _setting("h", self.h, "float", positive=True)
-        except ValidationError:  # the model names its assumption in its own error
+        except ValidationError:
             raise AssumptionViolation(f"h must be positive and finite, got {self.h}") from None
         if not np.all(np.isfinite(self.a)):
             raise AssumptionViolation("growth rates a must be finite")
@@ -232,9 +234,11 @@ def validate_params(params: ModelParams, initial: State) -> DerivedConstants:
 
 
 def growth_rate(params: ModelParams, R: np.ndarray) -> np.ndarray:
-    """Per-capita growth G_j = a_j + h * sum_k K_jk (R_k - Rstar_k)."""
+    """Per-capita growth G_j = a_j + h * sum_k K_jk (R_k - Rstar_k), at finite R."""
     R = np.asarray(R, dtype=float)
     _check_dims(params, R)
+    if not np.all(np.isfinite(R)):
+        raise ValidationError("R", "must be finite")
     return _growth(params, R)
 
 
@@ -245,11 +249,10 @@ def _growth(params: ModelParams, R: np.ndarray) -> np.ndarray:
 
 def rhs(params: ModelParams, state: State) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides (df/dt, dR/dt) of the coupled system."""
-    _check_dims(params, state.f, state.R)
-    G = growth_rate(params, state.R)
+    f, G = _species(params, state.f), growth_rate(params, state.R)
     # supply m Rstar minus uptake R b
-    dR = params.m * params.Rstar - state.R * restricted_uptake(params, _ALL, state.f)
-    return state.f * G, dR
+    dR = params.m * params.Rstar - state.R * restricted_uptake(params, _ALL, f)
+    return f * G, dR
 
 
 def total_mass(state: State) -> float | np.ndarray:
@@ -312,11 +315,13 @@ def q_value(state: State, reference_R: np.ndarray) -> float | np.ndarray:
 
 
 def _species(params: ModelParams, f: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """f as a float array, checked for shape and to lie in the nonnegative orthant."""
+    """f as a float array, checked for shape, to be finite and in the nonnegative orthant."""
     f = np.asarray(f, dtype=float)
     _check_dims(params, f, stacked=stacked)
     if np.any(f < 0):
         raise NegativeInput("species vector f must be nonnegative")
+    if not np.all(np.isfinite(f)):
+        raise ValidationError("f", "must be finite")
     return f
 
 
@@ -408,8 +413,8 @@ def compute_diagnostics(
     for rows, block in blocks:
         try:
             d = _diagnostics(params, block, reference)
-        except NegativeInput:
-            for _, later in blocks:  # R <= 0 in any row is reported before f < 0
+        except (NegativeInput, ValidationError):
+            for _, later in blocks:  # R <= 0 in any row is reported before H refuses f
                 extinction_F(later, params)
             raise
         columns[:, rows] = d.mass, d.S, d.Q, d.F, d.H

@@ -247,6 +247,22 @@ class TestVerify:
         assert "verdicts.entropy_monotone" not in report
         assert "trajectory.S_undefined_at_t" not in report
 
+    def test_a_failed_run_after_the_solve_writes_no_file(self, tmp_path, capsys):
+        # the ESD is solved first; its esd.csv waits until nothing else can fail
+        out = tmp_path / "v"
+        assert run(["verify", "--preset", "n1-closedform", "--dt", "3", "--scheme", "semi",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: step 0: ")
+        assert list(out.iterdir()) == []  # no trajectory.csv, esd.csv or report.json
+
+    def test_its_esd_csv_is_the_one_esd_writes(self, tmp_path):
+        # one body writes esd.csv for both commands; the run's length does not enter it
+        e, v = tmp_path / "e", tmp_path / "v"
+        assert run(["esd", "--preset", "example1", "--out", str(e)]) == 0
+        # a run this short fails esd_convergence, and still writes its files
+        assert run(["verify", "--preset", "example1", "--T", "1", "--out", str(v)]) == 1
+        assert (e / "esd.csv").read_bytes() == (v / "esd.csv").read_bytes()
+
     def test_enforce_mu0_surfaces_as_error(self, tmp_path):
         from rclab import builtin_presets, save_scenario
         from dataclasses import replace
@@ -788,13 +804,16 @@ class TestErrors:
     @pytest.mark.parametrize("args", [
         ["verify", "--tol", "nan"],
         ["verify", "--tol", "inf"],
+        ["verify", "--tol", "0"],
+        ["verify", "--tol=-1e-3"],
     ])
     def test_tolerances_must_be_positive_and_finite(self, tmp_path, capsys, args):
-        with pytest.raises(SystemExit) as exit_info:
-            run([*args, "--preset", "n1-closedform", "--out", str(tmp_path)])
-        assert exit_info.value.code == 2
-        assert "must be a positive finite number" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+        # judged by the one settings rule, before the output directory is made
+        out = tmp_path / "out"
+        assert run([*args, "--preset", "n1-closedform", "--out", str(out)]) == 2
+        reason = "must be finite" if args[-1] in ("nan", "inf") else "must be positive and finite"
+        assert capsys.readouterr().err == f"error: invalid value for 'tol': {reason}\n"
+        assert not out.exists()  # so no report.json
 
     def test_rclab_out_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RCLAB_OUT", str(tmp_path / "envout"))

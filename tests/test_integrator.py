@@ -600,6 +600,24 @@ class TestStepErrors:
             step_fully_implicit(params, state0, 0.1, fp_maxit=0)
         assert err.value.field == "fp_maxit"
 
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("step", [step_semi_implicit, step_fully_implicit])
+    def test_a_step_length_out_of_range_is_refused_naming_dt(self, step, dt):
+        # dt = -0.1 stepped backward (f 1 -> 0.952) before steps judged it
+        params, state0 = n1_instance()
+        with pytest.raises(ValidationError) as err:
+            step(params, state0, dt)
+        assert err.value.field == "dt"
+
+    @pytest.mark.parametrize("setting", [{"fp_tol": -1.0}, {"fp_tol": math.nan},
+                                         {"fp_maxit": 1.5}, {"fp_maxit": True}])
+    def test_a_sweep_setting_out_of_range_is_refused_naming_it(self, setting):
+        # fp_tol = -1 ran 200 sweeps to FixedPointDiverged; fp_maxit = 1.5 a TypeError
+        params, state0 = n1_instance()
+        with pytest.raises(ValidationError) as err:
+            step_fully_implicit(params, state0, 0.1, **setting)
+        assert err.value.field == next(iter(setting))
+
     @pytest.mark.parametrize("f, R", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0])])
     def test_state_shapes_are_checked(self, f, R):
         params, _ = n1_instance()

@@ -31,6 +31,7 @@ from rclab import (
     State,
     StepConfig,
     UndefinedEntropy,
+    ValidationError,
     compute_diagnostics,
     extinction_F,
     growth_rate,
@@ -92,6 +93,7 @@ class TestValidateParams:
             ("a", np.array([np.nan])),
             ("K", np.array([[np.inf]])),
             ("N", 0),
+            ("N", True),  # a bool is not a trait count, though True == 1
         ],
     )
     def test_bad_coefficients_rejected(self, field, value):
@@ -137,8 +139,8 @@ def _corrupted(rng: np.random.Generator, params: ModelParams, kind: str):
                 "K": "consumption matrix K must be finite",
                 "m": "relaxation rates m must be positive and finite",
                 "Rstar": "carrying capacities Rstar must be positive and finite"}
-    if kind == "N":  # too small, or not an integer
-        N = int(rng.integers(-2, 1)) if rng.random() < 0.5 else float(n)
+    if kind == "N":  # too small, not an integer, or a bool
+        N = [int(rng.integers(-2, 1)), float(n), True][int(rng.integers(3))]
         return {"N": N}, AssumptionViolation, f"N must be a positive integer, got {N}"
     if kind == "h":  # nonpositive, not finite, or not a float
         h = [0.0, -rng.uniform(0.0, 2.0), np.inf, np.nan, "1", True][int(rng.integers(6))]
@@ -397,6 +399,21 @@ class TestHFunction:
             H_gradient(params, np.array([-0.5]))
         with pytest.raises(NegativeInput):
             H_hessian(params, np.array([-0.5]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("evaluate, field", [
+        (H_value, "f"), (H_gradient, "f"), (H_hessian, "f"), (reconstruct_R, "f"),
+        (growth_rate, "R"),
+        (lambda params, f: rhs(params, State(f=f, R=np.ones(1))), "f"),
+        (lambda params, R: rhs(params, State(f=np.ones(1), R=R)), "R"),
+    ], ids=["H_value", "H_gradient", "H_hessian", "reconstruct_R", "growth_rate", "rhs-f",
+            "rhs-R"])
+    def test_nonfinite_input_is_refused_naming_it(self, evaluate, field, value):
+        # each returned NaN, and H_value warned at inf, before it checked
+        params, _ = n1_instance()
+        with pytest.raises(ValidationError) as err:
+            evaluate(params, np.array([value]))
+        assert err.value.field == field
 
     def test_gradient_at_origin_is_minus_a(self):
         rng = np.random.default_rng(2)
