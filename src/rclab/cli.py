@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NewtonFailed, NotApplicable, RclabError
+from .errors import NewtonFailed, RclabError
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -57,12 +57,11 @@ def _scenario(args) -> tuple[str, ScenarioSpec, Path, ModelParams, State]:
     else:
         spec = load_scenario(args.scenario)
         name = Path(args.scenario).stem
-    if getattr(args, "T", None) is not None:
-        spec = replace(spec, T_final=args.T)
-    if getattr(args, "dt", None) is not None:
-        spec = replace(spec, dt=args.dt)
-    if getattr(args, "scheme", None):
-        spec = replace(spec, scheme=args.scheme)
+    # the overrides given are judged with the spec, once, in field order
+    overrides = {key: getattr(args, key) for key in ("T_final", "dt", "scheme")
+                 if getattr(args, key, None) is not None}
+    if overrides:
+        spec = replace(spec, **overrides)
     out = Path(args.out or os.environ.get("RCLAB_OUT") or ".")
     out.mkdir(parents=True, exist_ok=True)
     return name, spec, out, *build_params(spec)
@@ -237,7 +236,7 @@ def cmd_analyze(args) -> int:
         i, l = sorted(growing, key=lambda j: params.a[j], reverse=True)[:2]
         try:
             tp = two_peak_steady_state(params, i, l)
-        except (NotApplicable, NewtonFailed) as err:
+        except NewtonFailed as err:  # two distinct growing traits: applicable
             analysis["two_peak"] = f"failed: {err}"
         else:
             analysis["two_peak"] = ("absent (crossing condition fails)" if tp is None
@@ -274,7 +273,7 @@ def _add_scenario_args(p: argparse.ArgumentParser, with_overrides: bool = True) 
     src.add_argument("--scenario", help="path to a scenario file")
     p.add_argument("--out", help="output directory (default: $RCLAB_OUT or .)")
     if with_overrides:
-        p.add_argument("--T", type=float, help="override final time")
+        p.add_argument("--T", dest="T_final", metavar="T", type=float, help="override final time")
         p.add_argument("--dt", type=float, help="override time step")
         # no choices: ScenarioSpec refuses another name, naming the schemes
         p.add_argument("--scheme", help="override time-stepping scheme")

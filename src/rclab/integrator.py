@@ -120,7 +120,9 @@ def _sweep(
     successive resource iterates agree to fp_tol in the max norm. A setting out of range
     fails one comparison, then `_setting` words its ValidationError (fp_maxit: max_sweeps)."""
     _check_dims(params, f, R)
-    dt = float(dt)
+    if type(dt) is not float:  # so a float dt, as simulate's steps are, pays one test
+        _setting("dt", dt[()] if isinstance(dt, np.ndarray) else dt, "float")
+        dt = float(dt)
     if not 0.0 < dt < math.inf:
         _setting("dt", dt, "float", positive=True)
     if not fp_tol > 0:  # math.inf is a tolerance: the semi-implicit step's one sweep
@@ -184,18 +186,14 @@ def step_fully_implicit(
 
 
 def _plan_steps(T_final: float, dt: float) -> list[float]:
-    """Uniform steps of dt, shrinking the last one so the sum is T_final. A
-    remainder below 1e-12 * dt is dropped, unless it is the only step."""
+    """round(T_final / dt) steps of dt when that ratio is within 1e-9 (relative) of a
+    positive integer; else floor(T_final / dt) steps of dt and the positive remainder."""
     n_exact = T_final / dt
     n_round = round(n_exact)
     if n_round >= 1 and abs(n_exact - n_round) <= 1e-9 * n_round:
         return [dt] * n_round
-    n_full = int(math.floor(n_exact))
-    steps = [dt] * n_full
-    rem = T_final - n_full * dt
-    if rem > 1e-12 * dt or not steps:
-        steps.append(rem)
-    return steps
+    n_full = math.floor(n_exact)
+    return [dt] * n_full + [T_final - n_full * dt]
 
 
 def simulate(
@@ -220,9 +218,10 @@ def simulate(
     constants = validate_params(params, state0)
     if reference is not None:
         _check_state(params, reference, "reference")
-    if math.isfinite(constants.mu0) and config.dt >= constants.mu0:
+    steps = _plan_steps(T_final, config.dt)
+    if steps[0] >= constants.mu0:  # the first step is the longest
         msg = (
-            f"dt = {config.dt:.6g} exceeds the guaranteed-stable bound "
+            f"dt = {steps[0]:.6g} exceeds the guaranteed-stable bound "
             f"mu0 = {constants.mu0:.6g}"
         )
         if config.enforce_mu0:
@@ -230,7 +229,6 @@ def simulate(
         warnings.warn(msg + "; proceeding (the bound is sufficient, not necessary)",
                       stacklevel=2)
 
-    steps = _plan_steps(T_final, config.dt)
     times = np.empty(len(steps) + 1)
     f = np.empty((len(steps) + 1, params.N))
     R = np.empty((len(steps) + 1, params.N))

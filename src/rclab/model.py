@@ -30,8 +30,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import AssumptionViolation, DimensionMismatch, NegativeInput, UndefinedEntropy
-from .errors import ValidationError
+from .errors import AssumptionViolation, DimensionMismatch, NegativeInput, RclabError
+from .errors import UndefinedEntropy, ValidationError
 
 
 class Scheme(enum.Enum):
@@ -409,13 +409,11 @@ def compute_diagnostics(
             and (reference is None or reference.f.shape == reference.R.shape == (n,))):
         return _diagnostics(params, state, reference)  # one state, or shapes that raise
     columns = np.empty((5, len(f)))
-    blocks = ((rows, State(f=f[rows], R=R[rows])) for rows in _row_blocks(len(f), n))
-    for rows, block in blocks:
+    for rows in _row_blocks(len(f), n):
         try:
-            d = _diagnostics(params, block, reference)
-        except (NegativeInput, ValidationError):
-            for _, later in blocks:  # R <= 0 in any row is reported before H refuses f
-                extinction_F(later, params)
+            d = _diagnostics(params, State(f=f[rows], R=R[rows]), reference)
+        except RclabError:  # the stack raises what one call on all of it raises
+            _diagnostics(params, state, reference)
             raise
         columns[:, rows] = d.mass, d.S, d.Q, d.F, d.H
     return Diagnostics(*columns)

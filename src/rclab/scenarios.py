@@ -181,7 +181,8 @@ _TYPES = {
 _FIELDS = {_key(field.name): field for field in fields(ScenarioSpec)}
 _OPTIONAL = {name for choices in _CHOICES.values()
              for name in chain.from_iterable(choices.values())}
-_POSITIVE = {"N", "L", "sigma_star", "sigma_K", "m_const", "dt", "T_final", "fp_tol", "fp_maxit"}
+_POSITIVE = {"N", "L", "sigma_star", "sigma_K", "m_const", "initial_f_sigma", "initial_R_value",
+             "dt", "T_final", "fp_tol", "fp_maxit"}
 
 
 def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
@@ -244,13 +245,8 @@ def _validate_spec(spec: ScenarioSpec) -> None:
         for other in chain.from_iterable(choices.values()):
             if other not in choices[choice] and getattr(spec, other) is not None:
                 raise ValidationError(_key(other), f"not allowed for {_key(name)} = {choice}")
-    if spec.initial_f_kind == "gaussian":
-        if spec.initial_f_amp < 0:
-            raise ValidationError("initial_f.amp", "must be nonnegative")
-        if spec.initial_f_sigma <= 0:
-            raise ValidationError("initial_f.sigma", "must be positive")
-    if spec.initial_R_kind == "constant" and spec.initial_R_value <= 0:
-        raise ValidationError("initial_R.value", "must be positive")
+    if spec.initial_f_kind == "gaussian" and spec.initial_f_amp < 0:  # 0 is an amplitude
+        raise ValidationError("initial_f.amp", "must be nonnegative")
 
 
 def _fmt(value: object) -> str:

@@ -770,6 +770,18 @@ class TestErrors:
             "error: invalid value for 'T_final': must be positive and finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["--T", "1", "--scheme", ""], "'scheme': must be one of ('semi', 'implicit')"),
+        (["--T", "-1", "--dt", "-1"], "'dt': must be positive and finite"),
+    ], ids=["empty-scheme", "the-first-field-in-field-order"])
+    def test_the_overrides_are_judged_once_in_field_order(self, tmp_path, capsys, overrides,
+                                                         message):
+        # an empty --scheme was once skipped, and --T judged before --dt
+        out = tmp_path / "never"
+        assert run(["simulate", "--preset", "n1-closedform", *overrides, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: invalid value for {message}\n"
+        assert not out.exists()
+
     def test_unwritable_svg_path_is_an_error_naming_it(self, tmp_path, capsys):
         run(["simulate", "--preset", "n1-closedform", "--T", "2", "--out", str(tmp_path)])
         capsys.readouterr()

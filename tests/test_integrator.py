@@ -229,6 +229,14 @@ class TestSimulate:
         with pytest.raises(Mu0Violation):
             simulate(params, state0, 1.0, StepConfig(dt=0.3, enforce_mu0=True))
 
+    def test_the_step_bound_judges_the_longest_step_taken(self, recwarn):
+        # the bound once judged the configured dt, which a run shorter than dt never takes
+        params, state0 = n1_instance()  # mu0 = 2/7
+        traj = simulate(params, state0, 0.2, StepConfig(dt=0.3, enforce_mu0=True))
+        assert traj.times.tolist() == [0.0, 0.2] and not recwarn.list
+        with pytest.raises(Mu0Violation, match=r"^dt = 0\.5 exceeds"):
+            simulate(params, state0, 0.5, StepConfig(dt=2.0, enforce_mu0=True))
+
     def test_no_warning_below_mu0(self, recwarn):
         params, state0 = n1_instance()
         simulate(params, state0, 1.0, StepConfig(dt=0.1))
@@ -604,6 +612,16 @@ class TestStepErrors:
     @pytest.mark.parametrize("step", [step_semi_implicit, step_fully_implicit])
     def test_a_step_length_out_of_range_is_refused_naming_dt(self, step, dt):
         # dt = -0.1 stepped backward (f 1 -> 0.952) before steps judged it
+        params, state0 = n1_instance()
+        with pytest.raises(ValidationError) as err:
+            step(params, state0, dt)
+        assert err.value.field == "dt"
+
+    @pytest.mark.parametrize("dt", ["0.1", b"0.1", True, np.True_, None, np.array([0.1])],
+                             ids=["str", "bytes", "bool", "numpy-bool", "None", "1-element-array"])
+    @pytest.mark.parametrize("step", [step_semi_implicit, step_fully_implicit])
+    def test_a_step_length_that_is_not_a_number_is_refused_naming_dt(self, step, dt):
+        # float(dt) once stepped "0.1" as 0.1 and True as 1.0, as StepConfig refuses them
         params, state0 = n1_instance()
         with pytest.raises(ValidationError) as err:
             step(params, state0, dt)

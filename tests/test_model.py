@@ -524,21 +524,26 @@ class TestDiagnostics:
             assert (d.mass[n], d.Q[n], d.F[n], d.H[n]) == (one.mass, one.Q, one.F, one.H)
             assert np.isnan(d.S[n]) if one.S is None else d.S[n] == one.S
 
-    @pytest.mark.parametrize("f_neg, R_zero, ref_n, error, message", [
-        pytest.param(5, -1, 40, UndefinedEntropy, "resource levels must be positive",
+    @pytest.mark.parametrize("f_neg, R_zero, ref_n, error, message, f_nan", [
+        pytest.param(5, -1, 40, UndefinedEntropy, "resource levels must be positive", None,
                      id="R-in-the-tail-after-f-in-the-first-block"),
-        pytest.param(5, None, 40, NegativeInput, "species vector f must be nonnegative",
+        pytest.param(5, None, 40, NegativeInput, "species vector f must be nonnegative", None,
                      id="f-in-the-first-block"),
-        pytest.param(-3, None, 40, NegativeInput, "species vector f must be nonnegative",
+        pytest.param(-3, None, 40, NegativeInput, "species vector f must be nonnegative", None,
                      id="f-in-the-tail"),
-        pytest.param(None, None, 41, DimensionMismatch, "expected shape (40,), got (41,)",
+        pytest.param(None, None, 41, DimensionMismatch, "expected shape (40,), got (41,)", None,
                      id="reference"),
+        # the first block once raised ValidationError('f') before the tail was looked at
+        pytest.param(-3, None, 40, NegativeInput, "species vector f must be nonnegative", 5,
+                     id="negative-f-in-the-tail-after-nan-f-in-the-first-block"),
     ])
     def test_stack_raises_as_one_call_on_it(self, example1, f_neg, R_zero, ref_n, error,
-                                            message):
+                                            message, f_nan):
         params, f, R, _ = self._over_blocks(example1)
         if f_neg is not None:
             f[f_neg, 1] = -1.0
+        if f_nan is not None:
+            f[f_nan, 1] = np.nan
         if R_zero is not None:
             R[R_zero, 2] = 0.0
         with pytest.raises(error) as err:

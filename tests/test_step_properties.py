@@ -30,7 +30,7 @@ from rclab import (
     validate_params,
 )
 from rclab.errors import StepRejected
-from rclab.integrator import Trajectory
+from rclab.integrator import Trajectory, _plan_steps
 
 PROPERTY = settings(max_examples=30)
 STEPS = 6
@@ -182,3 +182,19 @@ def test_simulate_equals_the_frozen_step_loop_bit_for_bit(seed, scheme, dt_facto
         assert np.array_equal(got.f.view(np.uint64), f.view(np.uint64))
         assert np.array_equal(got.R.view(np.uint64), R.view(np.uint64))
         assert got.fp_iteration_counts == counts
+
+
+@settings(max_examples=200)
+@given(st.floats(1e-6, 1e6), st.one_of(st.floats(1e-12, 2000.0), st.integers(1, 2000)),
+       st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6]))
+def test_a_step_plan_covers_its_horizon_in_steps_of_at_most_dt(dt, ratio, jitter):
+    """round(T/dt) steps of dt where T/dt is within 1e-9 (relative) of a positive
+    integer, else floor(T/dt) of them and a positive remainder."""
+    T_final = dt * ratio * (1.0 + jitter)
+    steps = _plan_steps(T_final, dt)
+    assert all(0.0 < step <= dt for step in steps)
+    n_exact = T_final / dt
+    snapped = round(n_exact) >= 1 and abs(n_exact - round(n_exact)) <= 1e-9 * round(n_exact)
+    assert len(steps) == (round(n_exact) if snapped else math.floor(n_exact) + 1)
+    # the snap moves the horizon by at most 1e-9 of itself; round-off only otherwise
+    assert math.fsum(steps) == pytest.approx(T_final, rel=2e-9 if snapped else 1e-15)
